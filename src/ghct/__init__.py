@@ -38,7 +38,6 @@ from .ghtree import (
     auxiliary_graph,
     gomory_hu_classic,
     gomory_hu_generalized,
-    tree_query,
 )
 from .pipeline import (
     AttemptLimitError,

@@ -1,7 +1,8 @@
 """Command-line frontend: compute, verify, bench, and ordered-cuts.
 
-Exit codes: 0 success, 1 input/parse problems, 2 Las-Vegas attempt cap
-reached (no tree is written), 3 verification found violations.
+Exit codes: 0 success, 1 input/parse problems or a bad flag or
+environment value, 2 Las-Vegas attempt cap reached (no tree is written),
+3 verification found violations.
 """
 
 from __future__ import annotations
@@ -29,8 +30,24 @@ GAMMA_REFERENCE = 0.584  # log2(1.5), the expected work-scaling exponent offset
 METHODS = ("classic", "oc1", "weak-oc")
 
 
-def _read_graph(path: str) -> Graph:
-    return parse_dimacs(Path(path).read_text())
+class _InputError(Exception):
+    """Bad input file or value: one `error:` line on stderr, exit 1."""
+
+
+def _read_graph(path) -> Graph:
+    try:
+        return parse_dimacs(Path(path).read_text())
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, GraphFormatError) as exc:
+        raise _InputError(f"{path}: {exc}") from None
+
+
+def _attempt_cap(explicit: int | None) -> int:
+    try:
+        return max_attempts_cap(explicit)
+    except ValueError as exc:
+        raise _InputError(exc) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -76,20 +93,12 @@ def tree_to_text(tree: GHTree, method: str, seed: int) -> str:
 
 
 def cmd_compute(args) -> int:
-    try:
-        g = _read_graph(args.input)
-    except GraphFormatError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 1
-    try:
-        tree, stats = run_method(
-            g, args.method, args.seed,
-            max_attempts=max_attempts_cap(args.max_attempts),
-            scale_alpha=args.schedule_c1, scale_beta=args.schedule_c2,
-            certify=args.certify)
-    except AttemptLimitError as exc:
-        print(f"error: attempt cap reached: {exc}", file=sys.stderr)
-        return 2
+    cap = _attempt_cap(args.max_attempts)
+    g = _read_graph(args.input)
+    tree, stats = run_method(
+        g, args.method, args.seed, max_attempts=cap,
+        scale_alpha=args.schedule_c1, scale_beta=args.schedule_c2,
+        certify=args.certify)
     _write_text(args.out, tree_to_text(tree, args.method, args.seed))
     if args.stats_out:
         Path(args.stats_out).write_text(json.dumps(stats, indent=2) + "\n")
@@ -97,24 +106,17 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _read_graph(args.graph)
-        tree_graph = _read_graph(args.tree)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    g = _read_graph(args.graph)
+    tree_graph = _read_graph(args.tree)
     if set(tree_graph.labels) != set(g.labels):
-        print("error: tree and graph node sets differ", file=sys.stderr)
-        return 1
+        raise _InputError("tree and graph node sets differ")
     if tree_graph.num_edges != g.num_nodes - 1:
-        print("error: tree must have exactly n-1 edges", file=sys.stderr)
-        return 1
+        raise _InputError("tree must have exactly n-1 edges")
     tree = GHTree(tree_graph.labels, tuple(tree_graph.edge_labels()))
     try:
         report = verify_gh_tree(g, tree)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _InputError(exc) from None
     if report.ok:
         print(json.dumps({"kind": "gh-tree", "ok": True, "violations": []}))
         return 0
@@ -123,21 +125,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ordered_cuts(args) -> int:
-    try:
-        g = _read_graph(args.input)
-    except GraphFormatError as exc:
-        print(f"error: {args.input}: {exc}", file=sys.stderr)
-        return 1
+    g = _read_graph(args.input)
     if args.sequence:
         try:
             seq = tuple(int(tok) for tok in args.sequence.split(","))
         except ValueError:
-            print("error: --sequence must be comma-separated integers", file=sys.stderr)
-            return 1
+            raise _InputError("--sequence must be comma-separated integers") from None
         unknown = [v for v in seq if not g.has_node(v)]
         if unknown:
-            print(f"error: sequence nodes {unknown} are not in the graph", file=sys.stderr)
-            return 1
+            raise _InputError(f"sequence nodes {unknown} are not in the graph")
+        if len(set(seq)) != len(seq):
+            raise _InputError("--sequence nodes must be distinct")
     else:
         nodes = sorted(g.labels)
         random.Random(args.seed).shuffle(nodes)
@@ -160,8 +158,8 @@ def cmd_ordered_cuts(args) -> int:
     return 0
 
 
-def _bench_row(path: Path, method: str, seed: int, max_attempts: int | None):
-    g = parse_dimacs(path.read_text())
+def _bench_row(path: Path, method: str, seed: int, max_attempts: int):
+    g = _read_graph(path)
     tree, stats = run_method(g, method, seed, max_attempts=max_attempts)
     row = {"instance": path.stem, "n": g.num_nodes, "m": g.num_edges}
     row.update(stats)
@@ -174,7 +172,7 @@ def _oc_scaling_runs(paths, seeds):
     for path in paths:
         if not path.stem.startswith("erdos-renyi"):
             continue
-        g = parse_dimacs(path.read_text())
+        g = _read_graph(path)
         for seed in seeds:
             rng = random.Random((seed << 16) ^ g.num_nodes)
             nodes = sorted(g.labels)
@@ -197,6 +195,7 @@ def fit_exponent(by_n: dict) -> float | None:
 
 
 def cmd_bench(args) -> int:
+    cap = _attempt_cap(args.max_attempts)
     corpus = Path(args.corpus)
     if args.generate:
         corpus.mkdir(parents=True, exist_ok=True)
@@ -208,35 +207,30 @@ def cmd_bench(args) -> int:
             (corpus / f"erdos-renyi_n{n}.dimacs").write_text(write_dimacs(g))
     paths = sorted(corpus.glob("*.dimacs")) if corpus.is_dir() else []
     if not paths:
-        print(f"error: no .dimacs instances under {corpus}", file=sys.stderr)
-        return 1
+        raise _InputError(f"no .dimacs instances under {corpus}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
-            print(f"error: unknown method {m!r}", file=sys.stderr)
-            return 1
-    seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
+            raise _InputError(f"unknown method {m!r}")
+    try:
+        seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
+    except ValueError:
+        raise _InputError("--seeds must be comma-separated integers") from None
 
-    jobs = [(path, method, seed) for path in paths for method in methods
-            for seed in seeds]
-    rows = []
+    jobs = [(path, method, seed, cap) for path in paths
+            for method in methods for seed in seeds]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_bench_row, p, m, s, args.max_attempts)
-                       for p, m, s in jobs]
-            for fut, (path, method, seed) in zip(futures, jobs):
-                g, tree, row = fut.result()
-                if args.verify:
-                    row["verified"] = verify_gh_tree(g, tree).ok
-                rows.append(row)
+            results = list(pool.map(_bench_row, *zip(*jobs)))
     else:
-        for path, method, seed in jobs:
-            g, tree, row = _bench_row(path, method, seed, args.max_attempts)
-            if args.verify:
-                row["verified"] = verify_gh_tree(g, tree).ok
-            rows.append(row)
+        results = [_bench_row(*job) for job in jobs]
+    rows = []
+    for g, tree, row in results:
+        if args.verify:
+            row["verified"] = verify_gh_tree(g, tree).ok
+        rows.append(row)
 
     by_n = _oc_scaling_runs(paths, seeds)
     exponent = fit_exponent(by_n)
@@ -265,8 +259,15 @@ def cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad flags exit 1 like other input problems; 2 means the attempt cap."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ghct",
         description="Exact Gomory-Hu cut trees by three interchangeable methods,"
                     " with work instrumentation and brute-force verification.")
@@ -324,7 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except AttemptLimitError as exc:  # no tree or report has been written
+        print(f"error: attempt cap reached: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

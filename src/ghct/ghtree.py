@@ -9,10 +9,12 @@ whose singletons form the cut tree.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Cut, Graph, contract_set_to_node, cut_cost, label_key, sorted_labels
+from .graph import Cut, Graph, _quotient, contract_set_to_node, cut_cost, label_key, \
+    sorted_labels, unused_label
 from .maxflow import WorkCounter, min_cut
 from .oracle import is_laminar
 
@@ -27,13 +29,6 @@ class PartitionTree:
 
     supernodes: tuple
     edges: tuple
-
-    def index_of(self, supernode) -> int:
-        target = frozenset(supernode)
-        for i, sn in enumerate(self.supernodes):
-            if sn == target:
-                return i
-        raise ValueError("not a supernode of this tree")
 
 
 @dataclass(frozen=True)
@@ -98,61 +93,38 @@ class GHTree:
         return Graph(self.nodes, self.edges)
 
 
-def tree_query(tree: GHTree, s, t):
-    return tree.query(s, t)
+def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
+    """Contract every tree branch hanging off supernode xi to one node.
 
-
-def auxiliary_graph(g: Graph, tree: PartitionTree, x):
-    """Contract every tree branch hanging off supernode x to one node.
-
-    Returns (H, branches) where H's nodes are x's members plus one fresh
-    label per tree neighbor, and branches maps each fresh label to the
-    union of supernodes in its branch.
+    Returns (H, reps) where H's nodes are xi's members plus one fresh
+    label per tree neighbor, and reps maps each neighbor's supernode index
+    to the label of the branch behind it.
     """
-    xi = tree.index_of(x)
     adj = {i: [] for i in range(len(tree.supernodes))}
     for i, j, _ in tree.edges:
         adj[i].append(j)
         adj[j].append(i)
 
-    branches = {}
-    node_to_branch = {}
-    assigned: set = set()
-    serial = 0
-    for i, j, _ in tree.edges:
-        if xi not in (i, j):
-            continue
-        start = j if i == xi else i
-        if start in assigned:
-            continue
+    reps = {}
+    branch_of = {}
+    names = itertools.count()
+    for start in adj[xi]:
+        label = reps[start] = unused_label("b", names, g)
         component = {start}
         queue = deque([start])
         while queue:
             k = queue.popleft()
+            for v in tree.supernodes[k]:
+                branch_of[v] = label
             for nb in adj[k]:
                 if nb != xi and nb not in component:
                     component.add(nb)
                     queue.append(nb)
-        assigned |= component
-        label = ("b", serial)
-        while g.has_node(label):
-            serial += 1
-            label = ("b", serial)
-        serial += 1
-        members = frozenset().union(*(tree.supernodes[k] for k in component))
-        branches[label] = members
-        for node in members:
-            node_to_branch[node] = label
 
     x_members = tree.supernodes[xi]
-    nodes = [lab for lab in g.labels if lab in x_members] + list(branches)
-    edges = []
-    for u, v, w in g.edge_labels():
-        nu = node_to_branch.get(u, u)
-        nv = node_to_branch.get(v, v)
-        if nu != nv:
-            edges.append((nu, nv, w))
-    return Graph(nodes, edges), branches
+    nodes = [lab for lab in g.labels if lab in x_members] + list(reps.values())
+    rep_of = [branch_of.get(lab, lab) for lab in g.labels]
+    return _quotient(g, nodes, rep_of), reps
 
 
 class _TreeState:
@@ -233,30 +205,19 @@ def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None =
         xi = state.pick_supernode()
         if xi is None:
             break
-        h, branches = auxiliary_graph(g, state.snapshot(), state.supernodes[xi])
+        h, reps = auxiliary_graph(g, state.snapshot(), xi)
         _record_depth(depth_stats, state.depth[xi], h)
         members = sorted_labels(state.supernodes[xi])
         s, t = members[0], members[1]
         res = min_cut(h, {s}, {t}, counter)
         sink = res.sink_side
         b_members = state.supernodes[xi] & sink
-
-        rep_label = _neighbor_reps(state, xi, branches)
-        state.split(xi, b_members, res.cost,
-                    lambda other: rep_label[other] in sink)
+        state.split(xi, b_members, res.cost, lambda other: reps[other] in sink)
         state.depth[xi] += 1
     return state.finish()
 
 
-def _neighbor_reps(state: _TreeState, xi: int, branches: dict) -> dict:
-    """H-label of the branch behind each tree edge incident to xi."""
-    reps = {}
-    for edge in state.edges:
-        if xi in (edge[0], edge[1]):
-            other = edge[1] if edge[0] == xi else edge[0]
-            reps[other] = next(lab for lab, nodes in branches.items()
-                               if state.supernodes[other] <= nodes)
-    return reps
+MAX_STRATEGY_RETRIES = 100
 
 
 class StrategyError(ValueError):
@@ -281,7 +242,6 @@ def _check_family(family, s, h: Graph, x_members) -> list:
 
 
 def gomory_hu_generalized(g: Graph, strategy, counter: WorkCounter,
-                          max_retries: int = 100,
                           depth_stats: dict | None = None) -> GHTree:
     """Generalized driver: apply a laminar family per supernode.
 
@@ -289,27 +249,27 @@ def gomory_hu_generalized(g: Graph, strategy, counter: WorkCounter,
     minimum s-t cut in h for some t in x.  Cuts are applied smallest
     first; the processed side is re-contracted into a fresh node and the
     remaining supersets are rewritten to reference it.  An invalid family
-    is rejected and the strategy is simply invoked again.
+    is rejected and the strategy is simply invoked again, up to
+    MAX_STRATEGY_RETRIES times in all.
     """
     state = _TreeState(g)
-    vb_serial = 0
+    vb_names = itertools.count()
     while True:
         xi = state.pick_supernode()
         if xi is None:
             break
         x_members = frozenset(state.supernodes[xi])
-        h, branches = auxiliary_graph(g, state.snapshot(), x_members)
+        h, rep_label = auxiliary_graph(g, state.snapshot(), xi)
         _record_depth(depth_stats, state.depth[xi], h)
 
-        for attempt in range(max_retries):
+        for attempt in range(MAX_STRATEGY_RETRIES):
             try:
                 s, family = strategy(h, x_members)
                 pi = _check_family(family, s, h, x_members)
                 break
             except StrategyError:
-                if attempt == max_retries - 1:
+                if attempt == MAX_STRATEGY_RETRIES - 1:
                     raise
-        rep_label = _neighbor_reps(state, xi, branches)
 
         while pi:
             cut = min(pi, key=lambda c: (len(c), sorted(label_key(v) for v in c)))
@@ -323,11 +283,7 @@ def gomory_hu_generalized(g: Graph, strategy, counter: WorkCounter,
             for other in [o for o, lab in rep_label.items() if lab in cut]:
                 del rep_label[other]
 
-            vb_label = ("vb", vb_serial)
-            while h.has_node(vb_label) or g.has_node(vb_label):
-                vb_serial += 1
-                vb_label = ("vb", vb_serial)
-            vb_serial += 1
+            vb_label = unused_label("vb", vb_names, h, g)
             h = contract_set_to_node(h, cut, vb_label)
             rep_label[bi] = vb_label
             pi = [c if not (cut <= c) else (c - cut) | {vb_label} for c in pi]

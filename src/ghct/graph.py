@@ -29,9 +29,7 @@ def label_key(label):
     Integer labels sort numerically first; anything else (e.g. the tuple
     labels produced by contractions) sorts after them by repr.
     """
-    if isinstance(label, bool):
-        return (1, 0, repr(label))
-    if isinstance(label, int):
+    if isinstance(label, int) and not isinstance(label, bool):
         return (0, label, "")
     return (1, 0, repr(label))
 
@@ -105,9 +103,6 @@ class Graph:
     def has_node(self, label) -> bool:
         return label in self._index
 
-    def index_of(self, label) -> int:
-        return self._index[label]
-
     def adjacency(self):
         """Per-node list of (neighbor_index, weight), built lazily."""
         if self._adj is None:
@@ -122,9 +117,6 @@ class Graph:
         """Edges as (u_label, v_label, weight) triples."""
         lab = self.labels
         return [(lab[iu], lab[iv], w) for iu, iv, w in self.edges]
-
-    def total_weight(self) -> int:
-        return sum(w for _, _, w in self.edges)
 
     def indices(self, members) -> set:
         idx = self._index
@@ -157,10 +149,6 @@ def cut_cost(g: Graph, members) -> int:
         if (iu in inside) != (iv in inside):
             total += w
     return total
-
-
-def make_cut(g: Graph, members) -> Cut:
-    return Cut(frozenset(members), cut_cost(g, members))
 
 
 def _quotient(g: Graph, new_labels, rep_of) -> Graph:
@@ -210,12 +198,13 @@ def contract_set_to_node(g: Graph, members, label) -> Graph:
     return _quotient(g, survivors + [label], rep_of)
 
 
-def fresh_label(g: Graph, tag: str, start: int = 0):
-    """A (tag, k) label guaranteed not to collide with nodes of `g`."""
-    k = start
-    while (tag, k) in g._index:
-        k += 1
-    return (tag, k)
+def unused_label(tag: str, names, *graphs):
+    """The next (tag, k), k drawn from the counter `names`, that is a node
+    of none of `graphs`; used to name contracted nodes."""
+    while True:
+        label = (tag, next(names))
+        if not any(g.has_node(label) for g in graphs):
+            return label
 
 
 # -- DIMACS-style text format -------------------------------------------

@@ -11,15 +11,8 @@ from __future__ import annotations
 
 import itertools
 
-from .graph import Graph, contract_set_to_node, sorted_labels
+from .graph import Graph, contract_set_to_node, sorted_labels, unused_label
 from .maxflow import WorkCounter, latest_min_cut, min_cut_minimal_sink
-
-
-def _fresh(g: Graph, counter: itertools.count):
-    while True:
-        label = ("iso", next(counter))
-        if not g.has_node(label):
-            return label
 
 
 def _isolate(src, terminals, g: Graph, work: WorkCounter, names: itertools.count,
@@ -33,12 +26,12 @@ def _isolate(src, terminals, g: Graph, work: WorkCounter, names: itertools.count
     res = min_cut_minimal_sink(g, {src, *left}, set(right), work)
     sink = res.sink_side
 
-    right_label = _fresh(g, names)
+    right_label = unused_label("iso", names, g)
     right_g = contract_set_to_node(g, g.node_set - sink, right_label)
     right_cuts, right_depth = _isolate(right_label, right, right_g, work, names,
                                        depth + 1)
 
-    left_label = _fresh(g, names)
+    left_label = unused_label("iso", names, g)
     left_g = contract_set_to_node(g, sink | {src}, left_label)
     left_cuts, left_depth = _isolate(left_label, left, left_g, work, names,
                                      depth + 1)

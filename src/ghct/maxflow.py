@@ -20,11 +20,7 @@ from .graph import Cut, Graph
 
 @dataclass
 class WorkCounter:
-    """Accumulated sizes of graphs passed to the min-cut engine.
-
-    Merging is associative and commutative, so shards from concurrent
-    branches can be combined in any order.
-    """
+    """Accumulated sizes of graphs passed to the min-cut engine."""
 
     calls: int = 0
     nodes_total: int = 0
@@ -34,11 +30,6 @@ class WorkCounter:
         self.calls += 1
         self.nodes_total += nodes
         self.edges_total += edges
-
-    def merge(self, other: "WorkCounter") -> None:
-        self.calls += other.calls
-        self.nodes_total += other.nodes_total
-        self.edges_total += other.edges_total
 
     def snapshot(self) -> dict:
         return {
@@ -106,89 +97,59 @@ def _max_flow(adj, to, cap, src, snk):
                     path_arcs.pop()
 
 
-class _Network:
-    """Flow network for one engine call, terminals merged to ids 0 and 1."""
+def _solve(g: Graph, s_side, t_side, minimal_sink: bool):
+    """Maximum flow between the merged terminal sides; returns (flow, sink_side).
 
-    __slots__ = ("g", "source_ids", "sink_ids", "node_of", "adj", "to", "cap", "flow")
+    The sink side comes from one residual search: forward from the source
+    for the inclusion-maximal side (everything the source cannot reach), or
+    backward from the sink for the inclusion-minimal one (everything that
+    can still reach the sink).
+    """
+    s_idx = g.indices(s_side)
+    t_idx = g.indices(t_side)
+    if not s_idx or not t_idx:
+        raise ValueError("terminal sides must be non-empty")
+    if s_idx & t_idx:
+        raise ValueError("terminal sides must be disjoint")
+    node_of = [0] * g.num_nodes  # source side -> 0, sink side -> 1
+    n = 2
+    for i in range(g.num_nodes):
+        if i in t_idx:
+            node_of[i] = 1
+        elif i not in s_idx:
+            node_of[i] = n
+            n += 1
+    adj = [[] for _ in range(n)]
+    to = []
+    cap = []
+    for iu, iv, w in g.edges:
+        cu, cv = node_of[iu], node_of[iv]
+        if cu == cv:
+            continue
+        adj[cu].append(len(to))
+        to.append(cv)
+        cap.append(w)
+        adj[cv].append(len(to))
+        to.append(cu)
+        cap.append(w)
+    flow = _max_flow(adj, to, cap, 0, 1)
 
-    def __init__(self, g: Graph, s_side, t_side):
-        s_idx = g.indices(s_side)
-        t_idx = g.indices(t_side)
-        if not s_idx or not t_idx:
-            raise ValueError("terminal sides must be non-empty")
-        if s_idx & t_idx:
-            raise ValueError("terminal sides must be disjoint")
-        node_of = [0] * g.num_nodes
-        free = []
-        for i in range(g.num_nodes):
-            if i in s_idx:
-                node_of[i] = 0
-            elif i in t_idx:
-                node_of[i] = 1
-            else:
-                node_of[i] = 2 + len(free)
-                free.append(i)
-        n = 2 + len(free)
-        adj = [[] for _ in range(n)]
-        to = []
-        cap = []
-        for iu, iv, w in g.edges:
-            cu, cv = node_of[iu], node_of[iv]
-            if cu == cv:
-                continue
-            adj[cu].append(len(to))
-            to.append(cv)
-            cap.append(w)
-            adj[cv].append(len(to))
-            to.append(cu)
-            cap.append(w)
-        self.g = g
-        self.source_ids = s_idx
-        self.sink_ids = t_idx
-        self.node_of = node_of
-        self.adj = adj
-        self.to = to
-        self.cap = cap
-        self.flow = _max_flow(adj, to, cap, 0, 1)
-
-    def _reach_from_source(self) -> set:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for e in self.adj[x]:
-                y = self.to[e]
-                if self.cap[e] > 0 and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    def _reach_to_sink(self) -> set:
-        # y can step to x along arc e=(x,y)'s twin whenever cap[e^1] > 0.
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            x = queue.popleft()
-            for e in self.adj[x]:
-                y = self.to[e]
-                if self.cap[e ^ 1] > 0 and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return seen
-
-    def max_sink_side(self) -> frozenset:
-        reach = self._reach_from_source()
-        labels = self.g.labels
-        return frozenset(
-            labels[i] for i in range(len(labels)) if self.node_of[i] not in reach
-        )
-
-    def min_sink_side(self) -> frozenset:
-        reach = self._reach_to_sink()
-        labels = self.g.labels
-        return frozenset(
-            labels[i] for i in range(len(labels)) if self.node_of[i] in reach
-        )
+    # Forward, x reaches y while arc e=(x,y) has capacity; backward, y
+    # reaches the sink through x while the twin arc e^1=(y,x) has capacity.
+    root = twin = 1 if minimal_sink else 0
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for e in adj[x]:
+            y = to[e]
+            if cap[e ^ twin] > 0 and y not in seen:
+                seen.add(y)
+                queue.append(y)
+    labels = g.labels
+    sink_side = frozenset(labels[i] for i in range(len(labels))
+                          if (node_of[i] in seen) == minimal_sink)
+    return flow, sink_side
 
 
 def min_cut(g: Graph, s_side, t_side, counter: WorkCounter) -> MinCutResult:
@@ -198,15 +159,13 @@ def min_cut(g: Graph, s_side, t_side, counter: WorkCounter) -> MinCutResult:
     residual source component).
     """
     counter.record(g.num_nodes, g.num_edges)
-    net = _Network(g, s_side, t_side)
-    return MinCutResult(net.flow, net.max_sink_side())
+    return MinCutResult(*_solve(g, s_side, t_side, minimal_sink=False))
 
 
 def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> MinCutResult:
     """Among all minimum S-T cuts, the one with inclusion-minimal sink side."""
     counter.record(g.num_nodes, g.num_edges)
-    net = _Network(g, s_side, t_side)
-    return MinCutResult(net.flow, net.min_sink_side())
+    return MinCutResult(*_solve(g, s_side, t_side, minimal_sink=True))
 
 
 def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:
@@ -218,5 +177,5 @@ def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:
     if u == v:
         raise ValueError("terminals must be distinct")
     counter.record(g.num_nodes, g.num_edges)
-    net = _Network(g, {u}, {v})
-    return Cut(net.min_sink_side(), net.flow)
+    flow, sink_side = _solve(g, {u}, {v}, minimal_sink=True)
+    return Cut(sink_side, flow)

@@ -127,13 +127,6 @@ class OCTree:
             self._children = kids
         return self._children
 
-    def depth(self, v) -> int:
-        d = 0
-        while v != self.root:
-            v = self.parent[v]
-            d += 1
-        return d
-
     def down_set(self, v) -> frozenset:
         """Union of blocks over the subtree rooted at v."""
         if v not in self.blocks:
@@ -175,9 +168,7 @@ def validate(tree: OCTree, g: Graph, counter: WorkCounter | None = None) -> Vali
     if tree.ambient_nodes() != g.node_set:
         return ValidationResult(False, "blocks do not partition the graph's nodes")
     counter = counter if counter is not None else WorkCounter()
-    for k, v in enumerate(tree.order):
-        if k == 0:
-            continue
+    for k, v in enumerate(tree.order[1:], 1):
         prefix = tree.order[:k]
         cost = cut_cost(g, tree.down_set(v))
         expected = min_cut(g, set(prefix), {v}, counter).cost
@@ -327,7 +318,7 @@ def _single_node_tree(v, members) -> OCTree:
     return OCTree((v,), {}, {v: members}, check=False)
 
 
-def ordered_cuts(order, g: Graph, counter: WorkCounter, parallel: bool = False) -> OCTree:
+def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
     """Divide-and-conquer construction of a valid OC tree for (order, g).
 
     Splits the sequence in half, solves the head prefix, and for each head
@@ -355,33 +346,21 @@ def ordered_cuts(order, g: Graph, counter: WorkCounter, parallel: bool = False) 
 
     half = (len(order) + 1 + 1) // 2  # ceil((len + 1) / 2)
     head, tail = order[:half], order[half:]
-    outer = ordered_cuts(head, g, counter, parallel)
+    outer = ordered_cuts(head, g, counter)
 
-    def solve_block(v, shard: WorkCounter) -> OCTree:
+    inner = {}
+    for v in head:
         block = outer.blocks[v]
         targets = tuple(b for b in tail if b in block)
         if not targets:
-            return _single_node_tree(v, block)
+            inner[v] = _single_node_tree(v, block)
+            continue
         sub_g = contract(g, block, v)
-        res = min_cut_minimal_sink(sub_g, {v}, set(targets), shard)
-        sink = res.sink_side
+        sink = min_cut_minimal_sink(sub_g, {v}, set(targets), counter).sink_side
         rec_g = contract(sub_g, sink | {v}, v)
-        sub_tree = ordered_cuts((v, *targets), rec_g, shard, parallel)
+        sub_tree = ordered_cuts((v, *targets), rec_g, counter)
         side = _single_node_tree(v, block - sink)
-        return splice_trees((v, *targets), side, sub_tree, check=False)
-
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
-
-        shards = {v: WorkCounter() for v in head}
-        with ThreadPoolExecutor() as pool:
-            futures = {v: pool.submit(solve_block, v, shards[v]) for v in head}
-            inner = {v: f.result() for v, f in futures.items()}
-        for v in head:
-            counter.merge(shards[v])
-    else:
-        inner = {v: solve_block(v, counter) for v in head}
-
+        inner[v] = splice_trees((v, *targets), side, sub_tree, check=False)
     return compose_trees(order, outer, inner, check=False)
 
 

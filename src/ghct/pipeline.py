@@ -36,10 +36,23 @@ class AttemptLimitError(RuntimeError):
 
 
 def max_attempts_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("OC_MAX_ATTEMPTS")
-    return int(env) if env else DEFAULT_MAX_ATTEMPTS
+    """The attempt cap: `explicit`, else OC_MAX_ATTEMPTS, else the default.
+
+    A value that is not a non-negative integer raises ValueError naming
+    where it came from.
+    """
+    name, value = "max_attempts", explicit
+    if value is None:
+        name, value = "OC_MAX_ATTEMPTS", os.environ.get("OC_MAX_ATTEMPTS")
+        if not value:
+            return DEFAULT_MAX_ATTEMPTS
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return cap
 
 
 @dataclass
@@ -278,6 +291,28 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
 # -- source selection (the driver's line-4 strategies) --------------------
 
 
+def _las_vegas(h: Graph, x, stats: PipelineStats | None,
+               max_attempts: int | None, attempt):
+    """Run `attempt(xs, x_set)` until it returns a result other than None.
+
+    `xs` is x in label order.  Owns the attempt cap, the PipelineStats
+    record of accepted invocations and the AttemptLimitError.
+    """
+    xs = sorted_labels(x)
+    if len(xs) < 2:
+        raise ValueError("need at least two supernode members")
+    cap = max_attempts_cap(max_attempts)
+    x_set = set(xs)
+    for attempts in range(1, cap + 1):
+        result = attempt(xs, x_set)
+        if result is not None:
+            if stats is not None:
+                stats.record(attempts)
+            return result
+    raise AttemptLimitError(
+        f"source selection exceeded {cap} attempts on a {h.num_nodes}-node graph")
+
+
 def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
                       stats: PipelineStats | None = None,
                       max_attempts: int | None = None,
@@ -290,39 +325,26 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
     that block's representative.  Terminates only once all of x minus the
     source is covered by blocks; otherwise re-perturbs and retries.
     """
-    xs = sorted_labels(x)
-    if len(xs) < 2:
-        raise ValueError("need at least two supernode members")
-    cap = max_attempts_cap(max_attempts)
-    x_set = set(xs)
-
-    attempts = 0
-    while attempts < cap:
-        attempts += 1
+    def attempt(xs, x_set):
         s = xs[0]
         perturbed = perturb(h, rng)
+        whole = h.node_set
         for rate in source_schedule(len(xs), h.num_nodes, scale_beta).probabilities:
             sample = random_subset(x_set - {s}, rate, rng)
             part = fixed_source_blocks(s, sample, perturbed, rng, counter,
                                        scale_alpha)
-            mover = None
-            whole = h.node_set
             for v in part.reps:
                 block = part.blocks[v]
-                complement = whole - block
                 cost = cut_cost(h, block)
-                if cut_less(complement, block, cost, cost, x_set):
-                    mover = v
+                if cut_less(whole - block, block, cost, cost, x_set):
+                    s = v  # the block outweighs its complement: move there
                     break
-            if mover is not None:
-                s = mover
-                continue
-            if x_set - {s} <= part.covered():
-                if stats is not None:
-                    stats.record(attempts)
-                return s, [frozenset(part.blocks[v]) for v in part.reps]
-    raise AttemptLimitError(
-        f"source selection exceeded {cap} attempts on a {h.num_nodes}-node graph")
+            else:
+                if x_set - {s} <= part.covered():
+                    return s, [frozenset(part.blocks[v]) for v in part.reps]
+        return None
+
+    return _las_vegas(h, x, stats, max_attempts, attempt)
 
 
 def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
@@ -332,16 +354,8 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
                        certify: str = "isolating"):
     """Pick a uniformly random source; accept once the laminar family of
     small-side cuts covers all but half of x."""
-    xs = sorted_labels(x)
-    if len(xs) < 2:
-        raise ValueError("need at least two supernode members")
-    cap = max_attempts_cap(max_attempts)
-    x_set = set(xs)
-    limit = math.ceil(len(xs) / 2)
-
-    attempts = 0
-    while attempts < cap:
-        attempts += 1
+    def attempt(xs, x_set):
+        limit = math.ceil(len(xs) / 2)
         s = rng.choice(xs)
         perturbed = perturb(h, rng)
         family = fixed_source_laminar(s, x_set - {s}, limit, perturbed, rng,
@@ -350,11 +364,10 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
                   if not any(c < other for other in family)]
         covered = set().union(*family) if family else set()
         if len((h.node_set - covered) & x_set) <= limit and family:
-            if stats is not None:
-                stats.record(attempts)
             return s, family
-    raise AttemptLimitError(
-        f"source selection exceeded {cap} attempts on a {h.num_nodes}-node graph")
+        return None
+
+    return _las_vegas(h, x, stats, max_attempts, attempt)
 
 
 # -- end-to-end constructions ---------------------------------------------
@@ -366,8 +379,6 @@ def gh_via_oc1(g: Graph, rng, counter: WorkCounter,
                scale_alpha: float = 1.0, scale_beta: float = 1.0,
                depth_stats: dict | None = None) -> GHTree:
     """Cut tree via the star-tree (depth-1) strategy."""
-    if g.num_nodes == 1:
-        return GHTree(tuple(g.labels), ())
 
     def strategy(h, x_members):
         return select_source_oc1(h, x_members, rng, counter, stats=stats,
@@ -384,8 +395,6 @@ def gh_via_weak_oc(g: Graph, rng, counter: WorkCounter,
                    certify: str = "isolating",
                    depth_stats: dict | None = None) -> GHTree:
     """Cut tree via certified weak ordered cuts."""
-    if g.num_nodes == 1:
-        return GHTree(tuple(g.labels), ())
 
     def strategy(h, x_members):
         return select_source_weak(h, x_members, rng, counter, stats=stats,

@@ -55,6 +55,12 @@ class TestCompute:
         assert main(["compute", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_unreadable_input_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.dimacs"
+        assert main(["compute", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {missing}: No such file or directory\n")
+
     def test_tree_to_stdout_by_default(self, tri_file, capsys):
         assert main(["compute", str(tri_file)]) == 0
         out = capsys.readouterr().out
@@ -73,6 +79,31 @@ class TestCompute:
         assert main(["compute", str(tri_file), "--method", "weak-oc",
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_non_integer_env_cap_exits_1(self, tri_file, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setenv("OC_MAX_ATTEMPTS", "abc")
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "tri.dimacs").write_text(TRI_TEXT)
+        for argv in (["compute", str(tri_file), "--method", "oc1"],
+                     ["bench", str(corpus), "--methods", "oc1"]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: OC_MAX_ATTEMPTS must be a non-negative integer, got 'abc'\n")
+
+    def test_negative_cap_flag_exits_1(self, tri_file, tmp_path, capsys):
+        out = tmp_path / "tree.dimacs"
+        assert main(["compute", str(tri_file), "--method", "oc1",
+                     "--max-attempts", "-4", "--out", str(out)]) == 1
+        assert "max_attempts" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_flag_value_exits_1(self, tri_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", str(tri_file), "--seed", "abc"])
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_compute_then_verify_roundtrip(self, tmp_path):
         rng = random.Random(55)
@@ -131,6 +162,10 @@ class TestOrderedCutsCommand:
     def test_unknown_sequence_node(self, tri_file):
         assert main(["ordered-cuts", str(tri_file), "--sequence", "1,9"]) == 1
 
+    def test_repeated_sequence_node(self, tri_file, capsys):
+        assert main(["ordered-cuts", str(tri_file), "--sequence", "1,1"]) == 1
+        assert capsys.readouterr().err == "error: --sequence nodes must be distinct\n"
+
     def test_stats_out(self, tri_file, tmp_path):
         out = tmp_path / "oc.txt"
         stats = tmp_path / "oc-stats.json"
@@ -147,6 +182,24 @@ class TestBench:
         empty.mkdir()
         assert main(["bench", str(empty)]) == 1
         assert "no .dimacs" in capsys.readouterr().err
+
+    def test_attempt_cap_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "tri.dimacs").write_text(TRI_TEXT)
+        report = tmp_path / "rows.json"
+        assert main(["bench", str(corpus), "--methods", "oc1", "--max-attempts", "0",
+                     "--report", str(report)]) == 2
+        assert capsys.readouterr().err.startswith("error: attempt cap reached:")
+        assert not report.exists()
+
+    def test_bad_seed_list_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "tri.dimacs").write_text(TRI_TEXT)
+        assert main(["bench", str(corpus), "--seeds", "0,abc"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --seeds must be comma-separated integers\n")
 
     def test_generated_corpus_runs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

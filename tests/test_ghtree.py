@@ -19,16 +19,17 @@ from conftest import random_graph
 class TestAuxiliaryGraph:
     def test_single_supernode_is_identity(self, tri):
         tree = PartitionTree((frozenset({1, 2, 3}),), ())
-        h, branches = auxiliary_graph(tri, tree, {1, 2, 3})
+        h, reps = auxiliary_graph(tri, tree, 0)
         assert h == tri
-        assert branches == {}
+        assert reps == {}
 
     def test_path_one_branch(self, p3):
         tree = PartitionTree((frozenset({1, 2}), frozenset({3})), ((0, 1, 2),))
-        h, branches = auxiliary_graph(p3, tree, {1, 2})
+        h, reps = auxiliary_graph(p3, tree, 0)
         assert h.num_nodes == 3
-        (label, members), = branches.items()
-        assert members == {3}
+        (other, label), = reps.items()
+        assert other == 1
+        assert h.labels == (1, 2, label)
         assert sorted(h.edge_labels(), key=str) == sorted(
             [(1, 2, 3), (2, label, 2)], key=str)
 
@@ -37,9 +38,12 @@ class TestAuxiliaryGraph:
         tree = PartitionTree(
             (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4})),
             ((0, 1, 1), (0, 2, 2), (0, 3, 3)))
-        h, branches = auxiliary_graph(g, tree, {1})
+        h, reps = auxiliary_graph(g, tree, 0)
         assert h.num_nodes == 4
-        assert len(branches) == 3
+        assert sorted(reps) == [1, 2, 3]
+        assert h.labels == (1, *(reps[k] for k in (1, 2, 3)))
+        for k, w in ((1, 1), (2, 2), (3, 3)):
+            assert cut_cost(h, {reps[k]}) == w
 
     def test_branches_preserve_cut_costs(self):
         # Contracting the far side of a tree edge keeps costs of cuts
@@ -47,7 +51,8 @@ class TestAuxiliaryGraph:
         g = Graph(range(1, 6),
                   [(1, 2, 2), (2, 3, 1), (3, 4, 4), (4, 5, 1), (2, 5, 3)])
         tree = PartitionTree((frozenset({1, 2, 3}), frozenset({4, 5})), ((0, 1, 4),))
-        h, _ = auxiliary_graph(g, tree, {1, 2, 3})
+        h, reps = auxiliary_graph(g, tree, 0)
+        assert cut_cost(h, {reps[1]}) == cut_cost(g, {4, 5})
         assert cut_cost(h, {1}) == cut_cost(g, {1})
         assert cut_cost(h, {1, 2}) == cut_cost(g, {1, 2})
 

@@ -172,14 +172,3 @@ def test_goldberg_running_minimum_property():
                 assert values[k] == direct
                 checked += 1
     assert checked > 20
-
-
-def test_counter_merge_is_associative():
-    parts = [WorkCounter(i, 10 * i, 100 * i) for i in (1, 2, 3)]
-    left = WorkCounter()
-    for p in parts:
-        left.merge(p)
-    right = WorkCounter()
-    for p in reversed(parts):
-        right.merge(p)
-    assert left == right

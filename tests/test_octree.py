@@ -299,18 +299,6 @@ class TestOrderedCuts:
                 expected = brute_min_cut(g, set(seq[:k]), {v}).cost
                 assert cut_cost(g, tree.down_set(v)) == expected
 
-    def test_parallel_mode_matches_sequential(self):
-        rng = random.Random(83)
-        for _ in range(10):
-            g = random_graph(rng, rng.randint(4, 12))
-            seq = random_sequence(rng, g)
-            seq_counter = WorkCounter()
-            par_counter = WorkCounter()
-            a = ordered_cuts(seq, g, seq_counter, parallel=False)
-            b = ordered_cuts(seq, g, par_counter, parallel=True)
-            assert a == b
-            assert seq_counter == par_counter
-
 
 class TestFlattenToStar:
     def test_triangle_chain(self, tri, tri_tree):
