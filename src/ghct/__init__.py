@@ -22,13 +22,10 @@ from .octree import (
     OCTree,
     certified_source_cuts,
     certifying_prefix,
-    compose_trees,
     covering_cut_costs,
     flatten_to_star,
     format_oc_tree,
     ordered_cuts,
-    remove_leaf,
-    splice_trees,
     validate,
 )
 from .isolating import isolating_cuts, isolating_cuts_with_depth

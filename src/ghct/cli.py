@@ -58,7 +58,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def run_method(g: Graph, method: str, seed: int, max_attempts: int | None = None,
-               scale_alpha: float = 1.0, scale_beta: float = 1.0,
                certify: str = "isolating"):
     """Build a cut tree; returns (tree, stats dict)."""
     counter = WorkCounter()
@@ -68,12 +67,10 @@ def run_method(g: Graph, method: str, seed: int, max_attempts: int | None = None
     if method == "classic":
         tree = gomory_hu_classic(g, counter)
     elif method == "oc1":
-        tree = gh_via_oc1(g, rng, counter, stats=stats, max_attempts=max_attempts,
-                          scale_alpha=scale_alpha, scale_beta=scale_beta)
+        tree = gh_via_oc1(g, rng, counter, stats=stats, max_attempts=max_attempts)
     elif method == "weak-oc":
         tree = gh_via_weak_oc(g, rng, counter, stats=stats,
-                              max_attempts=max_attempts,
-                              scale_alpha=scale_alpha, certify=certify)
+                              max_attempts=max_attempts, certify=certify)
     else:
         raise ValueError(f"unknown method {method!r}")
     wall_ms = (time.perf_counter() - started) * 1000.0
@@ -95,10 +92,8 @@ def tree_to_text(tree: GHTree, method: str, seed: int) -> str:
 def cmd_compute(args) -> int:
     cap = _attempt_cap(args.max_attempts)
     g = _read_graph(args.input)
-    tree, stats = run_method(
-        g, args.method, args.seed, max_attempts=cap,
-        scale_alpha=args.schedule_c1, scale_beta=args.schedule_c2,
-        certify=args.certify)
+    tree, stats = run_method(g, args.method, args.seed, max_attempts=cap,
+                             certify=args.certify)
     _write_text(args.out, tree_to_text(tree, args.method, args.seed))
     if args.stats_out:
         Path(args.stats_out).write_text(json.dumps(stats, indent=2) + "\n")
@@ -126,7 +121,7 @@ def cmd_verify(args) -> int:
 
 def cmd_ordered_cuts(args) -> int:
     g = _read_graph(args.input)
-    if args.sequence:
+    if args.sequence is not None:
         try:
             seq = tuple(int(tok) for tok in args.sequence.split(","))
         except ValueError:
@@ -149,7 +144,7 @@ def cmd_ordered_cuts(args) -> int:
         if not result:
             print(f"error: produced tree failed validation: {result.reason}",
                   file=sys.stderr)
-            return 2
+            return 3
     _write_text(args.out, format_oc_tree(tree))
     if args.stats_out:
         payload = counter.snapshot()
@@ -259,6 +254,13 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _scaling_size(text: str) -> int:
+    """An ER size for the scaling fit: one node does no flow work to fit."""
+    if not text.isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Bad flags exit 1 like other input problems; 2 means the attempt cap."""
 
@@ -281,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats-out", help="where to write the stats JSON")
     p.add_argument("--max-attempts", type=int, default=None,
                    help="Las-Vegas harness cap (default: OC_MAX_ATTEMPTS or 10000)")
-    p.add_argument("--schedule-c1", type=float, default=1.0,
-                   help="scale for the partition-schedule repeat count")
-    p.add_argument("--schedule-c2", type=float, default=1.0,
-                   help="scale for the source-schedule stage length")
     p.add_argument("--certify", choices=("isolating", "octree"), default="isolating",
                    help="certification backend for the weak-oc method")
     p.set_defaults(func=cmd_compute)
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", action="store_true",
                    help="populate the corpus with the built-in families first")
     p.add_argument("--generate-seed", type=int, default=0)
-    p.add_argument("--scaling-sizes", type=int, nargs="*", default=(64, 128),
+    p.add_argument("--scaling-sizes", type=_scaling_size, nargs="*", default=(64, 128),
                    help="extra unit-weight ER sizes for the scaling fit")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--verify", action="store_true",

@@ -13,6 +13,10 @@ from typing import Hashable, Iterable
 
 Label = Hashable
 
+# Largest node count a DIMACS header may declare: far beyond what the
+# pure-Python engine can solve, small enough that the label tuple fits.
+MAX_DIMACS_NODES = 2 ** 24
+
 
 class GraphFormatError(ValueError):
     """Malformed graph file; carries the offending 1-based line number."""
@@ -235,8 +239,8 @@ def parse_dimacs(text: str) -> Graph:
                 n, declared = int(fields[2]), int(fields[3])
             except ValueError:
                 raise GraphFormatError(ln, "non-integer node/edge count") from None
-            if n < 1:
-                raise GraphFormatError(ln, "node count must be >= 1")
+            if not 1 <= n <= MAX_DIMACS_NODES:
+                raise GraphFormatError(ln, f"node count must be in 1..{MAX_DIMACS_NODES}")
             if declared < 0:
                 raise GraphFormatError(ln, "edge count must be >= 0")
         elif fields[0] == "e":

@@ -6,8 +6,7 @@ edges always point to earlier sequence positions.  The down-set of v (the
 union of blocks in v's subtree) is a minimum (prefix before v)-v cut.
 
 The divide-and-conquer solver `ordered_cuts` builds a valid tree with
-max-flow work that stays subquadratic on random node orders; gluing of
-subproblem trees is done by `compose_trees` and `splice_trees`.
+max-flow work that stays subquadratic on random node orders.
 """
 
 from __future__ import annotations
@@ -80,12 +79,6 @@ class OCTree:
     @property
     def root(self):
         return self.order[0]
-
-    def ambient_nodes(self) -> frozenset:
-        out = set()
-        for b in self.blocks.values():
-            out |= b
-        return frozenset(out)
 
     def structural_problem(self) -> str:
         """Empty string if well-formed, else a description of the defect."""
@@ -165,7 +158,7 @@ def validate(tree: OCTree, g: Graph, counter: WorkCounter | None = None) -> Vali
     problem = tree.structural_problem()
     if problem:
         return ValidationResult(False, problem)
-    if tree.ambient_nodes() != g.node_set:
+    if frozenset().union(*tree.blocks.values()) != g.node_set:
         return ValidationResult(False, "blocks do not partition the graph's nodes")
     counter = counter if counter is not None else WorkCounter()
     for k, v in enumerate(tree.order[1:], 1):
@@ -178,25 +171,6 @@ def validate(tree: OCTree, g: Graph, counter: WorkCounter | None = None) -> Vali
                 f"down-set of {v!r} costs {cost}, minimum prefix cut is {expected}",
             )
     return ValidationResult(True)
-
-
-def remove_leaf(tree: OCTree, u) -> OCTree:
-    """Drop leaf u, merging its block into its parent's block.
-
-    Down-sets of all surviving sequence nodes are unchanged.
-    """
-    if u == tree.root:
-        raise ValueError("cannot remove the root")
-    if u not in tree.blocks:
-        raise ValueError(f"{u!r} is not a sequence node")
-    if tree.children()[u]:
-        raise ValueError(f"{u!r} is not a leaf")
-    p = tree.parent[u]
-    order = tuple(v for v in tree.order if v != u)
-    parent = {v: w for v, w in tree.parent.items() if v != u}
-    blocks = dict(tree.blocks)
-    blocks[p] = blocks[p] | blocks.pop(u)
-    return OCTree(order, parent, blocks, check=False)
 
 
 def certifying_prefix(tree: OCTree, u) -> tuple:
@@ -265,59 +239,6 @@ def covering_cut_costs(tree: OCTree, g: Graph) -> dict:
     return out
 
 
-def compose_trees(order, outer: OCTree, inner: Mapping, check: bool = True) -> OCTree:
-    """Glue per-block subtrees into an outer tree over a prefix.
-
-    `outer` must be a tree for a prefix of `order`; `inner[v]` is a tree
-    over outer's block of v (ambient node sets must match exactly), for
-    the subsequence of `order` inside that block.
-    """
-    order = tuple(order)
-    k = len(outer.order)
-    if order[:k] != outer.order:
-        raise ValueError("outer tree must cover a prefix of the sequence")
-    parent = dict(outer.parent)
-    blocks: dict = {}
-    for v in outer.order:
-        sub = inner[v]
-        if sub.root != v:
-            raise ValueError(f"inner tree for {v!r} is rooted at {sub.root!r}")
-        if sub.ambient_nodes() != outer.blocks[v]:
-            raise ValueError(f"inner tree for {v!r} does not match the outer block")
-        parent.update(sub.parent)
-        blocks.update(sub.blocks)
-    return OCTree(order, parent, blocks, check=check)
-
-
-def splice_trees(order, source_tree: OCTree, sink_tree: OCTree, check: bool = True) -> OCTree:
-    """Merge trees for the two sides of a source-vs-prefix minimum cut.
-
-    Both trees are rooted at the same source; their root blocks merge and
-    everything else is kept.
-    """
-    order = tuple(order)
-    s = order[0]
-    if source_tree.root != s or sink_tree.root != s:
-        raise ValueError("both trees must share the sequence's source as root")
-    overlap = source_tree.ambient_nodes() & sink_tree.ambient_nodes()
-    if overlap != {s}:
-        raise ValueError("side trees must overlap exactly at the source")
-    blocks = {s: source_tree.blocks[s] | sink_tree.blocks[s]}
-    for v, b in source_tree.blocks.items():
-        if v != s:
-            blocks[v] = b
-    for v, b in sink_tree.blocks.items():
-        if v != s:
-            blocks[v] = b
-    parent = dict(source_tree.parent)
-    parent.update(sink_tree.parent)
-    return OCTree(order, parent, blocks, check=check)
-
-
-def _single_node_tree(v, members) -> OCTree:
-    return OCTree((v,), {}, {v: members}, check=False)
-
-
 def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
     """Divide-and-conquer construction of a valid OC tree for (order, g).
 
@@ -335,53 +256,55 @@ def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
     for v in order:
         if not g.has_node(v):
             raise ValueError(f"{v!r} is not a node of the graph")
+    parent: dict = {}
+    blocks: dict = {}
+    _build(order, g, counter, parent, blocks)
+    return OCTree(order, parent, blocks, check=False)
 
+
+def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict) -> None:
+    """Write the tree for (order, g) into `parent` and `blocks`.
+
+    The blocks of order's nodes partition g's nodes; a recursive call on a
+    head node's sink side overwrites that node's block, and the caller
+    adds back the source side it cut off.
+    """
     if len(order) == 1:
-        return _single_node_tree(order[0], g.node_set)
+        blocks[order[0]] = g.node_set
+        return
     if len(order) == 2:
         s, v = order
         cut = latest_min_cut(g, s, v, counter)
-        return OCTree(order, {v: s}, {s: g.node_set - cut.members, v: cut.members},
-                      check=False)
+        parent[v] = s
+        blocks[s] = g.node_set - cut.members
+        blocks[v] = cut.members
+        return
 
     half = (len(order) + 1 + 1) // 2  # ceil((len + 1) / 2)
     head, tail = order[:half], order[half:]
-    outer = ordered_cuts(head, g, counter)
-
-    inner = {}
+    _build(head, g, counter, parent, blocks)
     for v in head:
-        block = outer.blocks[v]
+        block = blocks[v]
         targets = tuple(b for b in tail if b in block)
         if not targets:
-            inner[v] = _single_node_tree(v, block)
             continue
         sub_g = contract(g, block, v)
         sink = min_cut_minimal_sink(sub_g, {v}, set(targets), counter).sink_side
         rec_g = contract(sub_g, sink | {v}, v)
-        sub_tree = ordered_cuts((v, *targets), rec_g, counter)
-        side = _single_node_tree(v, block - sink)
-        inner[v] = splice_trees((v, *targets), side, sub_tree, check=False)
-    return compose_trees(order, outer, inner, check=False)
+        _build((v, *targets), rec_g, counter, parent, blocks)
+        blocks[v] = (block - sink) | blocks[v]
 
 
 def flatten_to_star(tree: OCTree) -> NamedPartition:
-    """Reduce to a depth-1 tree by repeatedly removing deep leaves.
+    """The depth-1 tree: the root's children, each holding its down-set.
 
-    While any leaf sits at depth two or more, the rightmost such leaf (in
-    sequence order) is removed, merging its block upward.  The surviving
-    children of the root become the representatives of a named partition.
+    Merging every deeper node's block into its parent, in any order, ends
+    here, and keeps each surviving node's down-set.  The children of the
+    root, in sequence order, become the representatives of a named
+    partition.
     """
-    pos = {v: i for i, v in enumerate(tree.order)}
-    current = tree
-    while True:
-        kids = current.children()
-        deep_leaves = [v for v in current.order[1:]
-                       if not kids[v] and current.parent[v] != current.root]
-        if not deep_leaves:
-            break
-        current = remove_leaf(current, max(deep_leaves, key=pos.__getitem__))
-    reps = tuple(v for v in current.order[1:])
-    return NamedPartition(reps, {v: current.blocks[v] for v in reps})
+    reps = tuple(tree.children()[tree.root])
+    return NamedPartition(reps, {v: tree.down_set(v) for v in reps})
 
 
 def format_oc_tree(tree: OCTree) -> str:

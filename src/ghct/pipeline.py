@@ -103,32 +103,27 @@ def perturb(g: Graph, rng) -> Graph:
 # -- schedules -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Schedule:
-    probabilities: tuple
-
-
-def partition_schedule(size: int, scale: float = 1.0) -> Schedule:
-    """Geometric block (1, 1/2, ..., 2^-floor(log2 size)) repeated
-    ceil(scale * log2(size+1)^2) times."""
+def partition_schedule(size: int) -> tuple:
+    """Sampling rates: the geometric block (1, 1/2, ..., 2^-floor(log2 size))
+    repeated ceil(log2(size+1)^2) times."""
     if size < 1:
         raise ValueError("schedule needs a positive ground-set size")
     depth = size.bit_length() - 1
     block = [2.0 ** -j for j in range(depth + 1)]
-    repeats = max(1, math.ceil(scale * math.log2(size + 1) ** 2))
-    return Schedule(tuple(block * repeats))
+    repeats = max(1, math.ceil(math.log2(size + 1) ** 2))
+    return tuple(block * repeats)
 
 
-def source_schedule(size: int, ambient_nodes: int, scale: float = 1.0) -> Schedule:
-    """K copies of each rate 2^-d, ..., 2^-1 (K ~ log log of graph size),
-    then a final full-sampling round."""
+def source_schedule(size: int, ambient_nodes: int) -> tuple:
+    """Sampling rates: K copies of each rate 2^-d, ..., 2^-1 (K ~ log log of
+    graph size), then a final full-sampling round."""
     if size < 1:
         raise ValueError("schedule needs a positive ground-set size")
     depth = size.bit_length() - 1
-    k = max(1, math.ceil(scale * math.log2(math.log2(ambient_nodes + 4))))
+    k = max(1, math.ceil(math.log2(math.log2(ambient_nodes + 4))))
     rates = [2.0 ** -p for p in range(depth, 0, -1) for _ in range(k)]
     rates.append(1.0)
-    return Schedule(tuple(rates))
+    return tuple(rates)
 
 
 # -- total order on cuts -------------------------------------------------
@@ -175,20 +170,13 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
 
     if certify == "octree":
         certified = certified_source_cuts(tree, g)
-        kids = tree.children()
-        minimal = {}
-        for u, cut in certified.items():
-            stack = list(kids[u])
-            has_certified_descendant = False
-            while stack:
-                w = stack.pop()
-                if w in certified:
-                    has_certified_descendant = True
-                    break
-                stack.extend(kids[w])
-            if not has_certified_descendant:
-                minimal[u] = cut
-        return estimates, minimal
+        # Parents precede children, so a reverse pass sees every descendant
+        # of u before u and can mark u's parent as above a certified node.
+        above = set()
+        for u in reversed(tree.order[1:]):
+            if u in certified or u in above:
+                above.add(tree.parent[u])
+        return estimates, {u: cut for u, cut in certified.items() if u not in above}
     if certify != "isolating":
         raise ValueError(f"unknown certification mode {certify!r}")
 
@@ -206,8 +194,7 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
 # -- fixed-source partitions ---------------------------------------------
 
 
-def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter,
-                        scale: float = 1.0) -> NamedPartition:
+def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> NamedPartition:
     """Named partition of minimum source cuts covering most of x.
 
     Repeatedly samples x at scheduled rates, solves ordered cuts on the
@@ -220,7 +207,7 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter,
     if not live:
         return NamedPartition((), {})
     estimates = {v: cut_cost(g, {v}) for v in live}
-    rates = partition_schedule(len(live), scale).probabilities
+    rates = partition_schedule(len(live))
 
     for i, rate in enumerate((*rates, 1.0)):
         final = i == len(rates)
@@ -252,7 +239,7 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter,
 
 
 def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
-                         scale: float = 1.0, certify: str = "isolating") -> list:
+                         certify: str = "isolating") -> list:
     """Laminar family of minimum source cuts touching at most `limit` of x.
 
     Accumulates certified cuts over twice the partition schedule, keeping
@@ -263,7 +250,7 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     if not x:
         return []
     estimates = {v: cut_cost(g, {v}) for v in g.labels if v != s}
-    rates = partition_schedule(len(x), scale).probabilities
+    rates = partition_schedule(len(x))
     family: set = set()
     covered: set = set()
     for rate in rates + rates:
@@ -315,8 +302,7 @@ def _las_vegas(h: Graph, x, stats: PipelineStats | None,
 
 def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
                       stats: PipelineStats | None = None,
-                      max_attempts: int | None = None,
-                      scale_alpha: float = 1.0, scale_beta: float = 1.0):
+                      max_attempts: int | None = None):
     """Pick a source and disjoint minimum source cuts covering x via
     star-shaped ordered-cut trees.
 
@@ -329,10 +315,9 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
         s = xs[0]
         perturbed = perturb(h, rng)
         whole = h.node_set
-        for rate in source_schedule(len(xs), h.num_nodes, scale_beta).probabilities:
+        for rate in source_schedule(len(xs), h.num_nodes):
             sample = random_subset(x_set - {s}, rate, rng)
-            part = fixed_source_blocks(s, sample, perturbed, rng, counter,
-                                       scale_alpha)
+            part = fixed_source_blocks(s, sample, perturbed, rng, counter)
             for v in part.reps:
                 block = part.blocks[v]
                 cost = cut_cost(h, block)
@@ -350,7 +335,6 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
 def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
                        stats: PipelineStats | None = None,
                        max_attempts: int | None = None,
-                       scale_alpha: float = 1.0,
                        certify: str = "isolating"):
     """Pick a uniformly random source; accept once the laminar family of
     small-side cuts covers all but half of x."""
@@ -359,7 +343,7 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
         s = rng.choice(xs)
         perturbed = perturb(h, rng)
         family = fixed_source_laminar(s, x_set - {s}, limit, perturbed, rng,
-                                      counter, scale_alpha, certify)
+                                      counter, certify)
         family = [c for c in family
                   if not any(c < other for other in family)]
         covered = set().union(*family) if family else set()
@@ -376,14 +360,12 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
 def gh_via_oc1(g: Graph, rng, counter: WorkCounter,
                stats: PipelineStats | None = None,
                max_attempts: int | None = None,
-               scale_alpha: float = 1.0, scale_beta: float = 1.0,
                depth_stats: dict | None = None) -> GHTree:
     """Cut tree via the star-tree (depth-1) strategy."""
 
     def strategy(h, x_members):
         return select_source_oc1(h, x_members, rng, counter, stats=stats,
-                                 max_attempts=max_attempts,
-                                 scale_alpha=scale_alpha, scale_beta=scale_beta)
+                                 max_attempts=max_attempts)
 
     return gomory_hu_generalized(g, strategy, counter, depth_stats=depth_stats)
 
@@ -391,14 +373,12 @@ def gh_via_oc1(g: Graph, rng, counter: WorkCounter,
 def gh_via_weak_oc(g: Graph, rng, counter: WorkCounter,
                    stats: PipelineStats | None = None,
                    max_attempts: int | None = None,
-                   scale_alpha: float = 1.0,
                    certify: str = "isolating",
                    depth_stats: dict | None = None) -> GHTree:
     """Cut tree via certified weak ordered cuts."""
 
     def strategy(h, x_members):
         return select_source_weak(h, x_members, rng, counter, stats=stats,
-                                  max_attempts=max_attempts,
-                                  scale_alpha=scale_alpha, certify=certify)
+                                  max_attempts=max_attempts, certify=certify)
 
     return gomory_hu_generalized(g, strategy, counter, depth_stats=depth_stats)

@@ -5,6 +5,7 @@ import pytest
 
 from ghct.cli import main
 from ghct.graph import write_dimacs
+from ghct.octree import OCTree
 from ghct.generators import cycle, erdos_renyi, grid, random_tree_plus_noise, star
 
 from conftest import random_graph
@@ -166,6 +167,25 @@ class TestOrderedCutsCommand:
         assert main(["ordered-cuts", str(tri_file), "--sequence", "1,1"]) == 1
         assert capsys.readouterr().err == "error: --sequence nodes must be distinct\n"
 
+    def test_empty_sequence_exits_1(self, tri_file, tmp_path, capsys):
+        out = tmp_path / "oc.txt"
+        assert main(["ordered-cuts", str(tri_file), "--sequence", "",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --sequence must be comma-separated integers\n")
+        assert not out.exists()
+
+    def test_failed_check_exits_3(self, tri_file, tmp_path, capsys, monkeypatch):
+        # Node 2's block {2} costs 4; the minimum 1-2 cut {2, 3} costs 3.
+        wrong = OCTree((1, 2, 3), {2: 1, 3: 1}, {1: {1}, 2: {2}, 3: {3}})
+        monkeypatch.setattr("ghct.cli.ordered_cuts", lambda order, g, counter: wrong)
+        out = tmp_path / "oc.txt"
+        assert main(["ordered-cuts", str(tri_file), "--sequence", "1,2,3",
+                     "--out", str(out), "--check"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: produced tree failed validation:")
+        assert not out.exists()
+
     def test_stats_out(self, tri_file, tmp_path):
         out = tmp_path / "oc.txt"
         stats = tmp_path / "oc-stats.json"
@@ -200,6 +220,17 @@ class TestBench:
         assert main(["bench", str(corpus), "--seeds", "0,abc"]) == 1
         assert capsys.readouterr().err == (
             "error: --seeds must be comma-separated integers\n")
+
+    @pytest.mark.parametrize("size", ["0", "1"])
+    def test_scaling_size_below_2_exits_1(self, tmp_path, capsys, size):
+        corpus = tmp_path / "corpus"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(corpus), "--generate", "--scaling-sizes", size])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--scaling-sizes: expected an integer of at least 2" in err
+        assert not corpus.exists()
 
     def test_generated_corpus_runs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -164,6 +164,7 @@ class TestDimacs:
         ("p ghct 2 1\ne 1 1 5\n", 2),
         ("p ghct 2 2\ne 1 2 5\n", 2),
         ("q ghct 2 1\n", 1),
+        ("c rejected before any label is built\np ghct 1000000000 0\n", 2),
     ])
     def test_errors_carry_line_numbers(self, text, line):
         with pytest.raises(GraphFormatError) as err:

@@ -2,24 +2,21 @@ import random
 
 import pytest
 
-from ghct.graph import contract, cut_cost
+from ghct.graph import cut_cost
 from ghct.maxflow import WorkCounter, min_cut
 from ghct.octree import (
     OCTree,
     certified_source_cuts,
     certifying_prefix,
-    compose_trees,
     covering_cut_costs,
     flatten_to_star,
     format_oc_tree,
     ordered_cuts,
-    remove_leaf,
-    splice_trees,
     validate,
 )
 from ghct.oracle import verify_oc1
 
-from conftest import connected_random_graph, random_graph
+from conftest import random_graph
 
 
 @pytest.fixture
@@ -69,52 +66,6 @@ class TestValidate:
         c = WorkCounter()
         validate(tri_tree, tri, c)
         assert c.calls == 2
-
-
-class TestRemoveLeaf:
-    def test_merges_into_parent(self, tri_tree):
-        got = remove_leaf(tri_tree, 3)
-        assert got.order == (1, 2)
-        assert got.blocks[2] == {2, 3}
-        assert got.parent == {2: 1}
-
-    def test_two_node_tree(self, g2):
-        tree = OCTree((1, 2), {2: 1}, {1: {1}, 2: {2}})
-        got = remove_leaf(tree, 2)
-        assert got.order == (1,)
-        assert got.blocks[1] == {1, 2}
-
-    def test_internal_node_rejected(self, tri_tree):
-        with pytest.raises(ValueError):
-            remove_leaf(tri_tree, 2)
-        with pytest.raises(ValueError):
-            remove_leaf(tri_tree, 1)
-
-    def test_preserves_surviving_down_sets(self):
-        rng = random.Random(19)
-        for _ in range(25):
-            g = random_graph(rng, rng.randint(3, 10))
-            seq = random_sequence(rng, g)
-            tree = ordered_cuts(seq, g, WorkCounter())
-            kids = tree.children()
-            leaves = [v for v in tree.order[1:] if not kids[v]]
-            if not leaves:
-                continue
-            u = rng.choice(leaves)
-            smaller = remove_leaf(tree, u)
-            for w in smaller.order:
-                assert smaller.down_set(w) == tree.down_set(w)
-
-    def test_dropping_last_node_keeps_validity(self):
-        # The last sequence node is always a free leaf.
-        rng = random.Random(29)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(3, 10))
-            seq = random_sequence(rng, g)
-            if len(seq) < 2:
-                continue
-            tree = ordered_cuts(seq, g, WorkCounter())
-            assert validate(remove_leaf(tree, seq[-1]), g)
 
 
 class TestCertifyingPrefix:
@@ -192,64 +143,6 @@ class TestCoveringCutCosts:
             for v, bound in costs.items():
                 exact = min_cut(g, {seq[0]}, {v}, counter).cost
                 assert bound >= exact
-
-
-class TestComposeSplice:
-    def test_identity_composition(self, tri, tri_tree):
-        outer = OCTree((1,), {}, {1: {1, 2, 3}})
-        got = compose_trees((1, 2, 3), outer, {1: tri_tree})
-        assert got == tri_tree
-
-    def test_triangle_composition(self, tri, tri_tree):
-        outer = OCTree((1, 2), {2: 1}, {1: {1}, 2: {2, 3}})
-        inner_graph = contract(tri, {2, 3}, 2)
-        inner = ordered_cuts((2, 3), inner_graph, WorkCounter())
-        got = compose_trees((1, 2, 3), outer, {1: OCTree((1,), {}, {1: {1}}),
-                                               2: inner})
-        assert got == tri_tree
-
-    def test_block_mismatch_rejected(self, tri, tri_tree):
-        outer = OCTree((1, 2), {2: 1}, {1: {1}, 2: {2, 3}})
-        with pytest.raises(ValueError):
-            compose_trees((1, 2, 3), outer, {1: OCTree((1,), {}, {1: {1, 2}}),
-                                             2: tri_tree})
-
-    def test_splice_empty_sink_sequence(self, tri):
-        src = OCTree((1, 2), {2: 1}, {1: {1}, 2: {2}})
-        sink = OCTree((1,), {}, {1: {1, 3}})
-        got = splice_trees((1, 2), src, sink)
-        assert got.blocks[1] == {1, 3}
-        assert got.blocks[2] == {2}
-
-    def test_splice_overlap_rejected(self, tri):
-        src = OCTree((1, 2), {2: 1}, {1: {1, 3}, 2: {2}})
-        sink = OCTree((1,), {}, {1: {1, 3}})
-        with pytest.raises(ValueError):
-            splice_trees((1, 2), src, sink)
-
-    def test_splice_random_instances_validate(self):
-        # Split a graph along a source-vs-rest minimum cut, solve each side,
-        # splice, and check validity of the whole.
-        rng = random.Random(73)
-        counter = WorkCounter()
-        done = 0
-        while done < 15:
-            g = connected_random_graph(rng, rng.randint(4, 10))
-            seq = random_sequence(rng, g)
-            if len(seq) < 3:
-                continue
-            s = seq[0]
-            head = seq[1: 1 + rng.randint(1, len(seq) - 2)]
-            res = min_cut(g, {s}, set(head), counter)
-            sink = res.sink_side
-            source_side = g.node_set - sink
-            src_tree = ordered_cuts(tuple(v for v in seq if v in source_side),
-                                    contract(g, source_side, s), counter)
-            sink_seq = (s,) + tuple(v for v in seq[1:] if v in sink)
-            sink_tree = ordered_cuts(sink_seq, contract(g, sink | {s}, s), counter)
-            got = splice_trees(seq, src_tree, sink_tree)
-            assert validate(got, g)
-            done += 1
 
 
 class TestOrderedCuts:

@@ -80,7 +80,7 @@ class TestRandomSubset:
 class TestSchedules:
     def test_partition_schedule_shape(self):
         for size in (1, 2, 5, 23, 100):
-            sched = partition_schedule(size).probabilities
+            sched = partition_schedule(size)
             depth = size.bit_length() - 1
             block = tuple(2.0 ** -j for j in range(depth + 1))
             repeats = max(1, math.ceil(math.log2(size + 1) ** 2))
@@ -90,17 +90,12 @@ class TestSchedules:
 
     def test_source_schedule_shape(self):
         for size, n in ((2, 6), (5, 30), (23, 24)):
-            sched = source_schedule(size, n).probabilities
+            sched = source_schedule(size, n)
             depth = size.bit_length() - 1
             k = max(1, math.ceil(math.log2(math.log2(n + 4))))
             assert len(sched) == depth * k + 1
             assert sched[-1] == 1.0
             assert all(sched[i] <= sched[i + 1] for i in range(len(sched) - 1))
-
-    def test_scale_flag_grows_schedule(self):
-        short = partition_schedule(23, 0.5).probabilities
-        long = partition_schedule(23, 2.0).probabilities
-        assert len(long) > len(short)
 
 
 class TestCutOrder:

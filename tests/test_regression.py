@@ -1,13 +1,17 @@
-"""Pinned outputs per (instance, method, seed).
+"""Pinned outputs per (instance, method, seed) and per (instance, order).
 
-Each case fixes the SHA-256 of the canonical tree file, the three
-WorkCounter fields and the Las-Vegas attempt accounting.  A refactor that
+Each GH case fixes the SHA-256 of the canonical tree file, the three
+WorkCounter fields and the Las-Vegas attempt accounting.  Each OC-tree
+case fixes, for one seeded random full permutation, the ordered-cut tree
+text, its depth-1 flattening, the keys of both certified-cut modes and
+the work of `ordered_cuts`.  A refactor that
 keeps the algorithm, the order of random draws and the work accounting
 leaves every row unchanged; anything else shows up here, even when two
 runs of the same code still agree with each other.
 
 To re-pin after an intended algorithm change, print `fingerprint(...)`
-for every key of PINNED and paste the tuples back.
+for every key of PINNED (and `oc_fingerprint(...)` for every key of
+PINNED_OC) and paste the tuples back.
 """
 
 import hashlib
@@ -17,15 +21,21 @@ import pytest
 
 from ghct.generators import cycle, erdos_renyi_m, grid
 from ghct.ghtree import gomory_hu_classic
-from ghct.graph import write_dimacs
+from ghct.graph import label_key, write_dimacs
 from ghct.maxflow import WorkCounter
-from ghct.pipeline import PipelineStats, gh_via_oc1, gh_via_weak_oc
+from ghct.octree import flatten_to_star, format_oc_tree, ordered_cuts
+from ghct.pipeline import PipelineStats, certified_ordered_cuts, gh_via_oc1, \
+    gh_via_weak_oc
 
 INSTANCES = {
     "cycle12": lambda: cycle(12, random.Random(0)),
     "grid3x4": lambda: grid(3, 4, random.Random(0)),
     "er16": lambda: erdos_renyi_m(16, 40, random.Random(0)),
 }
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def fingerprint(instance: str, method: str, seed: int) -> tuple:
@@ -45,8 +55,7 @@ def fingerprint(instance: str, method: str, seed: int) -> tuple:
         tree = gh_via_weak_oc(g, rng, counter, stats=stats, certify="octree")
     else:
         raise ValueError(method)
-    digest = hashlib.sha256(write_dimacs(tree.to_graph()).encode()).hexdigest()
-    return (digest, counter.calls, counter.nodes_total, counter.edges_total,
+    return (sha256(write_dimacs(tree.to_graph())), counter.calls, counter.nodes_total, counter.edges_total,
             stats.invocations, stats.attempts_total)
 
 
@@ -129,3 +138,56 @@ PINNED = {
 @pytest.mark.parametrize("key", sorted(PINNED), ids=lambda k: "-".join(map(str, k)))
 def test_output_and_work_are_pinned(key):
     assert fingerprint(*key) == PINNED[key]
+
+
+def oc_fingerprint(instance: str, perm_seed: int) -> tuple:
+    """(OC tree text sha256, star sha256, octree-certified keys,
+    isolating-certified keys, calls, nodes_total, edges_total) for one
+    seeded random full permutation."""
+    g = INSTANCES[instance]()
+    order = sorted(g.labels)
+    random.Random(perm_seed).shuffle(order)
+    counter = WorkCounter()
+    tree = ordered_cuts(order, g, counter)
+    star = flatten_to_star(tree)
+    star_text = "".join(
+        f"{v} | {' '.join(str(x) for x in sorted(star.blocks[v], key=label_key))}\n"
+        for v in star.reps)
+    s, seq = order[0], order[1:]
+    keys = tuple(tuple(certified_ordered_cuts(s, seq, g, WorkCounter(), certify)[1])
+                 for certify in ("octree", "isolating"))
+    return (sha256(format_oc_tree(tree)), sha256(star_text), *keys,
+            counter.calls, counter.nodes_total, counter.edges_total)
+
+
+PINNED_OC = {
+    ("cycle12", 0):
+        ("fff48f45ff618e64b5b5f25aad385bdabceab1f968f59bea5d8e5322a2e91abd",
+         "820d146f9e4a03259eeff4f11d4aa906c37697e5c5512484f6f8fbfe5f085e6a",
+         (10,), (), 21, 78, 66),
+    ("cycle12", 1):
+        ("3aa5de35b9c536aa72d1a73211bfbf559725965c900ba883231a3340fe5cd950",
+         "67f87427a95b7de39ef5c70468d4d6ff6d807f5670d44443f06f7457a21a5a0c",
+         (12,), (), 21, 77, 70),
+    ("grid3x4", 0):
+        ("0ac5f4eabdd5c7b6e96b63881fd57c5e544f8639e05d50d982dd3950e446e5dd",
+         "aadf15419d7e857174d4a8898456c06c1e2565c8b989e500c32c90ca643e7b24",
+         (10, 12), (10, 12), 21, 93, 111),
+    ("grid3x4", 1):
+        ("8eb7aedb2b2d668a0625dcb0281cdaa23f1fbc51d4de01507975463d2ac0b483",
+         "58bd449da9cf02a86001bde69f56029a58dc7e845f0e48833ebf31c731ac005e",
+         (12, 1), (12,), 21, 85, 94),
+    ("er16", 0):
+        ("8cf3ef3c240f1db172b42ab82dda823e59bc3aa9c104d3c4b15bc65cdacbec17",
+         "070b0de26f96bdabcd8260f585d589c03045a0931999452ad52813f03da406bd",
+         (15, 6, 1), (1, 6, 15), 29, 167, 317),
+    ("er16", 1):
+        ("90f10e54db4f2b1d54c4a310831cc7fbedbe678772b6051a4d7e56e244d4550a",
+         "4050143bd3916bb8f46e54d3fe9a4fdb98d6714769f34cd14884001ceb11c693",
+         (1, 6), (1, 11), 29, 137, 227),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_OC), ids=lambda k: "-".join(map(str, k)))
+def test_oc_tree_outputs_are_pinned(key):
+    assert oc_fingerprint(*key) == PINNED_OC[key]
