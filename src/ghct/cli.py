@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import random
 import statistics
 import sys
@@ -28,6 +29,9 @@ from .pipeline import AttemptLimitError, PipelineStats, gh_via_oc1, gh_via_weak_
 
 GAMMA_REFERENCE = 0.584  # log2(1.5), the expected work-scaling exponent offset
 METHODS = ("classic", "oc1", "weak-oc")
+# Largest --scaling-sizes value: 16x the largest size the scaling fit is
+# meant for, and a bound on the ER graph `bench --generate` builds.
+MAX_SCALING_SIZE = 4096
 
 
 class _InputError(Exception):
@@ -168,6 +172,8 @@ def _oc_scaling_runs(paths, seeds):
         if not path.stem.startswith("erdos-renyi"):
             continue
         g = _read_graph(path)
+        if g.num_nodes < 2:  # no flow work, and log(0) in fit_exponent
+            continue
         for seed in seeds:
             rng = random.Random((seed << 16) ^ g.num_nodes)
             nodes = sorted(g.labels)
@@ -254,11 +260,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _scaling_size(text: str) -> int:
-    """An ER size for the scaling fit: one node does no flow work to fit."""
-    if not text.isdecimal() or int(text) < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
-    return int(text)
+def _int_in(low: int, high: int):
+    """An argparse type accepting the integers from low to high."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or not low <= int(text) <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low} and at most {high}, got {text!r}")
+        return int(text)
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -311,9 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", action="store_true",
                    help="populate the corpus with the built-in families first")
     p.add_argument("--generate-seed", type=int, default=0)
-    p.add_argument("--scaling-sizes", type=_scaling_size, nargs="*", default=(64, 128),
-                   help="extra unit-weight ER sizes for the scaling fit")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--scaling-sizes", type=_int_in(2, MAX_SCALING_SIZE), nargs="*",
+                   default=(64, 128), help="extra unit-weight ER sizes for the scaling fit")
+    p.add_argument("--jobs", type=_int_in(1, os.cpu_count() or 1), default=1,
+                   help="worker processes, all started at once (at most the CPU count)")
     p.add_argument("--verify", action="store_true",
                    help="verify every produced tree against the oracle")
     p.add_argument("--max-attempts", type=int, default=None)

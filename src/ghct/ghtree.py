@@ -1,10 +1,12 @@
 """Partition trees, auxiliary graphs, and the Gomory-Hu drivers.
 
-The classic algorithm refines one supernode per step with a single pivot
-cut.  The generalized driver accepts a strategy that returns a whole
-laminar family of source cuts per supernode and applies them minimal
-first, re-contracting as it goes; both end with a complete partition tree
-whose singletons form the cut tree.
+Both drivers run one refinement loop: pick the largest supernode, build
+its auxiliary graph, ask a strategy for a source and a family of
+pairwise-disjoint minimum source cuts, and split each cut off the
+supernode.  The classic algorithm is the strategy that returns one pivot
+cut; the generalized driver takes its caller's strategy.  A family that
+breaks the contract raises StrategyError at once.  The loop ends with a
+complete partition tree whose singletons form the cut tree.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Cut, Graph, _quotient, contract_set_to_node, cut_cost, label_key, \
-    sorted_labels, unused_label
+from .graph import Cut, Graph, _quotient, cut_cost, label_key, sorted_labels, unused_label
 from .maxflow import WorkCounter, min_cut
-from .oracle import is_laminar
 
 
 @dataclass(frozen=True)
@@ -153,23 +153,21 @@ class _TreeState:
                 best = (key, i)
         return None if best is None else best[1]
 
-    def split(self, xi: int, b_members: set, weight: int, moved_to_b) -> int:
-        """Replace supernode xi by (xi - b, b); returns b's index.
+    def split(self, xi: int, b_members: set, weight: int, moved: set) -> None:
+        """Replace supernode xi by (xi - b, b).
 
-        `moved_to_b(other_index)` decides which side keeps each existing
-        tree edge of xi.
+        Each tree edge of xi whose other end is in `moved` goes to b.
         """
         self.supernodes[xi] -= b_members
         bi = len(self.supernodes)
         self.supernodes.append(set(b_members))
         self.depth.append(self.depth[xi] + 1)
         for edge in self.edges:
-            if edge[0] == xi and moved_to_b(edge[1]):
+            if edge[0] == xi and edge[1] in moved:
                 edge[0] = bi
-            elif edge[1] == xi and moved_to_b(edge[0]):
+            elif edge[1] == xi and edge[0] in moved:
                 edge[1] = bi
         self.edges.append([xi, bi, weight])
-        return bi
 
     def finish(self) -> GHTree:
         labels = []
@@ -187,11 +185,26 @@ class _TreeState:
         return GHTree(tuple(sorted_labels(self.g.labels)), tuple(rows))
 
 
-def _record_depth(depth_stats, depth: int, h: Graph) -> None:
-    if depth_stats is None:
-        return
-    nodes, edges = depth_stats.setdefault(depth, [0, 0])
-    depth_stats[depth] = [nodes + h.num_nodes, edges + h.num_edges]
+def _refine(g: Graph, strategy, depth_stats) -> GHTree:
+    """The refinement loop behind both public drivers.
+
+    The cuts of one family are split off in the family's order.  Each is
+    costed in h as returned: splitting off a disjoint cut changes neither
+    its cost nor the branches it holds.
+    """
+    state = _TreeState(g)
+    while (xi := state.pick_supernode()) is not None:
+        x_members = frozenset(state.supernodes[xi])
+        h, reps = auxiliary_graph(g, state.snapshot(), xi)
+        if depth_stats is not None:
+            nodes, edges = depth_stats.get(state.depth[xi], (0, 0))
+            depth_stats[state.depth[xi]] = [nodes + h.num_nodes, edges + h.num_edges]
+        s, family = strategy(h, x_members)
+        for cut in _check_family(family, s, h, x_members):
+            moved = {other for other, label in reps.items() if label in cut}
+            state.split(xi, cut & x_members, cut_cost(h, cut), moved)
+        state.depth[xi] += 1
+    return state.finish()
 
 
 def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None = None) -> GHTree:
@@ -200,24 +213,11 @@ def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None =
     The pivot pair is the two smallest labels of the chosen supernode, so
     the output is deterministic.
     """
-    state = _TreeState(g)
-    while True:
-        xi = state.pick_supernode()
-        if xi is None:
-            break
-        h, reps = auxiliary_graph(g, state.snapshot(), xi)
-        _record_depth(depth_stats, state.depth[xi], h)
-        members = sorted_labels(state.supernodes[xi])
-        s, t = members[0], members[1]
-        res = min_cut(h, {s}, {t}, counter)
-        sink = res.sink_side
-        b_members = state.supernodes[xi] & sink
-        state.split(xi, b_members, res.cost, lambda other: reps[other] in sink)
-        state.depth[xi] += 1
-    return state.finish()
+    def pivot(h, x_members):
+        s, t = sorted_labels(x_members)[:2]
+        return s, [min_cut(h, {s}, {t}, counter).sink_side]
 
-
-MAX_STRATEGY_RETRIES = 100
+    return _refine(g, pivot, depth_stats)
 
 
 class StrategyError(ValueError):
@@ -229,63 +229,29 @@ def _check_family(family, s, h: Graph, x_members) -> list:
     if not sets:
         raise StrategyError("strategy returned an empty family")
     universe = h.node_set
+    seen = set()
     for c in sets:
         if not c:
             raise StrategyError("strategy returned an empty cut")
-        if s in c or not c <= universe - {s}:
+        if s in c or not c <= universe:
             raise StrategyError("cut is not a subset of the nodes minus the source")
         if not c & x_members:
             raise StrategyError("cut does not split off any supernode member")
-    if not is_laminar(sets):
-        raise StrategyError("strategy returned a non-laminar family")
+        if c & seen:
+            raise StrategyError("strategy returned cuts that are not pairwise disjoint")
+        seen |= c
     return sets
 
 
 def gomory_hu_generalized(g: Graph, strategy, counter: WorkCounter,
                           depth_stats: dict | None = None) -> GHTree:
-    """Generalized driver: apply a laminar family per supernode.
+    """Generalized driver: split each supernode by a family of disjoint cuts.
 
-    `strategy(h, x_members)` must return (s, family) with every member a
-    minimum s-t cut in h for some t in x.  Cuts are applied smallest
-    first; the processed side is re-contracted into a fresh node and the
-    remaining supersets are rewritten to reference it.  An invalid family
-    is rejected and the strategy is simply invoked again, up to
-    MAX_STRATEGY_RETRIES times in all.
+    `strategy(h, x_members)` must return (s, family): a source s in x and
+    a non-empty family of pairwise-disjoint node sets of h, each a minimum
+    s-t cut in h for some t in x, not holding s and holding a member of x.
+    Every cut splits off its own piece of x.  A family that breaks this
+    contract raises StrategyError; the driver does not call the strategy
+    again.
     """
-    state = _TreeState(g)
-    vb_names = itertools.count()
-    while True:
-        xi = state.pick_supernode()
-        if xi is None:
-            break
-        x_members = frozenset(state.supernodes[xi])
-        h, rep_label = auxiliary_graph(g, state.snapshot(), xi)
-        _record_depth(depth_stats, state.depth[xi], h)
-
-        for attempt in range(MAX_STRATEGY_RETRIES):
-            try:
-                s, family = strategy(h, x_members)
-                pi = _check_family(family, s, h, x_members)
-                break
-            except StrategyError:
-                if attempt == MAX_STRATEGY_RETRIES - 1:
-                    raise
-
-        while pi:
-            cut = min(pi, key=lambda c: (len(c), sorted(label_key(v) for v in c)))
-            pi.remove(cut)
-            weight = cut_cost(h, cut)
-            b_members = {v for v in cut if v in x_members}
-            if not b_members:
-                raise AssertionError("cut lost all supernode members after rewriting")
-            bi = state.split(xi, b_members, weight,
-                             lambda other: rep_label.get(other) in cut)
-            for other in [o for o, lab in rep_label.items() if lab in cut]:
-                del rep_label[other]
-
-            vb_label = unused_label("vb", vb_names, h, g)
-            h = contract_set_to_node(h, cut, vb_label)
-            rep_label[bi] = vb_label
-            pi = [c if not (cut <= c) else (c - cut) | {vb_label} for c in pi]
-        state.depth[xi] += 1
-    return state.finish()
+    return _refine(g, strategy, depth_stats)

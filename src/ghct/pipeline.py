@@ -1,17 +1,21 @@
 """Randomized source-partition strategies for the generalized driver.
 
-Two interchangeable ways to produce the per-supernode laminar cut family:
+Two interchangeable ways to produce the per-supernode family of
+pairwise-disjoint minimum source cuts that the driver splits off:
 
 * the star-tree route: depth-1 ordered-cut trees plus a source-selection
   loop that walks toward a node none of whose cuts dwarf their complement;
 * the weak route: certified ordered cuts (running-minimum filter plus
-  isolating cuts) accumulated into a laminar family for a random source.
+  isolating cuts) accumulated into a laminar family for a random source,
+  of which the maximal members are returned.
 
 Both perturb edge weights first so minimum cuts are unique with high
 probability, and both are Las-Vegas: outputs are always genuine minimum
 cuts of the unperturbed graph, only the number of attempts is random.
-Work is tracked in perturbed-weight units within one attempt; the driver
-re-costs the returned cuts in original units.
+`_las_vegas` is the one attempt loop: the driver does not retry, and a
+family that breaks its contract raises `ghtree.StrategyError`.  Work is
+tracked in perturbed-weight units within one attempt; the driver re-costs
+the returned cuts in original units.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 import json
+import os
 import random
 
 import pytest
 
-from ghct.cli import main
+from ghct.cli import MAX_SCALING_SIZE, main
 from ghct.graph import write_dimacs
 from ghct.octree import OCTree
 from ghct.generators import cycle, erdos_renyi, grid, random_tree_plus_noise, star
@@ -221,7 +222,7 @@ class TestBench:
         assert capsys.readouterr().err == (
             "error: --seeds must be comma-separated integers\n")
 
-    @pytest.mark.parametrize("size", ["0", "1"])
+    @pytest.mark.parametrize("size", ["0", "1", str(MAX_SCALING_SIZE + 1)])
     def test_scaling_size_below_2_exits_1(self, tmp_path, capsys, size):
         corpus = tmp_path / "corpus"
         with pytest.raises(SystemExit) as exc:
@@ -231,6 +232,27 @@ class TestBench:
         assert err.count("\n") == 1
         assert "--scaling-sizes: expected an integer of at least 2" in err
         assert not corpus.exists()
+
+    @pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_exits_1(self, tmp_path, capsys, jobs):
+        # Rejected while parsing, before any worker pool exists.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", str(tmp_path / "missing"), "--jobs", str(jobs)])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--jobs: expected an integer of at least 1" in err
+
+    def test_one_node_graph_skipped_in_scaling_fit(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "erdos-renyi_n1.dimacs").write_text("p ghct 1 0\n")
+        (corpus / "erdos-renyi_n3.dimacs").write_text(TRI_TEXT)
+        report = tmp_path / "report.json"
+        assert main(["bench", str(corpus), "--methods", "classic", "--seeds", "0",
+                     "--report", str(report)]) == 0
+        scaling = json.loads(report.read_text())["oc_scaling"]
+        assert scaling["nodes_total_by_n"].keys() == {"3"}
 
     def test_generated_corpus_runs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -5,6 +5,7 @@ import pytest
 from ghct.ghtree import (
     GHTree,
     PartitionTree,
+    StrategyError,
     auxiliary_graph,
     gomory_hu_classic,
     gomory_hu_generalized,
@@ -127,6 +128,18 @@ class TestTreeQuery:
             tree.query(1, 1)
 
 
+# Second-step families for test_invalid_family_raises: source 2, supernode
+# {2, 3, 4}, and one branch node (the side holding 1).
+BAD_FAMILIES = {
+    "empty-family": (lambda h, x: [], "empty family"),
+    "cut-holds-source": (lambda h, x: [{2, 3}], "minus the source"),
+    "empty-cut": (lambda h, x: [set()], "empty cut"),
+    "no-supernode-member": (lambda h, x: [h.node_set - x], "supernode member"),
+    "crossing-pair": (lambda h, x: [{3, 4}, {4} | (h.node_set - x)], "disjoint"),
+    "nested-pair": (lambda h, x: [{4}, {3, 4}], "disjoint"),
+}
+
+
 class TestGeneralized:
     def test_single_cut_strategy_matches_classic_step(self, tri):
         # A strategy returning one pivot cut behaves exactly like the
@@ -154,60 +167,22 @@ class TestGeneralized:
         assert verify_gh_tree(tri, tree).ok
         assert (1, 3, 3) in tree.edges
 
-    def test_nested_family_rewriting(self):
-        # Path 1-2-3-4: cuts {4} and {3,4} for source 1 are nested; after
-        # the smaller set is processed the larger is rewritten with the
-        # contracted node and still splits off supernode {3}.
+    @pytest.mark.parametrize("bad, reason", BAD_FAMILIES.values(), ids=list(BAD_FAMILIES))
+    def test_invalid_family_raises(self, bad, reason):
+        # Path 1-2-3-4: a pivot cut first splits off {2, 3, 4}; the second
+        # step's family breaks the contract and is rejected without a retry.
         g = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 4), (3, 4, 3)])
         calls = []
 
         def strategy(h, x_members):
-            if len(calls) == 0:
-                calls.append(1)
-                return 1, [frozenset({4}), frozenset({3, 4})]
-            members = sorted(x_members)
-            res = min_cut(h, {members[0]}, {members[1]}, WorkCounter())
-            return members[0], [res.sink_side]
+            calls.append(x_members)
+            if 1 in x_members:
+                return 1, [min_cut(h, {1}, {2}, WorkCounter()).sink_side]
+            return 2, bad(h, x_members)
 
-        tree = gomory_hu_generalized(g, strategy, WorkCounter())
-        assert verify_gh_tree(g, tree).ok
-
-    def test_invalid_family_retries(self, tri):
-        bad_families = [
-            [],                    # empty family
-            [frozenset({1, 2})],   # contains the source
-            [frozenset()],         # empty cut
-        ]
-        served = []
-
-        def strategy(h, x_members):
-            members = sorted(x_members)
-            if len(served) < len(bad_families) and x_members == frozenset({1, 2, 3}):
-                family = bad_families[len(served)]
-                served.append(1)
-                return 1, family
-            res = min_cut(h, {members[0]}, {members[1]}, WorkCounter())
-            return members[0], [res.sink_side]
-
-        tree = gomory_hu_generalized(tri, strategy, WorkCounter())
-        assert verify_gh_tree(tri, tree).ok
-        assert len(served) == len(bad_families)
-
-    def test_non_laminar_family_retries(self):
-        g = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 4), (3, 4, 3)])
-        served = []
-
-        def strategy(h, x_members):
-            members = sorted(x_members)
-            if not served and x_members == frozenset({1, 2, 3, 4}):
-                served.append(1)
-                return 1, [frozenset({2, 3}), frozenset({3, 4})]  # crossing
-            res = min_cut(h, {members[0]}, {members[1]}, WorkCounter())
-            return members[0], [res.sink_side]
-
-        tree = gomory_hu_generalized(g, strategy, WorkCounter())
-        assert verify_gh_tree(g, tree).ok
-        assert served
+        with pytest.raises(StrategyError, match=reason):
+            gomory_hu_generalized(g, strategy, WorkCounter())
+        assert len(calls) == 2
 
     def test_supernodes_stay_a_partition(self):
         # Exercised implicitly by finish(); spot-check on random graphs

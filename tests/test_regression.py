@@ -1,7 +1,8 @@
 """Pinned outputs per (instance, method, seed) and per (instance, order).
 
 Each GH case fixes the SHA-256 of the canonical tree file, the three
-WorkCounter fields and the Las-Vegas attempt accounting.  Each OC-tree
+WorkCounter fields, the Las-Vegas attempt accounting and the auxiliary
+graph sizes summed per refinement depth.  Each OC-tree
 case fixes, for one seeded random full permutation, the ordered-cut tree
 text, its depth-1 flattening, the keys of both certified-cut modes and
 the work of `ordered_cuts`.  A refactor that
@@ -40,98 +41,133 @@ def sha256(text: str) -> str:
 
 def fingerprint(instance: str, method: str, seed: int) -> tuple:
     """(tree sha256, calls, nodes_total, edges_total, invocations,
-    attempts_total) for one run."""
+    attempts_total, sorted depth_stats items) for one run."""
     g = INSTANCES[instance]()
     counter = WorkCounter()
     stats = PipelineStats()
     rng = random.Random(seed)
+    depth_stats = {}
     if method == "classic":
-        tree = gomory_hu_classic(g, counter)
+        tree = gomory_hu_classic(g, counter, depth_stats=depth_stats)
     elif method == "oc1":
-        tree = gh_via_oc1(g, rng, counter, stats=stats)
+        tree = gh_via_oc1(g, rng, counter, stats=stats, depth_stats=depth_stats)
     elif method == "weak-oc":
-        tree = gh_via_weak_oc(g, rng, counter, stats=stats)
+        tree = gh_via_weak_oc(g, rng, counter, stats=stats, depth_stats=depth_stats)
     elif method == "weak-oc-octree":
-        tree = gh_via_weak_oc(g, rng, counter, stats=stats, certify="octree")
+        tree = gh_via_weak_oc(g, rng, counter, stats=stats, certify="octree",
+                              depth_stats=depth_stats)
     else:
         raise ValueError(method)
     return (sha256(write_dimacs(tree.to_graph())), counter.calls, counter.nodes_total, counter.edges_total,
-            stats.invocations, stats.attempts_total)
+            stats.invocations, stats.attempts_total,
+            tuple((depth, tuple(sizes)) for depth, sizes in sorted(depth_stats.items())))
 
 
 PINNED = {
     ("cycle12", "classic", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         11, 78, 78, 0, 0),
+         11, 78, 78, 0, 0,
+         ((0, (12, 12)), (1, (14, 14)), (2, (13, 13)), (3, (9, 9)), (4, (8, 8)),
+          (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "classic", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         11, 78, 78, 0, 0),
+         11, 78, 78, 0, 0,
+         ((0, (12, 12)), (1, (14, 14)), (2, (13, 13)), (3, (9, 9)), (4, (8, 8)),
+          (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "oc1", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         628, 4845, 4799, 7, 10),
+         628, 4845, 4799, 7, 10,
+         ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "oc1", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         465, 2766, 2700, 7, 11),
+         465, 2766, 2700, 7, 11,
+         ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         932, 5773, 5662, 9, 12),
+         932, 5773, 5662, 9, 12,
+         ((0, (12, 12)), (1, (16, 16)), (2, (16, 16)), (3, (4, 4)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         6770, 38665, 37184, 9, 14),
+         6770, 38665, 37184, 9, 14,
+         ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (8, 8)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         687, 3618, 3409, 7, 10),
+         687, 3618, 3409, 7, 10,
+         ((0, (12, 12)), (1, (16, 16)), (2, (8, 8)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         1828, 12273, 12110, 8, 10),
+         1828, 12273, 12110, 8, 10,
+         ((0, (12, 12)), (1, (13, 13)), (2, (14, 14)), (3, (8, 8)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         11, 74, 105, 0, 0),
+         11, 74, 105, 0, 0,
+         ((0, (12, 17)), (1, (12, 17)), (2, (14, 20)), (3, (13, 19)), (4, (14, 20)),
+          (5, (6, 9)), (6, (3, 3)))),
     ("grid3x4", "classic", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         11, 74, 105, 0, 0),
+         11, 74, 105, 0, 0,
+         ((0, (12, 17)), (1, (12, 17)), (2, (14, 20)), (3, (13, 19)), (4, (14, 20)),
+          (5, (6, 9)), (6, (3, 3)))),
     ("grid3x4", "oc1", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         551, 3758, 5017, 6, 10),
+         551, 3758, 5017, 6, 10,
+         ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "oc1", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         277, 1771, 2341, 6, 12),
+         277, 1771, 2341, 6, 12,
+         ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         1072, 5112, 6916, 6, 9),
+         1072, 5112, 6916, 6, 9,
+         ((0, (12, 17)), (1, (13, 16)), (2, (9, 12)))),
     ("grid3x4", "weak-oc", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         1254, 6327, 8331, 5, 8),
+         1254, 6327, 8331, 5, 8,
+         ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)))),
     ("grid3x4", "weak-oc-octree", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         1004, 4486, 5849, 5, 10),
+         1004, 4486, 5849, 5, 10,
+         ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)))),
     ("grid3x4", "weak-oc-octree", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         90, 744, 1007, 6, 6),
+         90, 744, 1007, 6, 6,
+         ((0, (12, 17)), (1, (16, 22)), (2, (7, 9)))),
     ("er16", "classic", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         15, 185, 459, 0, 0),
+         15, 185, 459, 0, 0,
+         ((0, (16, 40)), (1, (16, 40)), (2, (16, 40)), (3, (15, 38)), (4, (17, 38)),
+          (5, (14, 35)), (6, (14, 35)), (7, (16, 36)), (8, (13, 33)), (9, (12, 31)),
+          (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "classic", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         15, 185, 459, 0, 0),
+         15, 185, 459, 0, 0,
+         ((0, (16, 40)), (1, (16, 40)), (2, (16, 40)), (3, (15, 38)), (4, (17, 38)),
+          (5, (14, 35)), (6, (14, 35)), (7, (16, 36)), (8, (13, 33)), (9, (12, 31)),
+          (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "oc1", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1748, 13192, 27924, 5, 6),
+         1748, 13192, 27924, 5, 6,
+         ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "oc1", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1342, 10303, 22032, 5, 5),
+         1342, 10303, 22032, 5, 5,
+         ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1920, 15065, 32696, 7, 8),
+         1920, 15065, 32696, 7, 8,
+         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         5016, 30512, 58703, 5, 7),
+         5016, 30512, 58703, 5, 7,
+         ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         963, 8338, 18662, 7, 8),
+         963, 8338, 18662, 7, 8,
+         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         2515, 17073, 34871, 5, 7),
+         2515, 17073, 34871, 5, 7,
+         ((0, (16, 40)), (1, (12, 12)))),
 }
 
 
