@@ -15,10 +15,8 @@ from .graph import (
     parse_dimacs,
     write_dimacs,
 )
-from .maxflow import MinCutResult, WorkCounter, latest_min_cut, min_cut, \
-    min_cut_minimal_sink
+from .maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
 from .octree import (
-    NamedPartition,
     OCTree,
     certified_source_cuts,
     certifying_prefix,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -54,11 +55,15 @@ def _attempt_cap(explicit: int | None) -> int:
         raise _InputError(exc) from None
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | Path | None, text: str) -> None:
+    """Write `text` to `path` as is, or to stdout when `path` is None."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror}") from None
 
 
 def run_method(g: Graph, method: str, seed: int, max_attempts: int | None = None,
@@ -100,7 +105,7 @@ def cmd_compute(args) -> int:
                              certify=args.certify)
     _write_text(args.out, tree_to_text(tree, args.method, args.seed))
     if args.stats_out:
-        Path(args.stats_out).write_text(json.dumps(stats, indent=2) + "\n")
+        _write_text(args.stats_out, json.dumps(stats, indent=2) + "\n")
     return 0
 
 
@@ -153,7 +158,7 @@ def cmd_ordered_cuts(args) -> int:
     if args.stats_out:
         payload = counter.snapshot()
         payload.update({"wall_ms": round(wall_ms, 3), "seed": args.seed})
-        Path(args.stats_out).write_text(json.dumps(payload, indent=2) + "\n")
+        _write_text(args.stats_out, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -199,24 +204,31 @@ def cmd_bench(args) -> int:
     cap = _attempt_cap(args.max_attempts)
     corpus = Path(args.corpus)
     if args.generate:
-        corpus.mkdir(parents=True, exist_ok=True)
+        try:
+            corpus.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _InputError(f"{corpus}: {exc.strerror}") from None
         rng = random.Random(args.generate_seed)
         for name, g in default_corpus(rng).items():
-            (corpus / f"{name}.dimacs").write_text(write_dimacs(g))
+            _write_text(corpus / f"{name}.dimacs", write_dimacs(g))
         for n in args.scaling_sizes:
             g = erdos_renyi_m(n, 4 * n, rng, weights=(1, 1))
-            (corpus / f"erdos-renyi_n{n}.dimacs").write_text(write_dimacs(g))
+            _write_text(corpus / f"erdos-renyi_n{n}.dimacs", write_dimacs(g))
     paths = sorted(corpus.glob("*.dimacs")) if corpus.is_dir() else []
     if not paths:
         raise _InputError(f"no .dimacs instances under {corpus}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise _InputError(f"--methods must name at least one of {', '.join(METHODS)}")
     for m in methods:
         if m not in METHODS:
             raise _InputError(f"unknown method {m!r}")
     try:
         seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
     except ValueError:
-        raise _InputError("--seeds must be comma-separated integers") from None
+        seeds = []
+    if not seeds:
+        raise _InputError("--seeds must be comma-separated integers")
 
     jobs = [(path, method, seed, cap) for path in paths
             for method in methods for seed in seeds]
@@ -247,15 +259,14 @@ def cmd_bench(args) -> int:
         print(f"ordered-cuts scaling: fitted exponent {exponent:.3f} "
               f"(reference gamma {GAMMA_REFERENCE} -> expected ~{1 + GAMMA_REFERENCE:.3f})")
     if args.report:
-        report_path = Path(args.report)
-        if report_path.suffix == ".csv":
-            fields = sorted({k for row in rows for k in row})
-            with report_path.open("w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fields)
-                writer.writeheader()
-                writer.writerows(rows)
+        if Path(args.report).suffix == ".csv":
+            text = io.StringIO()
+            writer = csv.DictWriter(text, fieldnames=sorted({k for row in rows for k in row}))
+            writer.writeheader()
+            writer.writerows(rows)
+            _write_text(args.report, text.getvalue())
         else:
-            report_path.write_text(json.dumps(
+            _write_text(args.report, json.dumps(
                 {"rows": rows, "oc_scaling": scaling}, indent=2) + "\n")
     return 0
 

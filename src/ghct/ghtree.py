@@ -1,12 +1,13 @@
 """Partition trees, auxiliary graphs, and the Gomory-Hu drivers.
 
-Both drivers run one refinement loop: pick the largest supernode, build
-its auxiliary graph, ask a strategy for a source and a family of
-pairwise-disjoint minimum source cuts, and split each cut off the
-supernode.  The classic algorithm is the strategy that returns one pivot
-cut; the generalized driver takes its caller's strategy.  A family that
-breaks the contract raises StrategyError at once.  The loop ends with a
-complete partition tree whose singletons form the cut tree.
+Both drivers run one refinement loop over one PartitionTree, refined in
+place: pick the largest supernode, build its auxiliary graph from the
+live tree, ask a strategy for a source and a family of pairwise-disjoint
+minimum source cuts, and split each cut off the supernode.  The classic
+algorithm is the strategy that returns one pivot cut; the generalized
+driver takes its caller's strategy.  A family that breaks the contract
+raises StrategyError at once.  The loop ends with a complete partition
+tree whose singletons form the cut tree.
 """
 
 from __future__ import annotations
@@ -17,18 +18,6 @@ from dataclasses import dataclass
 
 from .graph import Cut, Graph, _quotient, cut_cost, label_key, sorted_labels, unused_label
 from .maxflow import WorkCounter, min_cut
-
-
-@dataclass(frozen=True)
-class PartitionTree:
-    """Spanning tree over disjoint supernodes covering all graph nodes.
-
-    Edges are (i, j, weight) index triples into `supernodes`; each weight
-    equals the cost of the graph cut induced by removing that edge.
-    """
-
-    supernodes: tuple
-    edges: tuple
 
 
 @dataclass(frozen=True)
@@ -93,54 +82,21 @@ class GHTree:
         return Graph(self.nodes, self.edges)
 
 
-def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
-    """Contract every tree branch hanging off supernode xi to one node.
+class PartitionTree:
+    """Spanning tree over disjoint supernodes covering all graph nodes.
 
-    Returns (H, reps) where H's nodes are xi's members plus one fresh
-    label per tree neighbor, and reps maps each neighbor's supernode index
-    to the label of the branch behind it.
+    Starts as one supernode holding every node of g and is refined in
+    place by `split`.  Edges are [i, j, weight] index triples into
+    `supernodes`; each weight equals the cost of the graph cut induced by
+    removing that edge.  `depth[i]` counts the refinement steps that
+    supernode i and the supernodes it was split from have taken.
     """
-    adj = {i: [] for i in range(len(tree.supernodes))}
-    for i, j, _ in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-
-    reps = {}
-    branch_of = {}
-    names = itertools.count()
-    for start in adj[xi]:
-        label = reps[start] = unused_label("b", names, g)
-        component = {start}
-        queue = deque([start])
-        while queue:
-            k = queue.popleft()
-            for v in tree.supernodes[k]:
-                branch_of[v] = label
-            for nb in adj[k]:
-                if nb != xi and nb not in component:
-                    component.add(nb)
-                    queue.append(nb)
-
-    x_members = tree.supernodes[xi]
-    nodes = [lab for lab in g.labels if lab in x_members] + list(reps.values())
-    rep_of = [branch_of.get(lab, lab) for lab in g.labels]
-    return _quotient(g, nodes, rep_of), reps
-
-
-class _TreeState:
-    """Mutable partition tree used while a driver runs."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.supernodes = [set(g.labels)]
-        self.edges = []  # [i, j, weight] triples, mutated in place
+        self.edges = []
         self.depth = [0]
-
-    def snapshot(self) -> PartitionTree:
-        return PartitionTree(
-            tuple(frozenset(sn) for sn in self.supernodes),
-            tuple((i, j, w) for i, j, w in self.edges),
-        )
 
     def pick_supernode(self):
         """Largest splittable supernode; ties by smallest member label."""
@@ -185,6 +141,40 @@ class _TreeState:
         return GHTree(tuple(sorted_labels(self.g.labels)), tuple(rows))
 
 
+def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
+    """Contract every tree branch hanging off supernode xi to one node.
+
+    Returns (H, reps) where H's nodes are xi's members plus one fresh
+    label per tree neighbor, and reps maps each neighbor's supernode index
+    to the label of the branch behind it.
+    """
+    adj = {i: [] for i in range(len(tree.supernodes))}
+    for i, j, _ in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+
+    reps = {}
+    branch_of = {}
+    names = itertools.count()
+    for start in adj[xi]:
+        label = reps[start] = unused_label("b", names, g)
+        component = {start}
+        queue = deque([start])
+        while queue:
+            k = queue.popleft()
+            for v in tree.supernodes[k]:
+                branch_of[v] = label
+            for nb in adj[k]:
+                if nb != xi and nb not in component:
+                    component.add(nb)
+                    queue.append(nb)
+
+    x_members = tree.supernodes[xi]
+    nodes = [lab for lab in g.labels if lab in x_members] + list(reps.values())
+    rep_of = [branch_of.get(lab, lab) for lab in g.labels]
+    return _quotient(g, nodes, rep_of), reps
+
+
 def _refine(g: Graph, strategy, depth_stats) -> GHTree:
     """The refinement loop behind both public drivers.
 
@@ -192,19 +182,19 @@ def _refine(g: Graph, strategy, depth_stats) -> GHTree:
     costed in h as returned: splitting off a disjoint cut changes neither
     its cost nor the branches it holds.
     """
-    state = _TreeState(g)
-    while (xi := state.pick_supernode()) is not None:
-        x_members = frozenset(state.supernodes[xi])
-        h, reps = auxiliary_graph(g, state.snapshot(), xi)
+    tree = PartitionTree(g)
+    while (xi := tree.pick_supernode()) is not None:
+        x_members = frozenset(tree.supernodes[xi])
+        h, reps = auxiliary_graph(g, tree, xi)
         if depth_stats is not None:
-            nodes, edges = depth_stats.get(state.depth[xi], (0, 0))
-            depth_stats[state.depth[xi]] = [nodes + h.num_nodes, edges + h.num_edges]
+            nodes, edges = depth_stats.get(tree.depth[xi], (0, 0))
+            depth_stats[tree.depth[xi]] = [nodes + h.num_nodes, edges + h.num_edges]
         s, family = strategy(h, x_members)
         for cut in _check_family(family, s, h, x_members):
             moved = {other for other, label in reps.items() if label in cut}
-            state.split(xi, cut & x_members, cut_cost(h, cut), moved)
-        state.depth[xi] += 1
-    return state.finish()
+            tree.split(xi, cut & x_members, cut_cost(h, cut), moved)
+        tree.depth[xi] += 1
+    return tree.finish()
 
 
 def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None = None) -> GHTree:
@@ -215,7 +205,7 @@ def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None =
     """
     def pivot(h, x_members):
         s, t = sorted_labels(x_members)[:2]
-        return s, [min_cut(h, {s}, {t}, counter).sink_side]
+        return s, [min_cut(h, {s}, {t}, counter).members]
 
     return _refine(g, pivot, depth_stats)
 
@@ -243,8 +233,7 @@ def _check_family(family, s, h: Graph, x_members) -> list:
     return sets
 
 
-def gomory_hu_generalized(g: Graph, strategy, counter: WorkCounter,
-                          depth_stats: dict | None = None) -> GHTree:
+def gomory_hu_generalized(g: Graph, strategy, depth_stats: dict | None = None) -> GHTree:
     """Generalized driver: split each supernode by a family of disjoint cuts.
 
     `strategy(h, x_members)` must return (s, family): a source s in x and

@@ -9,32 +9,24 @@ are pairwise disjoint.
 
 from __future__ import annotations
 
-import itertools
-
-from .graph import Graph, contract_set_to_node, sorted_labels, unused_label
+from .graph import Graph, contract, sorted_labels
 from .maxflow import WorkCounter, latest_min_cut, min_cut_minimal_sink
 
 
-def _isolate(src, terminals, g: Graph, work: WorkCounter, names: itertools.count,
-             depth: int):
+def _isolate(src, terminals, g: Graph, work: WorkCounter, depth: int):
     if len(terminals) == 1:
         v = terminals[0]
         return {v: latest_min_cut(g, src, v, work)}, depth
 
     mid = len(terminals) // 2
     left, right = terminals[:mid], terminals[mid:]
-    res = min_cut_minimal_sink(g, {src, *left}, set(right), work)
-    sink = res.sink_side
+    sink = min_cut_minimal_sink(g, {src, *left}, set(right), work).members
 
-    right_label = unused_label("iso", names, g)
-    right_g = contract_set_to_node(g, g.node_set - sink, right_label)
-    right_cuts, right_depth = _isolate(right_label, right, right_g, work, names,
-                                       depth + 1)
-
-    left_label = unused_label("iso", names, g)
-    left_g = contract_set_to_node(g, sink | {src}, left_label)
-    left_cuts, left_depth = _isolate(left_label, left, left_g, work, names,
-                                     depth + 1)
+    # Each half keeps its own side; the other side merges into src.
+    right_cuts, right_depth = _isolate(src, right, contract(g, sink | {src}, src),
+                                       work, depth + 1)
+    left_cuts, left_depth = _isolate(src, left, contract(g, g.node_set - sink, src),
+                                     work, depth + 1)
 
     left_cuts.update(right_cuts)
     return left_cuts, max(left_depth, right_depth)
@@ -50,7 +42,7 @@ def isolating_cuts_with_depth(s, terminals, g: Graph, counter: WorkCounter):
     for v in terms:
         if not g.has_node(v):
             raise ValueError(f"terminal {v!r} is not a node of the graph")
-    cuts, depth = _isolate(s, terms, g, counter, itertools.count(), 0)
+    cuts, depth = _isolate(s, terms, g, counter, 0)
     bound = (len(terms) - 1).bit_length()  # ceil(log2 |terminals|)
     if depth > bound:
         raise AssertionError(f"recursion used {depth} levels, bound is {bound}")

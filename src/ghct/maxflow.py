@@ -2,7 +2,8 @@
 
 A Dinic-style augmenting-path solver over exact integer capacities.  Every
 higher-level routine funnels through the three entry points here, each of
-which records the size of the graph it was handed in a WorkCounter.
+which records the size of the graph it was handed in a WorkCounter and
+returns a `Cut`: the sink side as `members`, the flow value as `cost`.
 
 Multi-node terminals are handled by merging each side into a single
 super-terminal while building the flow network (no infinite-capacity arcs,
@@ -37,12 +38,6 @@ class WorkCounter:
             "nodes_total": self.nodes_total,
             "edges_total": self.edges_total,
         }
-
-
-@dataclass(frozen=True)
-class MinCutResult:
-    cost: int
-    sink_side: frozenset
 
 
 def _max_flow(adj, to, cap, src, snk):
@@ -97,8 +92,8 @@ def _max_flow(adj, to, cap, src, snk):
                     path_arcs.pop()
 
 
-def _solve(g: Graph, s_side, t_side, minimal_sink: bool):
-    """Maximum flow between the merged terminal sides; returns (flow, sink_side).
+def _solve(g: Graph, s_side, t_side, minimal_sink: bool) -> Cut:
+    """Maximum flow between the merged terminal sides, as the sink side's Cut.
 
     The sink side comes from one residual search: forward from the source
     for the inclusion-maximal side (everything the source cannot reach), or
@@ -147,25 +142,24 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool):
                 seen.add(y)
                 queue.append(y)
     labels = g.labels
-    sink_side = frozenset(labels[i] for i in range(len(labels))
-                          if (node_of[i] in seen) == minimal_sink)
-    return flow, sink_side
+    return Cut(frozenset(labels[i] for i in range(len(labels))
+                         if (node_of[i] in seen) == minimal_sink), flow)
 
 
-def min_cut(g: Graph, s_side, t_side, counter: WorkCounter) -> MinCutResult:
+def min_cut(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
     """An exact minimum S-T cut; deterministic for a fixed graph.
 
     The returned sink side is the inclusion-maximal one (complement of the
     residual source component).
     """
     counter.record(g.num_nodes, g.num_edges)
-    return MinCutResult(*_solve(g, s_side, t_side, minimal_sink=False))
+    return _solve(g, s_side, t_side, minimal_sink=False)
 
 
-def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> MinCutResult:
+def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
     """Among all minimum S-T cuts, the one with inclusion-minimal sink side."""
     counter.record(g.num_nodes, g.num_edges)
-    return MinCutResult(*_solve(g, s_side, t_side, minimal_sink=True))
+    return _solve(g, s_side, t_side, minimal_sink=True)
 
 
 def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:
@@ -177,5 +171,4 @@ def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:
     if u == v:
         raise ValueError("terminals must be distinct")
     counter.record(g.num_nodes, g.num_edges)
-    flow, sink_side = _solve(g, {u}, {v}, minimal_sink=True)
-    return Cut(sink_side, flow)
+    return _solve(g, {u}, {v}, minimal_sink=True)

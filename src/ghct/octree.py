@@ -6,14 +6,14 @@ edges always point to earlier sequence positions.  The down-set of v (the
 union of blocks in v's subtree) is a minimum (prefix before v)-v cut.
 
 The divide-and-conquer solver `ordered_cuts` builds a valid tree with
-max-flow work that stays subquadratic on random node orders.
+max-flow work that stays subquadratic on random node orders, and
+`flatten_to_star` reads its depth-1 tree off as a `{rep: down-set}` dict.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .graph import Cut, Graph, contract, cut_cost, label_key
 from .maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
@@ -28,53 +28,23 @@ class ValidationResult:
         return self.ok
 
 
-@dataclass(frozen=True)
-class NamedPartition:
-    """Representatives with pairwise-disjoint blocks, one block per rep.
-
-    `reps` preserves the defining sequence order.
-    """
-
-    reps: tuple
-    blocks: Mapping
-
-    def covered(self) -> frozenset:
-        out = set()
-        for v in self.reps:
-            out |= self.blocks[v]
-        return frozenset(out)
-
-    def check(self) -> None:
-        seen: set = set()
-        for v in self.reps:
-            block = self.blocks[v]
-            if v not in block:
-                raise ValueError(f"representative {v!r} missing from its block")
-            if seen & block:
-                raise ValueError("blocks are not pairwise disjoint")
-            seen |= block
-
-
 class OCTree:
     """Partition + parent tree over a node sequence.
 
     `order` is the sequence (first element is the source/root), `parent`
     maps every non-root sequence node to an earlier one, and `blocks` maps
-    each sequence node to its partition block.
+    each sequence node to its partition block.  The constructor only
+    stores these; `validate` checks them.
     """
 
     __slots__ = ("order", "parent", "blocks", "_children", "_down")
 
-    def __init__(self, order, parent, blocks, check: bool = True):
+    def __init__(self, order, parent, blocks):
         self.order = tuple(order)
         self.parent = dict(parent)
         self.blocks = {v: frozenset(b) for v, b in blocks.items()}
         self._children = None
         self._down = {}
-        if check:
-            problem = self.structural_problem()
-            if problem:
-                raise ValueError(problem)
 
     @property
     def root(self):
@@ -259,7 +229,7 @@ def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
     parent: dict = {}
     blocks: dict = {}
     _build(order, g, counter, parent, blocks)
-    return OCTree(order, parent, blocks, check=False)
+    return OCTree(order, parent, blocks)
 
 
 def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict) -> None:
@@ -289,22 +259,21 @@ def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict) ->
         if not targets:
             continue
         sub_g = contract(g, block, v)
-        sink = min_cut_minimal_sink(sub_g, {v}, set(targets), counter).sink_side
+        sink = min_cut_minimal_sink(sub_g, {v}, set(targets), counter).members
         rec_g = contract(sub_g, sink | {v}, v)
         _build((v, *targets), rec_g, counter, parent, blocks)
         blocks[v] = (block - sink) | blocks[v]
 
 
-def flatten_to_star(tree: OCTree) -> NamedPartition:
-    """The depth-1 tree: the root's children, each holding its down-set.
+def flatten_to_star(tree: OCTree) -> dict:
+    """The depth-1 tree as {rep: down-set}, over the root's children in
+    sequence order.
 
     Merging every deeper node's block into its parent, in any order, ends
-    here, and keeps each surviving node's down-set.  The children of the
-    root, in sequence order, become the representatives of a named
-    partition.
+    here, and keeps each surviving node's down-set.  The down-sets are
+    pairwise disjoint, and none holds the root.
     """
-    reps = tuple(tree.children()[tree.root])
-    return NamedPartition(reps, {v: tree.down_set(v) for v in reps})
+    return {v: tree.down_set(v) for v in tree.children()[tree.root]}
 
 
 def format_oc_tree(tree: OCTree) -> str:

@@ -178,8 +178,8 @@ def is_laminar(family: Iterable) -> bool:
     return True
 
 
-def verify_oc1(partition, seq, g: Graph) -> Report:
-    """Check a named partition against its defining node sequence.
+def verify_oc1(blocks: dict, seq, g: Graph) -> Report:
+    """Check a depth-1 OC tree {rep: block} against its node sequence.
 
     Condition (i): the block of each representative v (at position k) is a
     minimum ({s} + earlier representatives)-v cut, checked via max flow.
@@ -189,12 +189,11 @@ def verify_oc1(partition, seq, g: Graph) -> Report:
     report = Report("oc1")
     seq = tuple(seq)
     s = seq[0]
-    reps = set(partition.reps)
     counter = WorkCounter()
     earlier_reps: list = []
     for v in seq[1:]:
-        if v in reps:
-            block = partition.blocks[v]
+        if v in blocks:
+            block = blocks[v]
             expected = min_cut(g, {s, *earlier_reps}, {v}, counter).cost
             actual = cut_cost(g, block)
             if actual != expected:
@@ -203,7 +202,7 @@ def verify_oc1(partition, seq, g: Graph) -> Report:
             covered = True  # v covers itself via its own block
             earlier_reps.append(v)
         else:
-            covered = any(v in partition.blocks[r] for r in earlier_reps)
+            covered = any(v in blocks[r] for r in earlier_reps)
         if not covered:
             report.add(condition="coverage", node=v)
     return report

@@ -28,8 +28,8 @@ from .graph import Graph, cut_cost, label_key, sorted_labels
 from .ghtree import GHTree, gomory_hu_generalized
 from .isolating import isolating_cuts
 from .maxflow import WorkCounter
-from .octree import NamedPartition, certified_source_cuts, covering_cut_costs, \
-    flatten_to_star, ordered_cuts
+from .octree import certified_source_cuts, covering_cut_costs, flatten_to_star, \
+    ordered_cuts
 from .oracle import is_laminar
 
 DEFAULT_MAX_ATTEMPTS = 10_000
@@ -198,8 +198,9 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
 # -- fixed-source partitions ---------------------------------------------
 
 
-def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> NamedPartition:
-    """Named partition of minimum source cuts covering most of x.
+def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
+    """Pairwise-disjoint minimum source cuts covering most of x, as
+    {rep: block} in sequence order.
 
     Repeatedly samples x at scheduled rates, solves ordered cuts on the
     sample sorted by decreasing cost estimate, flattens to a star, and
@@ -209,7 +210,7 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> NamedParti
     """
     live = set(x)
     if not live:
-        return NamedPartition((), {})
+        return {}
     estimates = {v: cut_cost(g, {v}) for v in live}
     rates = partition_schedule(len(live))
 
@@ -219,26 +220,25 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> NamedParti
         seq = sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
         if not seq:
             if final:
-                return NamedPartition((), {})
+                return {}
             continue
         star = flatten_to_star(ordered_cuts((s, *seq), g, counter))
         if not final:
-            for v in star.reps:
-                block = star.blocks[v]
+            for v, block in star.items():
                 live -= block - {v}
                 cost = cut_cost(g, block)
                 for u in block:
                     if cost < estimates.get(u, math.inf):
                         estimates[u] = cost
         else:
-            reps = []
+            kept = {}
             best = math.inf
-            for v in star.reps:
-                cost = cut_cost(g, star.blocks[v])
+            for v, block in star.items():
+                cost = cut_cost(g, block)
                 if cost <= best:
-                    reps.append(v)
+                    kept[v] = block
                     best = cost
-            return NamedPartition(tuple(reps), {v: star.blocks[v] for v in reps})
+            return kept
     raise AssertionError("unreachable")
 
 
@@ -253,7 +253,7 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     x = set(x)
     if not x:
         return []
-    estimates = {v: cut_cost(g, {v}) for v in g.labels if v != s}
+    estimates = {v: cut_cost(g, {v}) for v in x}
     rates = partition_schedule(len(x))
     family: set = set()
     covered: set = set()
@@ -321,16 +321,15 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
         whole = h.node_set
         for rate in source_schedule(len(xs), h.num_nodes):
             sample = random_subset(x_set - {s}, rate, rng)
-            part = fixed_source_blocks(s, sample, perturbed, rng, counter)
-            for v in part.reps:
-                block = part.blocks[v]
+            blocks = fixed_source_blocks(s, sample, perturbed, rng, counter)
+            for v, block in blocks.items():
                 cost = cut_cost(h, block)
                 if cut_less(whole - block, block, cost, cost, x_set):
                     s = v  # the block outweighs its complement: move there
                     break
             else:
-                if x_set - {s} <= part.covered():
-                    return s, [frozenset(part.blocks[v]) for v in part.reps]
+                if x_set - {s} <= set().union(*blocks.values()):
+                    return s, list(blocks.values())
         return None
 
     return _las_vegas(h, x, stats, max_attempts, attempt)
@@ -371,7 +370,7 @@ def gh_via_oc1(g: Graph, rng, counter: WorkCounter,
         return select_source_oc1(h, x_members, rng, counter, stats=stats,
                                  max_attempts=max_attempts)
 
-    return gomory_hu_generalized(g, strategy, counter, depth_stats=depth_stats)
+    return gomory_hu_generalized(g, strategy, depth_stats=depth_stats)
 
 
 def gh_via_weak_oc(g: Graph, rng, counter: WorkCounter,
@@ -385,4 +384,4 @@ def gh_via_weak_oc(g: Graph, rng, counter: WorkCounter,
         return select_source_weak(h, x_members, rng, counter, stats=stats,
                                   max_attempts=max_attempts, certify=certify)
 
-    return gomory_hu_generalized(g, strategy, counter, depth_stats=depth_stats)
+    return gomory_hu_generalized(g, strategy, depth_stats=depth_stats)

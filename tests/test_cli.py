@@ -107,6 +107,14 @@ class TestCompute:
         assert exc.value.code == 1
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("compute", "--out"), ("compute", "--stats-out"),
+        ("ordered-cuts", "--out"), ("ordered-cuts", "--stats-out")])
+    def test_unwritable_output_exits_1(self, tri_file, tmp_path, capsys, command, flag):
+        target = tmp_path / "missing" / "out.txt"
+        assert main([command, str(tri_file), flag, str(target)]) == 1
+        assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
+
     def test_compute_then_verify_roundtrip(self, tmp_path):
         rng = random.Random(55)
         for trial in range(3):
@@ -242,6 +250,33 @@ class TestBench:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "--jobs: expected an integer of at least 1" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seeds", "", "--seeds must be comma-separated integers"),
+        ("--methods", ",", "--methods must name at least one of classic, oc1, weak-oc")],
+        ids=["seeds", "methods"])
+    def test_empty_list_exits_1(self, tmp_path, capsys, flag, value, message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "tri.dimacs").write_text(TRI_TEXT)
+        report = tmp_path / "rows.json"
+        assert main(["bench", str(corpus), flag, value, "--report", str(report)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_unwritable_report_exits_1(self, tmp_path, capsys, suffix):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "tri.dimacs").write_text(TRI_TEXT)
+        report = tmp_path / "missing" / f"rows{suffix}"
+        assert main(["bench", str(corpus), "--methods", "classic", "--seeds", "0",
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"error: {report}: No such file or directory\n"
+
+    def test_generate_into_a_file_exits_1(self, tri_file, capsys):
+        assert main(["bench", str(tri_file), "--generate"]) == 1
+        assert capsys.readouterr().err == f"error: {tri_file}: File exists\n"
 
     def test_one_node_graph_skipped_in_scaling_fit(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -19,13 +19,13 @@ from conftest import random_graph
 
 class TestAuxiliaryGraph:
     def test_single_supernode_is_identity(self, tri):
-        tree = PartitionTree((frozenset({1, 2, 3}),), ())
-        h, reps = auxiliary_graph(tri, tree, 0)
+        h, reps = auxiliary_graph(tri, PartitionTree(tri), 0)
         assert h == tri
         assert reps == {}
 
     def test_path_one_branch(self, p3):
-        tree = PartitionTree((frozenset({1, 2}), frozenset({3})), ((0, 1, 2),))
+        tree = PartitionTree(p3)
+        tree.split(0, {3}, 2, set())
         h, reps = auxiliary_graph(p3, tree, 0)
         assert h.num_nodes == 3
         (other, label), = reps.items()
@@ -36,9 +36,9 @@ class TestAuxiliaryGraph:
 
     def test_star_of_branches(self):
         g = Graph(range(1, 5), [(1, 2, 1), (1, 3, 2), (1, 4, 3)])
-        tree = PartitionTree(
-            (frozenset({1}), frozenset({2}), frozenset({3}), frozenset({4})),
-            ((0, 1, 1), (0, 2, 2), (0, 3, 3)))
+        tree = PartitionTree(g)
+        for v, w in ((2, 1), (3, 2), (4, 3)):
+            tree.split(0, {v}, w, set())
         h, reps = auxiliary_graph(g, tree, 0)
         assert h.num_nodes == 4
         assert sorted(reps) == [1, 2, 3]
@@ -51,7 +51,8 @@ class TestAuxiliaryGraph:
         # inside the supernode.
         g = Graph(range(1, 6),
                   [(1, 2, 2), (2, 3, 1), (3, 4, 4), (4, 5, 1), (2, 5, 3)])
-        tree = PartitionTree((frozenset({1, 2, 3}), frozenset({4, 5})), ((0, 1, 4),))
+        tree = PartitionTree(g)
+        tree.split(0, {4, 5}, 4, set())
         h, reps = auxiliary_graph(g, tree, 0)
         assert cut_cost(h, {reps[1]}) == cut_cost(g, {4, 5})
         assert cut_cost(h, {1}) == cut_cost(g, {1})
@@ -150,9 +151,9 @@ class TestGeneralized:
             members = sorted(x_members)
             s, t = members[0], members[1]
             res = min_cut(h, {s}, {t}, counter)
-            return s, [res.sink_side]
+            return s, [res.members]
 
-        tree = gomory_hu_generalized(tri, strategy, counter)
+        tree = gomory_hu_generalized(tri, strategy)
         assert tree.edges == gomory_hu_classic(tri, WorkCounter()).edges
 
     def test_triangle_explicit_family(self, tri):
@@ -161,9 +162,9 @@ class TestGeneralized:
                 return 1, [frozenset({2, 3})]
             members = sorted(x_members)
             res = min_cut(h, {members[0]}, {members[1]}, WorkCounter())
-            return members[0], [res.sink_side]
+            return members[0], [res.members]
 
-        tree = gomory_hu_generalized(tri, strategy, WorkCounter())
+        tree = gomory_hu_generalized(tri, strategy)
         assert verify_gh_tree(tri, tree).ok
         assert (1, 3, 3) in tree.edges
 
@@ -177,11 +178,11 @@ class TestGeneralized:
         def strategy(h, x_members):
             calls.append(x_members)
             if 1 in x_members:
-                return 1, [min_cut(h, {1}, {2}, WorkCounter()).sink_side]
+                return 1, [min_cut(h, {1}, {2}, WorkCounter()).members]
             return 2, bad(h, x_members)
 
         with pytest.raises(StrategyError, match=reason):
-            gomory_hu_generalized(g, strategy, WorkCounter())
+            gomory_hu_generalized(g, strategy)
         assert len(calls) == 2
 
     def test_supernodes_stay_a_partition(self):
@@ -194,11 +195,11 @@ class TestGeneralized:
             members = sorted(x_members)
             s, t = rng.sample(members, 2)
             res = min_cut(h, {s}, {t}, counter)
-            return s, [res.sink_side]
+            return s, [res.members]
 
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 12))
-            tree = gomory_hu_generalized(g, strategy, counter)
+            tree = gomory_hu_generalized(g, strategy)
             assert set(tree.nodes) == set(g.labels)
             assert len(tree.edges) == g.num_nodes - 1
             assert verify_gh_tree(g, tree).ok

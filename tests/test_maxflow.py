@@ -18,17 +18,17 @@ class TestMinCut:
     def test_triangle(self, tri, counter):
         res = min_cut(tri, {1}, {2}, counter)
         assert res.cost == 3
-        assert res.sink_side == {2, 3}
+        assert res.members == {2, 3}
 
     def test_path_bottleneck(self, p3, counter):
         res = min_cut(p3, {1}, {3}, counter)
         assert res.cost == 2
-        assert res.sink_side == {3}
+        assert res.members == {3}
 
     def test_multi_source(self, tri, counter):
         res = min_cut(tri, {1, 2}, {3}, counter)
         assert res.cost == 5
-        assert res.sink_side == {3}
+        assert res.members == {3}
 
     def test_counter_records_graph_size(self, tri):
         c = WorkCounter()
@@ -54,8 +54,8 @@ class TestMinCut:
             a = min_cut(g, s_side, t_side, counter)
             b = min_cut(g, t_side, s_side, counter)
             assert a.cost == b.cost
-            assert cut_cost(g, g.node_set - a.sink_side) == b.cost
-            assert cut_cost(g, g.node_set - b.sink_side) == a.cost
+            assert cut_cost(g, g.node_set - a.members) == b.cost
+            assert cut_cost(g, g.node_set - b.members) == a.cost
 
     def test_matches_brute_force(self, counter):
         rng = random.Random(23)
@@ -66,7 +66,7 @@ class TestMinCut:
             res = min_cut(g, {s}, {t}, counter)
             ref = brute_min_cut(g, {s}, {t})
             assert res.cost == ref.cost
-            assert cut_cost(g, res.sink_side) == ref.cost
+            assert cut_cost(g, res.members) == ref.cost
 
 
 class TestLatestMinCut:
@@ -111,15 +111,15 @@ class TestLatestMinCut:
 
 class TestMinimalSink:
     def test_unique_cut(self, tri, counter):
-        assert min_cut_minimal_sink(tri, {1}, {2}, counter).sink_side == {2, 3}
+        assert min_cut_minimal_sink(tri, {1}, {2}, counter).members == {2, 3}
 
     def test_leaf_isolation(self, counter):
         g = Graph(["c", "a", "b"], [("c", "a", 2), ("c", "b", 3)])
         res = min_cut_minimal_sink(g, {"c", "b"}, {"a"}, counter)
-        assert res.sink_side == {"a"}
+        assert res.members == {"a"}
 
     def test_path_smallest_side(self, p3, counter):
-        assert min_cut_minimal_sink(p3, {1}, {3}, counter).sink_side == {3}
+        assert min_cut_minimal_sink(p3, {1}, {3}, counter).members == {3}
 
     def test_minimal_among_enumeration(self, counter):
         rng = random.Random(41)
@@ -131,7 +131,7 @@ class TestMinimalSink:
             s_side, t_side = set(labels[:k]), set(labels[k:])
             res = min_cut_minimal_sink(g, s_side, t_side, counter)
             sides = brute_all_min_cuts(g, s_side, t_side)
-            assert res.sink_side == frozenset.intersection(*sides)
+            assert res.members == frozenset.intersection(*sides)
 
     def test_nested_instance_monotonicity(self, counter):
         # Growing the source side / shrinking the sink side can only
@@ -148,7 +148,7 @@ class TestMinimalSink:
             s_big = s_small | {labels[1]} - t_small
             tight = min_cut_minimal_sink(g, s_big, t_small, counter)
             for side in brute_all_min_cuts(g, s_small, t_big):
-                assert tight.sink_side <= side
+                assert tight.members <= side
 
 
 def test_goldberg_running_minimum_property():

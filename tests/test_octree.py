@@ -51,7 +51,7 @@ class TestValidate:
         assert validate(tri_tree, tri)
 
     def test_broken_partition_reported(self, tri):
-        broken = OCTree((1, 2), {2: 1}, {1: {1, 3}, 2: {2, 3}}, check=False)
+        broken = OCTree((1, 2), {2: 1}, {1: {1, 3}, 2: {2, 3}})
         result = validate(broken, tri)
         assert not result
         assert result.reason
@@ -195,23 +195,18 @@ class TestOrderedCuts:
 
 class TestFlattenToStar:
     def test_triangle_chain(self, tri, tri_tree):
-        part = flatten_to_star(tri_tree)
-        assert part.reps == (2,)
-        assert part.blocks[2] == {2, 3}
+        assert flatten_to_star(tri_tree) == {2: {2, 3}}
 
     def test_already_star_unchanged(self):
         tree = OCTree((1, 2, 3), {2: 1, 3: 1}, {1: {1}, 2: {2}, 3: {3}})
-        part = flatten_to_star(tree)
-        assert part.reps == (2, 3)
-        assert part.blocks[2] == {2}
-        assert part.blocks[3] == {3}
+        star = flatten_to_star(tree)
+        assert star == {2: {2}, 3: {3}}
+        assert list(star) == [2, 3]
 
     def test_deep_chain_collapses(self):
         tree = OCTree(("s", "a", "b", "c"), {"a": "s", "b": "a", "c": "b"},
                       {"s": {"s"}, "a": {"a"}, "b": {"b"}, "c": {"c"}})
-        part = flatten_to_star(tree)
-        assert part.reps == ("a",)
-        assert part.blocks["a"] == {"a", "b", "c"}
+        assert flatten_to_star(tree) == {"a": {"a", "b", "c"}}
 
     def test_outputs_satisfy_star_definition(self):
         rng = random.Random(89)
@@ -219,8 +214,7 @@ class TestFlattenToStar:
             g = random_graph(rng, rng.randint(2, 12))
             seq = random_sequence(rng, g, max_len=8)
             tree = ordered_cuts(seq, g, WorkCounter())
-            part = flatten_to_star(tree)
-            assert verify_oc1(part, seq, g).ok
+            assert verify_oc1(flatten_to_star(tree), seq, g).ok
 
 
 def test_format_oc_tree(tri_tree):

@@ -5,7 +5,6 @@ import pytest
 
 from ghct.ghtree import GHTree
 from ghct.graph import Graph
-from ghct.octree import NamedPartition
 from ghct.oracle import (
     brute_all_min_cuts,
     brute_min_cut,
@@ -90,22 +89,18 @@ class TestIsLaminar:
 
 class TestVerifyOc1:
     def test_valid_partition(self, tri):
-        part = NamedPartition((2,), {2: frozenset({2, 3})})
-        assert verify_oc1(part, (1, 2, 3), tri).ok
+        assert verify_oc1({2: frozenset({2, 3})}, (1, 2, 3), tri).ok
 
     def test_wrong_block_cost(self, tri):
-        part = NamedPartition((2,), {2: frozenset({2})})
-        report = verify_oc1(part, (1, 2, 3), tri)
+        report = verify_oc1({2: frozenset({2})}, (1, 2, 3), tri)
         assert not report.ok
         assert any(v["condition"] == "block-minimality" for v in report.violations)
 
     def test_uncovered_node(self, tri):
-        part = NamedPartition((3,), {3: frozenset({3})})
-        report = verify_oc1(part, (1, 2, 3), tri)
+        report = verify_oc1({3: frozenset({3})}, (1, 2, 3), tri)
         assert not report.ok
         assert any(v["condition"] == "coverage" and v["node"] == 2
                    for v in report.violations)
 
     def test_empty_sequence_vacuous(self, g2):
-        part = NamedPartition((), {})
-        assert verify_oc1(part, (1,), g2).ok
+        assert verify_oc1({}, (1,), g2).ok

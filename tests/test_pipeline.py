@@ -192,17 +192,15 @@ class TestCertifiedOrderedCuts:
 class TestFixedSourceBlocks:
     def test_singleton_ground_set(self, tri):
         # The block is the latest minimum 1-3 cut: {2,3} at cost 3.
-        part = fixed_source_blocks(1, {3}, tri, random.Random(0), WorkCounter())
-        assert part.reps == (3,)
-        assert part.blocks[3] == {2, 3}
-        assert cut_cost(tri, part.blocks[3]) == 3
+        blocks = fixed_source_blocks(1, {3}, tri, random.Random(0), WorkCounter())
+        assert blocks == {3: {2, 3}}
+        assert cut_cost(tri, blocks[3]) == 3
 
     def test_triangle_covers_both(self, tri):
         # f(1,2) = f(1,3) = 3 via {2,3}; one representative owns the block.
-        part = fixed_source_blocks(1, {2, 3}, perturb(tri, random.Random(1)),
-                                   random.Random(2), WorkCounter())
-        assert len(part.reps) == 1
-        assert part.blocks[part.reps[0]] == {2, 3}
+        blocks = fixed_source_blocks(1, {2, 3}, perturb(tri, random.Random(1)),
+                                     random.Random(2), WorkCounter())
+        assert list(blocks.values()) == [{2, 3}]
 
     def test_blocks_are_minimum_source_cuts(self):
         rng = random.Random(19)
@@ -213,19 +211,18 @@ class TestFixedSourceBlocks:
             s = labels[0]
             ground = set(rng.sample(labels[1:], rng.randint(1, len(labels) - 1)))
             perturbed = perturb(g, rng)
-            part = fixed_source_blocks(s, ground, perturbed, rng, counter)
-            part.check()
-            assert set(part.reps) <= ground
-            for v in part.reps:
-                block = part.blocks[v]
+            blocks = fixed_source_blocks(s, ground, perturbed, rng, counter)
+            assert set(blocks) <= ground
+            assert sum(map(len, blocks.values())) == len(set().union(*blocks.values()))
+            for v, block in blocks.items():
+                assert v in block
                 assert cut_cost(perturbed, block) == min_cut(
                     perturbed, {s}, {v}, counter).cost
                 # Prop-4.1 carryover: also minimum in the unperturbed graph.
                 assert cut_cost(g, block) == min_cut(g, {s}, {v}, counter).cost
 
     def test_empty_ground_set(self, tri):
-        part = fixed_source_blocks(1, set(), tri, random.Random(0), WorkCounter())
-        assert part.reps == ()
+        assert fixed_source_blocks(1, set(), tri, random.Random(0), WorkCounter()) == {}
 
 
 class TestSelectSourceOc1:

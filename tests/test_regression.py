@@ -5,14 +5,17 @@ WorkCounter fields, the Las-Vegas attempt accounting and the auxiliary
 graph sizes summed per refinement depth.  Each OC-tree
 case fixes, for one seeded random full permutation, the ordered-cut tree
 text, its depth-1 flattening, the keys of both certified-cut modes and
-the work of `ordered_cuts`.  A refactor that
+the work of `ordered_cuts`.  Each isolating case fixes, for a seeded
+source and terminal set, every isolating cut, the work and the number of
+bipartition levels.  A refactor that
 keeps the algorithm, the order of random draws and the work accounting
 leaves every row unchanged; anything else shows up here, even when two
 runs of the same code still agree with each other.
 
 To re-pin after an intended algorithm change, print `fingerprint(...)`
 for every key of PINNED (and `oc_fingerprint(...)` for every key of
-PINNED_OC) and paste the tuples back.
+PINNED_OC, `isolating_fingerprint(...)` for every key of PINNED_ISOLATING)
+and paste the tuples back.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ import pytest
 from ghct.generators import cycle, erdos_renyi_m, grid
 from ghct.ghtree import gomory_hu_classic
 from ghct.graph import label_key, write_dimacs
+from ghct.isolating import isolating_cuts_with_depth
 from ghct.maxflow import WorkCounter
 from ghct.octree import flatten_to_star, format_oc_tree, ordered_cuts
 from ghct.pipeline import PipelineStats, certified_ordered_cuts, gh_via_oc1, \
@@ -185,10 +189,9 @@ def oc_fingerprint(instance: str, perm_seed: int) -> tuple:
     random.Random(perm_seed).shuffle(order)
     counter = WorkCounter()
     tree = ordered_cuts(order, g, counter)
-    star = flatten_to_star(tree)
     star_text = "".join(
-        f"{v} | {' '.join(str(x) for x in sorted(star.blocks[v], key=label_key))}\n"
-        for v in star.reps)
+        f"{v} | {' '.join(str(x) for x in sorted(block, key=label_key))}\n"
+        for v, block in flatten_to_star(tree).items())
     s, seq = order[0], order[1:]
     keys = tuple(tuple(certified_ordered_cuts(s, seq, g, WorkCounter(), certify)[1])
                  for certify in ("octree", "isolating"))
@@ -227,3 +230,40 @@ PINNED_OC = {
 @pytest.mark.parametrize("key", sorted(PINNED_OC), ids=lambda k: "-".join(map(str, k)))
 def test_oc_tree_outputs_are_pinned(key):
     assert oc_fingerprint(*key) == PINNED_OC[key]
+
+
+def isolating_fingerprint(instance: str, seed: int) -> tuple:
+    """(sha256 of the sorted (terminal, members, cost) rows, calls,
+    nodes_total, edges_total, depth) for one seeded random permutation:
+    its first node is the source, every second node after it a terminal."""
+    g = INSTANCES[instance]()
+    order = sorted(g.labels)
+    random.Random(seed).shuffle(order)
+    counter = WorkCounter()
+    cuts, depth = isolating_cuts_with_depth(order[0], order[1::2], g, counter)
+    rows = "".join(
+        f"{v} | {' '.join(str(x) for x in sorted(cut.members, key=label_key))} | {cut.cost}\n"
+        for v, cut in sorted(cuts.items()))
+    return (sha256(rows), counter.calls, counter.nodes_total, counter.edges_total, depth)
+
+
+PINNED_ISOLATING = {
+    ("cycle12", 0):
+        ("0776ee7345cb941797d517a2eee93e1a9fea1b6354182ec3f31fbbef60f0ea36", 11, 52, 51, 3),
+    ("cycle12", 1):
+        ("a47875eb06cfb6128a90b705892c9c90671553097df69f2d1073704acb5bb4dc", 11, 51, 48, 3),
+    ("grid3x4", 0):
+        ("28663d933c5509ec99daab1aae47e48966cf3a1f45f114a18beb5cc4cdbbb825", 11, 51, 59, 3),
+    ("grid3x4", 1):
+        ("539aa95d78f0d0334831c0bf6d837bf4c0775e8c0495a2dd12249b6c9e17cec6", 11, 49, 60, 3),
+    ("er16", 0):
+        ("ce72c234eccd076c7c590315cd9c3ecd7732038e0cb05b284e690edd5ab60f16", 15, 75, 119, 3),
+    ("er16", 1):
+        ("7ef42e9e3e38fdb2b790cb158f4f466a501670069ffc35be51419616a79116c3", 15, 75, 129, 3),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_ISOLATING),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_isolating_cuts_are_pinned(key):
+    assert isolating_fingerprint(*key) == PINNED_ISOLATING[key]
