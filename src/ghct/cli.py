@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -66,6 +67,22 @@ def _write_text(path: str | Path | None, text: str) -> None:
         raise _InputError(f"{path}: {exc.strerror}") from None
 
 
+def _check_writable(*paths) -> None:
+    """Refuse an output path that cannot be written.  Called before any work
+    starts, so that a run that cannot write all its outputs writes none."""
+    for path in filter(None, paths):
+        target = Path(path)
+        if not target.parent.is_dir():
+            code = errno.ENOTDIR if target.parent.exists() else errno.ENOENT
+        elif target.is_dir():
+            code = errno.EISDIR
+        elif not os.access(target.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise _InputError(f"{path}: {os.strerror(code)}")
+
+
 def run_method(g: Graph, method: str, seed: int, max_attempts: int | None = None,
                certify: str = "isolating"):
     """Build a cut tree; returns (tree, stats dict)."""
@@ -100,6 +117,7 @@ def tree_to_text(tree: GHTree, method: str, seed: int) -> str:
 
 def cmd_compute(args) -> int:
     cap = _attempt_cap(args.max_attempts)
+    _check_writable(args.out, args.stats_out)
     g = _read_graph(args.input)
     tree, stats = run_method(g, args.method, args.seed, max_attempts=cap,
                              certify=args.certify)
@@ -129,6 +147,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ordered_cuts(args) -> int:
+    _check_writable(args.out, args.stats_out)
     g = _read_graph(args.input)
     if args.sequence is not None:
         try:
@@ -229,6 +248,8 @@ def cmd_bench(args) -> int:
         seeds = []
     if not seeds:
         raise _InputError("--seeds must be comma-separated integers")
+    # After --generate, which may create the report's directory.
+    _check_writable(args.report)
 
     jobs = [(path, method, seed, cap) for path in paths
             for method in methods for seed in seeds]

@@ -58,7 +58,7 @@ class Graph:
     construction order and `edges` holds (u_index, v_index, weight) triples.
     """
 
-    __slots__ = ("labels", "_index", "edges", "_adj")
+    __slots__ = ("labels", "_index", "edges", "_adj", "_node_set")
 
     def __init__(self, nodes: Iterable[Label], edges: Iterable[tuple] = ()):
         labels = tuple(nodes)
@@ -89,6 +89,7 @@ class Graph:
         self._index = index
         self.edges = tuple((iu, iv, w) for (iu, iv), w in sorted(merged.items()))
         self._adj = None
+        self._node_set = None
 
     # -- basics ---------------------------------------------------------
 
@@ -102,7 +103,10 @@ class Graph:
 
     @property
     def node_set(self) -> frozenset:
-        return frozenset(self.labels)
+        """All labels as a frozenset, built lazily."""
+        if self._node_set is None:
+            self._node_set = frozenset(self.labels)
+        return self._node_set
 
     def has_node(self, label) -> bool:
         return label in self._index
@@ -171,6 +175,7 @@ def _quotient(g: Graph, new_labels, rep_of) -> Graph:
     out._index = pos
     out.edges = tuple((a, b, w) for (a, b), w in sorted(merged.items()))
     out._adj = None
+    out._node_set = None
     return out
 
 

@@ -1,6 +1,6 @@
 """Exact minimum S-T cut engine with minimal-side extraction.
 
-A Dinic-style augmenting-path solver over exact integer capacities.  Every
+A shortest-augmenting-path solver over exact integer capacities.  Every
 higher-level routine funnels through the three entry points here, each of
 which records the size of the graph it was handed in a WorkCounter and
 returns a `Cut`: the sink side as `members`, the flow value as `cost`.
@@ -13,7 +13,6 @@ reachability decides which side is returned, and no randomness is used.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .graph import Cut, Graph
@@ -40,65 +39,13 @@ class WorkCounter:
         }
 
 
-def _max_flow(adj, to, cap, src, snk):
-    """Dinic blocking-flow loop; mutates cap in place, returns flow value."""
-    n = len(adj)
-    flow = 0
-    while True:
-        level = [-1] * n
-        level[src] = 0
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            for e in adj[x]:
-                y = to[e]
-                if cap[e] > 0 and level[y] < 0:
-                    level[y] = level[x] + 1
-                    queue.append(y)
-        if level[snk] < 0:
-            return flow
-        it = [0] * n
-        path_nodes = [src]
-        path_arcs = []
-        while path_nodes:
-            x = path_nodes[-1]
-            if x == snk:
-                aug = min(cap[e] for e in path_arcs)
-                flow += aug
-                cutoff = 0
-                for k, e in enumerate(path_arcs):
-                    cap[e] -= aug
-                    cap[e ^ 1] += aug
-                    if cap[e] == 0 and cutoff == 0:
-                        cutoff = k + 1
-                del path_arcs[cutoff - 1:]
-                del path_nodes[cutoff:]
-                continue
-            arcs = adj[x]
-            advanced = False
-            while it[x] < len(arcs):
-                e = arcs[it[x]]
-                y = to[e]
-                if cap[e] > 0 and level[y] == level[x] + 1:
-                    path_arcs.append(e)
-                    path_nodes.append(y)
-                    advanced = True
-                    break
-                it[x] += 1
-            if not advanced:
-                level[x] = -1
-                path_nodes.pop()
-                if path_arcs:
-                    path_arcs.pop()
-
-
 def _solve(g: Graph, s_side, t_side, minimal_sink: bool) -> Cut:
     """Maximum flow between the merged terminal sides, as the sink side's Cut.
 
-    The sink side comes from one residual search: forward from the source
-    for the inclusion-maximal side (everything the source cannot reach), or
-    backward from the sink for the inclusion-minimal one (everything that
-    can still reach the sink).
+    Shortest augmenting paths keep the number of augmentations independent
+    of the capacities.  The search that misses the sink has reached exactly
+    the residual source component, whose complement is the inclusion-maximal
+    sink side; the minimal one is what can still reach the sink.
     """
     s_idx = g.indices(s_side)
     t_idx = g.indices(t_side)
@@ -114,36 +61,50 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool) -> Cut:
         elif i not in s_idx:
             node_of[i] = n
             n += 1
-    adj = [[] for _ in range(n)]
-    to = []
-    cap = []
+    # res[x][y]: residual capacity from x to y; merged parallel arcs are summed.
+    res = [{} for _ in range(n)]
     for iu, iv, w in g.edges:
-        cu, cv = node_of[iu], node_of[iv]
-        if cu == cv:
-            continue
-        adj[cu].append(len(to))
-        to.append(cv)
-        cap.append(w)
-        adj[cv].append(len(to))
-        to.append(cu)
-        cap.append(w)
-    flow = _max_flow(adj, to, cap, 0, 1)
-
-    # Forward, x reaches y while arc e=(x,y) has capacity; backward, y
-    # reaches the sink through x while the twin arc e^1=(y,x) has capacity.
-    root = twin = 1 if minimal_sink else 0
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for e in adj[x]:
-            y = to[e]
-            if cap[e ^ twin] > 0 and y not in seen:
-                seen.add(y)
-                queue.append(y)
+        x, y = node_of[iu], node_of[iv]
+        if x != y:
+            res[x][y] = res[x].get(y, 0) + w
+            res[y][x] = res[y].get(x, 0) + w
+    flow = 0
+    while True:
+        parent = [-1] * n  # BFS predecessor per network node; -1: unreached
+        parent[0] = 0
+        queue = [0]
+        for x in queue:  # visits nodes as they are appended
+            for y, c in res[x].items():
+                if c and parent[y] < 0:
+                    parent[y] = x
+                    queue.append(y)
+            if parent[1] >= 0:
+                break
+        if parent[1] < 0:
+            break
+        path = []
+        y = 1
+        while y:
+            path.append((parent[y], y))
+            y = parent[y]
+        aug = min(res[x][y] for x, y in path)
+        for x, y in path:
+            res[x][y] -= aug
+            res[y][x] += aug
+        flow += aug
+    if minimal_sink:
+        sink_side = [False] * n
+        sink_side[1] = True
+        queue = [1]
+        for y in queue:
+            for x in res[y]:
+                if not sink_side[x] and res[x][y]:
+                    sink_side[x] = True
+                    queue.append(x)
+    else:
+        sink_side = [p < 0 for p in parent]
     labels = g.labels
-    return Cut(frozenset(labels[i] for i in range(len(labels))
-                         if (node_of[i] in seen) == minimal_sink), flow)
+    return Cut(frozenset(labels[i] for i, x in enumerate(node_of) if sink_side[x]), flow)
 
 
 def min_cut(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
@@ -163,11 +124,8 @@ def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
 
 
 def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:
-    """The unique inclusion-minimal minimum u-v cut containing v.
-
-    Extracted as the set of nodes that can still reach v in the residual
-    network after the flow is maximal.
-    """
+    """The unique inclusion-minimal minimum u-v cut containing v: the nodes
+    that can still reach v in the residual network of a maximum flow."""
     if u == v:
         raise ValueError("terminals must be distinct")
     counter.record(g.num_nodes, g.num_edges)

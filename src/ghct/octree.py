@@ -191,7 +191,6 @@ def covering_cut_costs(tree: OCTree, g: Graph) -> dict:
     """
     kids = tree.children()
     root = tree.root
-    chain_min: dict = {}
     out: dict = {}
     stack = [(root, math.inf)]
     while stack:
@@ -200,7 +199,6 @@ def covering_cut_costs(tree: OCTree, g: Graph) -> dict:
             best = inherited
         else:
             best = min(inherited, cut_cost(g, tree.down_set(v)))
-        chain_min[v] = best
         for x in tree.blocks[v]:
             if x != root:
                 out[x] = best

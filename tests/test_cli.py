@@ -21,6 +21,24 @@ def tri_file(tmp_path):
     return path
 
 
+# --stats-out targets that cannot be written, relative to the directory
+# holding tri.dimacs, with the reason each is refused.
+UNWRITABLE_STATS = [("missing/s.json", "No such file or directory"),
+                    ("tri.dimacs/s.json", "Not a directory"),
+                    (".", "Is a directory")]
+
+
+def _assert_unwritable_stats_writes_nothing(argv, tmp_path, capsys, target, reason,
+                                            with_out):
+    """`argv` with an unwritable --stats-out exits 1 before writing any tree."""
+    out = tmp_path / "tree.txt"
+    stats = tmp_path / target
+    argv = argv + ["--stats-out", str(stats)] + (["--out", str(out)] if with_out else [])
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {stats}: {reason}\n")
+    assert not out.exists()
+
+
 class TestCompute:
     def test_classic_tree_file(self, tri_file, tmp_path):
         out = tmp_path / "tree.dimacs"
@@ -115,6 +133,14 @@ class TestCompute:
         assert main([command, str(tri_file), flag, str(target)]) == 1
         assert capsys.readouterr().err == f"error: {target}: No such file or directory\n"
 
+    @pytest.mark.parametrize("with_out", [True, False])
+    @pytest.mark.parametrize("target, reason", UNWRITABLE_STATS)
+    def test_unwritable_stats_writes_no_tree(self, tri_file, tmp_path, capsys, target,
+                                             reason, with_out):
+        _assert_unwritable_stats_writes_nothing(
+            ["compute", str(tri_file), "--method", "oc1"], tmp_path, capsys, target,
+            reason, with_out)
+
     def test_compute_then_verify_roundtrip(self, tmp_path):
         rng = random.Random(55)
         for trial in range(3):
@@ -204,6 +230,14 @@ class TestOrderedCutsCommand:
         assert payload["maxflow_calls"] >= 2
         assert payload["nodes_total"] > 0
 
+    @pytest.mark.parametrize("with_out", [True, False])
+    @pytest.mark.parametrize("target, reason", UNWRITABLE_STATS)
+    def test_unwritable_stats_writes_no_tree(self, tri_file, tmp_path, capsys, target,
+                                             reason, with_out):
+        _assert_unwritable_stats_writes_nothing(
+            ["ordered-cuts", str(tri_file), "--sequence", "1,2,3"], tmp_path, capsys,
+            target, reason, with_out)
+
 
 class TestBench:
     def test_empty_corpus_exits_1(self, tmp_path, capsys):
@@ -272,7 +306,9 @@ class TestBench:
         report = tmp_path / "missing" / f"rows{suffix}"
         assert main(["bench", str(corpus), "--methods", "classic", "--seeds", "0",
                      "--report", str(report)]) == 1
-        assert capsys.readouterr().err == f"error: {report}: No such file or directory\n"
+        out, err = capsys.readouterr()
+        assert err == f"error: {report}: No such file or directory\n"
+        assert "bench:" not in out
 
     def test_generate_into_a_file_exits_1(self, tri_file, capsys):
         assert main(["bench", str(tri_file), "--generate"]) == 1

@@ -5,6 +5,7 @@ import pytest
 from ghct.graph import Graph, cut_cost
 from ghct.maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
 from ghct.oracle import brute_all_min_cuts, brute_min_cut
+from ghct.pipeline import perturb
 
 from conftest import random_graph
 
@@ -12,6 +13,15 @@ from conftest import random_graph
 @pytest.fixture
 def counter():
     return WorkCounter()
+
+
+def random_sides(rng, g):
+    """Disjoint multi-node terminal sides that leave at least one node free."""
+    labels = sorted(g.labels)
+    rng.shuffle(labels)
+    k = rng.randint(1, len(labels) - 2)
+    j = rng.randint(k + 1, len(labels) - 1)
+    return set(labels[:k]), set(labels[k:j])
 
 
 class TestMinCut:
@@ -60,13 +70,15 @@ class TestMinCut:
     def test_matches_brute_force(self, counter):
         rng = random.Random(23)
         for _ in range(60):
-            g = random_graph(rng, rng.randint(2, 10))
-            labels = sorted(g.labels)
-            s, t = rng.sample(labels, 2)
-            res = min_cut(g, {s}, {t}, counter)
-            ref = brute_min_cut(g, {s}, {t})
-            assert res.cost == ref.cost
-            assert cut_cost(g, res.members) == ref.cost
+            g = random_graph(rng, rng.randint(3, 10))
+            s_side, t_side = random_sides(rng, g)
+            for h in (g, perturb(g, rng)):  # perturbed: weights about m * n^2 larger
+                res = min_cut(h, s_side, t_side, counter)
+                ref = brute_min_cut(h, s_side, t_side)
+                assert res.cost == ref.cost
+                assert cut_cost(h, res.members) == ref.cost
+                sides = brute_all_min_cuts(h, s_side, t_side)
+                assert res.members == frozenset.union(*sides)
 
 
 class TestLatestMinCut:
@@ -125,13 +137,11 @@ class TestMinimalSink:
         rng = random.Random(41)
         for _ in range(40):
             g = random_graph(rng, rng.randint(3, 9))
-            labels = sorted(g.labels)
-            rng.shuffle(labels)
-            k = rng.randint(1, len(labels) - 1)
-            s_side, t_side = set(labels[:k]), set(labels[k:])
-            res = min_cut_minimal_sink(g, s_side, t_side, counter)
-            sides = brute_all_min_cuts(g, s_side, t_side)
-            assert res.members == frozenset.intersection(*sides)
+            s_side, t_side = random_sides(rng, g)
+            for h in (g, perturb(g, rng)):
+                res = min_cut_minimal_sink(h, s_side, t_side, counter)
+                sides = brute_all_min_cuts(h, s_side, t_side)
+                assert res.members == frozenset.intersection(*sides)
 
     def test_nested_instance_monotonicity(self, counter):
         # Growing the source side / shrinking the sink side can only
