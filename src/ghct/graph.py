@@ -183,12 +183,15 @@ def contract(g: Graph, keep, s) -> Graph:
     """Contract everything outside `keep` (plus `s`) into the node `s`.
 
     The returned graph has node set exactly `keep`.  Cut costs of subsets
-    of keep - {s} are preserved.
+    of keep - {s} are preserved.  When `keep` holds every node, `g` itself
+    is returned.
     """
     keep = set(keep)
     if s not in keep:
         raise ValueError(f"{s!r} must belong to the kept node set")
     keep_idx = g.indices(keep)
+    if len(keep_idx) == g.num_nodes:
+        return g  # graphs are immutable, so no copy is needed
     rep_of = [g.labels[i] if i in keep_idx else s for i in range(g.num_nodes)]
     new_labels = [lab for lab in g.labels if lab in keep]
     return _quotient(g, new_labels, rep_of)

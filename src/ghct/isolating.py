@@ -10,23 +10,27 @@ are pairwise disjoint.
 from __future__ import annotations
 
 from .graph import Graph, contract, sorted_labels
-from .maxflow import WorkCounter, latest_min_cut, min_cut_minimal_sink
+from .maxflow import WorkCounter, min_cut_minimal_sink
 
 
 def _isolate(src, terminals, g: Graph, work: WorkCounter, depth: int):
     if len(terminals) == 1:
         v = terminals[0]
-        return {v: latest_min_cut(g, src, v, work)}, depth
+        return {v: min_cut_minimal_sink(g, {src}, {v}, work)}, depth
 
     mid = len(terminals) // 2
     left, right = terminals[:mid], terminals[mid:]
-    sink = min_cut_minimal_sink(g, {src, *left}, set(right), work).members
+    cut = min_cut_minimal_sink(g, {src, *left}, set(right), work)
 
-    # Each half keeps its own side; the other side merges into src.
-    right_cuts, right_depth = _isolate(src, right, contract(g, sink | {src}, src),
-                                       work, depth + 1)
-    left_cuts, left_depth = _isolate(src, left, contract(g, g.node_set - sink, src),
-                                     work, depth + 1)
+    # Each half keeps its own side; the other side merges into src.  A lone
+    # right terminal needs no recursion: its cut is the minimal sink side.
+    if len(right) == 1:
+        right_cuts, right_depth = {right[0]: cut}, depth + 1
+    else:
+        right_cuts, right_depth = _isolate(
+            src, right, contract(g, cut.members | {src}, src), work, depth + 1)
+    left_cuts, left_depth = _isolate(
+        src, left, contract(g, g.node_set - cut.members, src), work, depth + 1)
 
     left_cuts.update(right_cuts)
     return left_cuts, max(left_depth, right_depth)

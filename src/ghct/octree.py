@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .graph import Cut, Graph, contract, cut_cost, label_key
-from .maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
+from .maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 
 
 @dataclass(frozen=True)
@@ -212,9 +212,8 @@ def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
 
     Splits the sequence in half, solves the head prefix, and for each head
     node cuts its block between the node and the tail nodes that landed
-    there (minimal sink side), recursing on the sink side only.  Base
-    cases: a single node keeps the whole graph in one block; a pair is
-    settled by one latest-cut computation.
+    there (minimal sink side), recursing on the sink side only.  A single
+    node keeps the whole graph in one block.
     """
     order = tuple(order)
     if not order:
@@ -240,15 +239,8 @@ def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict) ->
     if len(order) == 1:
         blocks[order[0]] = g.node_set
         return
-    if len(order) == 2:
-        s, v = order
-        cut = latest_min_cut(g, s, v, counter)
-        parent[v] = s
-        blocks[s] = g.node_set - cut.members
-        blocks[v] = cut.members
-        return
 
-    half = (len(order) + 1 + 1) // 2  # ceil((len + 1) / 2)
+    half = min((len(order) + 1 + 1) // 2, len(order) - 1)  # ceil((len + 1) / 2), tail non-empty
     head, tail = order[:half], order[half:]
     _build(head, g, counter, parent, blocks)
     for v in head:
@@ -258,6 +250,11 @@ def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict) ->
             continue
         sub_g = contract(g, block, v)
         sink = min_cut_minimal_sink(sub_g, {v}, set(targets), counter).members
+        if len(targets) == 1:  # the minimal sink side is that target's latest cut
+            parent[targets[0]] = v
+            blocks[targets[0]] = sink
+            blocks[v] = block - sink
+            continue
         rec_g = contract(sub_g, sink | {v}, v)
         _build((v, *targets), rec_g, counter, parent, blocks)
         blocks[v] = (block - sink) | blocks[v]

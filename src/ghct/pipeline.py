@@ -133,14 +133,12 @@ def source_schedule(size: int, ambient_nodes: int) -> tuple:
 # -- total order on cuts -------------------------------------------------
 
 
-def cut_less(a, b, a_cost: int, b_cost: int, x_members) -> bool:
-    """Strict total order: cost, then |cut ∩ X|, then a lexicographic rule.
+def cut_less(a, b, x_members) -> bool:
+    """Strict total order on equal-cost cuts: |cut ∩ X|, then by labels.
 
-    The final tie-break compares membership of the smallest label in the
+    The tie-break compares membership of the smallest label in the
     symmetric difference, which makes the order total and deterministic.
     """
-    if a_cost != b_cost:
-        return a_cost < b_cost
     ax = len(a & x_members)
     bx = len(b & x_members)
     if ax != bx:
@@ -214,32 +212,30 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     estimates = {v: cut_cost(g, {v}) for v in live}
     rates = partition_schedule(len(live))
 
-    for i, rate in enumerate((*rates, 1.0)):
-        final = i == len(rates)
+    for rate in rates:
         sample = random_subset(live, rate, rng)
         seq = sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
         if not seq:
-            if final:
-                return {}
             continue
         star = flatten_to_star(ordered_cuts((s, *seq), g, counter))
-        if not final:
-            for v, block in star.items():
-                live -= block - {v}
-                cost = cut_cost(g, block)
-                for u in block:
-                    if cost < estimates.get(u, math.inf):
-                        estimates[u] = cost
-        else:
-            kept = {}
-            best = math.inf
-            for v, block in star.items():
-                cost = cut_cost(g, block)
-                if cost <= best:
-                    kept[v] = block
-                    best = cost
-            return kept
-    raise AssertionError("unreachable")
+        for v, block in star.items():
+            live -= block - {v}
+            cost = cut_cost(g, block)
+            for u in block:
+                if cost < estimates.get(u, math.inf):
+                    estimates[u] = cost
+
+    # Every round keeps its representatives live, so this sample is not empty.
+    sample = random_subset(live, 1.0, rng)
+    seq = sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
+    kept = {}
+    best = math.inf
+    for v, block in flatten_to_star(ordered_cuts((s, *seq), g, counter)).items():
+        cost = cut_cost(g, block)
+        if cost <= best:
+            kept[v] = block
+            best = cost
+    return kept
 
 
 def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
@@ -323,8 +319,7 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
             sample = random_subset(x_set - {s}, rate, rng)
             blocks = fixed_source_blocks(s, sample, perturbed, rng, counter)
             for v, block in blocks.items():
-                cost = cut_cost(h, block)
-                if cut_less(whole - block, block, cost, cost, x_set):
+                if cut_less(whole - block, block, x_set):
                     s = v  # the block outweighs its complement: move there
                     break
             else:

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from ghct.generators import star
 from ghct.graph import Graph
 from ghct.isolating import isolating_cuts, isolating_cuts_with_depth
 from ghct.maxflow import WorkCounter, min_cut
+from ghct.oracle import brute_min_cut
 
 from conftest import random_graph
 
@@ -17,6 +19,17 @@ class TestExamples:
         assert cuts["a"].cost == 2
         assert cuts["b"].members == {"b"}
         assert cuts["b"].cost == 3
+
+    def test_lone_right_terminal_costs_no_extra_flow(self):
+        # The bipartition cut of a one-terminal right half is that
+        # terminal's isolating cut; only the left half needs a flow.
+        g = star(8, random.Random(0))
+        counter = WorkCounter()
+        cuts, depth = isolating_cuts_with_depth(1, {2, 3}, g, counter)
+        assert counter.calls == 2
+        assert list(cuts) == [2, 3]
+        assert {v: cut.members for v, cut in cuts.items()} == {2: {2}, 3: {3}}
+        assert depth == 1
 
     def test_triangle(self, tri):
         cuts = isolating_cuts(1, {2, 3}, g=tri, counter=WorkCounter())
@@ -40,10 +53,13 @@ class TestExamples:
 
 class TestRandomInstances:
     def test_matches_direct_flows_and_disjoint(self):
+        # Costs against the engine; on graphs small enough to enumerate,
+        # members against the minimal sink side.  Unit weights, drawn last,
+        # leave many minimum cuts to choose among.
         rng = random.Random(97)
         counter = WorkCounter()
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(3, 16))
+        for i in range(80):
+            g = random_graph(rng, rng.randint(3, 16), max_weight=16 if i < 40 else 1)
             labels = sorted(g.labels)
             s = labels[0]
             k = rng.randint(1, min(8, len(labels) - 1))
@@ -56,6 +72,8 @@ class TestRandomInstances:
                 assert cuts[v].cost == expected
                 assert v in cuts[v].members
                 assert not cuts[v].members & others
+                if g.num_nodes <= 12:
+                    assert cuts[v].members == brute_min_cut(g, others, {v}).minimal_sink_side
             seen = set()
             for v in terminals:
                 assert not (cuts[v].members & seen)

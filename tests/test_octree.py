@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ghct.generators import star
 from ghct.graph import cut_cost
 from ghct.maxflow import WorkCounter, min_cut
 from ghct.octree import (
@@ -146,9 +147,17 @@ class TestCoveringCutCosts:
 
 
 class TestOrderedCuts:
-    def test_split_rule(self):
-        # A five-node sequence sends three nodes to the head recursion.
-        assert (5 + 2) // 2 == 3
+    def test_one_target_costs_one_flow(self):
+        # A head node whose block holds one tail node keeps the minimal
+        # sink side as that node's block instead of cutting again.
+        g = star(8, random.Random(0))
+        counter = WorkCounter()
+        ordered_cuts((1, 2, 3), g, counter)
+        assert counter.calls == 2
+        counter = WorkCounter()
+        tree = ordered_cuts((2, 1), g, counter)
+        assert counter.calls == 1
+        assert tree.down_set(1) == g.node_set - {2}
 
     def test_triangle(self, tri):
         tree = ordered_cuts((1, 2, 3), tri, WorkCounter())
@@ -178,7 +187,7 @@ class TestOrderedCuts:
 
     def test_prefix_cuts_match_brute_enumeration(self):
         # Independent of the flow engine: every prefix cut checked by
-        # exhaustive enumeration.
+        # exhaustive enumeration, members against the minimal sink side.
         from ghct.oracle import brute_min_cut
 
         rng = random.Random(97)
@@ -189,8 +198,9 @@ class TestOrderedCuts:
             for k, v in enumerate(seq):
                 if k == 0:
                     continue
-                expected = brute_min_cut(g, set(seq[:k]), {v}).cost
-                assert cut_cost(g, tree.down_set(v)) == expected
+                expected = brute_min_cut(g, set(seq[:k]), {v})
+                assert cut_cost(g, tree.down_set(v)) == expected.cost
+                assert tree.down_set(v) == expected.minimal_sink_side
 
 
 class TestFlattenToStar:

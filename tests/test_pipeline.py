@@ -99,15 +99,10 @@ class TestSchedules:
 
 
 class TestCutOrder:
-    def test_cost_dominates(self):
-        x = {1, 2}
-        assert cut_less(frozenset({1}), frozenset({2, 3}), 3, 5, x)
-        assert not cut_less(frozenset({2, 3}), frozenset({1}), 5, 3, x)
-
     def test_supernode_overlap_breaks_cost_ties(self):
         x = {1, 2, 3}
         a, b = frozenset({1, 9}), frozenset({2, 3})
-        assert cut_less(a, b, 7, 7, x)
+        assert cut_less(a, b, x)
 
     def test_strict_total_order_on_random_cuts(self):
         rng = random.Random(11)
@@ -115,21 +110,18 @@ class TestCutOrder:
             g = random_graph(rng, rng.randint(3, 9))
             labels = sorted(g.labels)
             x = set(rng.sample(labels, rng.randint(1, len(labels))))
-            cuts = []
-            for _ in range(6):
-                k = rng.randint(1, g.num_nodes - 1)
-                side = frozenset(rng.sample(labels, k))
-                cuts.append((side, cut_cost(g, side)))
-            for a, ca in cuts:
-                assert not cut_less(a, a, ca, ca, x)
-                for b, cb in cuts:
+            cuts = [frozenset(rng.sample(labels, rng.randint(1, g.num_nodes - 1)))
+                    for _ in range(6)]
+            for a in cuts:
+                assert not cut_less(a, a, x)
+                for b in cuts:
                     if a != b:
-                        assert cut_less(a, b, ca, cb, x) != cut_less(b, a, cb, ca, x)
-            for a, ca in cuts:
-                for b, cb in cuts:
-                    for c, cc in cuts:
-                        if cut_less(a, b, ca, cb, x) and cut_less(b, c, cb, cc, x):
-                            assert cut_less(a, c, ca, cc, x)
+                        assert cut_less(a, b, x) != cut_less(b, a, x)
+            for a in cuts:
+                for b in cuts:
+                    for c in cuts:
+                        if cut_less(a, b, x) and cut_less(b, c, x):
+                            assert cut_less(a, c, x)
 
 
 class TestCertifiedOrderedCuts:

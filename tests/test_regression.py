@@ -12,10 +12,13 @@ keeps the algorithm, the order of random draws and the work accounting
 leaves every row unchanged; anything else shows up here, even when two
 runs of the same code still agree with each other.
 
-To re-pin after an intended algorithm change, print `fingerprint(...)`
-for every key of PINNED (and `oc_fingerprint(...)` for every key of
-PINNED_OC, `isolating_fingerprint(...)` for every key of PINNED_ISOLATING)
-and paste the tuples back.
+To re-pin after an intended algorithm change, run
+
+    PYTHONPATH=src python3 tests/test_regression.py
+
+from the repository root.  It prints PINNED, PINNED_OC and
+PINNED_ISOLATING as source, every key re-fingerprinted, in the layout
+below; paste the three tables over the ones in this file.
 """
 
 import hashlib
@@ -80,27 +83,27 @@ PINNED = {
           (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "oc1", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         628, 4845, 4799, 7, 10,
+         453, 3875, 3856, 7, 10,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "oc1", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         465, 2766, 2700, 7, 11,
+         347, 2312, 2284, 7, 11,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         932, 5773, 5662, 9, 12,
+         683, 4488, 4396, 9, 12,
          ((0, (12, 12)), (1, (16, 16)), (2, (16, 16)), (3, (4, 4)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         6770, 38665, 37184, 9, 14,
+         4930, 30126, 29481, 9, 14,
          ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (8, 8)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         687, 3618, 3409, 7, 10,
+         434, 2629, 2537, 7, 10,
          ((0, (12, 12)), (1, (16, 16)), (2, (8, 8)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         1828, 12273, 12110, 8, 10,
+         1255, 8858, 8813, 8, 10,
          ((0, (12, 12)), (1, (13, 13)), (2, (14, 14)), (3, (8, 8)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
@@ -114,27 +117,27 @@ PINNED = {
           (5, (6, 9)), (6, (3, 3)))),
     ("grid3x4", "oc1", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         551, 3758, 5017, 6, 10,
+         386, 3129, 4307, 6, 10,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "oc1", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         277, 1771, 2341, 6, 12,
+         202, 1501, 2046, 6, 12,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         1072, 5112, 6916, 6, 9,
+         783, 4149, 5726, 6, 9,
          ((0, (12, 17)), (1, (13, 16)), (2, (9, 12)))),
     ("grid3x4", "weak-oc", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         1254, 6327, 8331, 5, 8,
+         913, 5286, 7164, 5, 8,
          ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)))),
     ("grid3x4", "weak-oc-octree", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         1004, 4486, 5849, 5, 10,
+         636, 3457, 4836, 5, 10,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)))),
     ("grid3x4", "weak-oc-octree", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         90, 744, 1007, 6, 6,
+         75, 700, 967, 6, 6,
          ((0, (12, 17)), (1, (16, 22)), (2, (7, 9)))),
     ("er16", "classic", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
@@ -150,27 +153,27 @@ PINNED = {
           (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "oc1", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1748, 13192, 27924, 5, 6,
+         1215, 11974, 27087, 5, 6,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "oc1", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1342, 10303, 22032, 5, 5,
+         904, 9317, 21374, 5, 5,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1920, 15065, 32696, 7, 8,
+         1399, 14015, 32159, 7, 8,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         5016, 30512, 58703, 5, 7,
+         3637, 26734, 54517, 5, 7,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         963, 8338, 18662, 7, 8,
+         646, 7699, 18335, 7, 8,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         2515, 17073, 34871, 5, 7,
+         1737, 14601, 31529, 5, 7,
          ((0, (16, 40)), (1, (12, 12)))),
 }
 
@@ -203,27 +206,27 @@ PINNED_OC = {
     ("cycle12", 0):
         ("fff48f45ff618e64b5b5f25aad385bdabceab1f968f59bea5d8e5322a2e91abd",
          "820d146f9e4a03259eeff4f11d4aa906c37697e5c5512484f6f8fbfe5f085e6a",
-         (10,), (), 21, 78, 66),
+         (10,), (), 13, 54, 48),
     ("cycle12", 1):
         ("3aa5de35b9c536aa72d1a73211bfbf559725965c900ba883231a3340fe5cd950",
          "67f87427a95b7de39ef5c70468d4d6ff6d807f5670d44443f06f7457a21a5a0c",
-         (12,), (), 21, 77, 70),
+         (12,), (), 14, 59, 57),
     ("grid3x4", 0):
         ("0ac5f4eabdd5c7b6e96b63881fd57c5e544f8639e05d50d982dd3950e446e5dd",
          "aadf15419d7e857174d4a8898456c06c1e2565c8b989e500c32c90ca643e7b24",
-         (10, 12), (10, 12), 21, 93, 111),
+         (10, 12), (10, 12), 14, 76, 98),
     ("grid3x4", 1):
         ("8eb7aedb2b2d668a0625dcb0281cdaa23f1fbc51d4de01507975463d2ac0b483",
          "58bd449da9cf02a86001bde69f56029a58dc7e845f0e48833ebf31c731ac005e",
-         (12, 1), (12,), 21, 85, 94),
+         (12, 1), (12,), 13, 63, 75),
     ("er16", 0):
         ("8cf3ef3c240f1db172b42ab82dda823e59bc3aa9c104d3c4b15bc65cdacbec17",
          "070b0de26f96bdabcd8260f585d589c03045a0931999452ad52813f03da406bd",
-         (15, 6, 1), (1, 6, 15), 29, 167, 317),
+         (15, 6, 1), (1, 6, 15), 20, 149, 308),
     ("er16", 1):
         ("90f10e54db4f2b1d54c4a310831cc7fbedbe678772b6051a4d7e56e244d4550a",
          "4050143bd3916bb8f46e54d3fe9a4fdb98d6714769f34cd14884001ceb11c693",
-         (1, 6), (1, 11), 29, 137, 227),
+         (1, 6), (1, 11), 20, 119, 218),
 }
 
 
@@ -249,17 +252,23 @@ def isolating_fingerprint(instance: str, seed: int) -> tuple:
 
 PINNED_ISOLATING = {
     ("cycle12", 0):
-        ("0776ee7345cb941797d517a2eee93e1a9fea1b6354182ec3f31fbbef60f0ea36", 11, 52, 51, 3),
+        ("0776ee7345cb941797d517a2eee93e1a9fea1b6354182ec3f31fbbef60f0ea36",
+         9, 45, 44, 3),
     ("cycle12", 1):
-        ("a47875eb06cfb6128a90b705892c9c90671553097df69f2d1073704acb5bb4dc", 11, 51, 48, 3),
+        ("a47875eb06cfb6128a90b705892c9c90671553097df69f2d1073704acb5bb4dc",
+         9, 44, 42, 3),
     ("grid3x4", 0):
-        ("28663d933c5509ec99daab1aae47e48966cf3a1f45f114a18beb5cc4cdbbb825", 11, 51, 59, 3),
+        ("28663d933c5509ec99daab1aae47e48966cf3a1f45f114a18beb5cc4cdbbb825",
+         9, 47, 57, 3),
     ("grid3x4", 1):
-        ("539aa95d78f0d0334831c0bf6d837bf4c0775e8c0495a2dd12249b6c9e17cec6", 11, 49, 60, 3),
+        ("539aa95d78f0d0334831c0bf6d837bf4c0775e8c0495a2dd12249b6c9e17cec6",
+         9, 45, 58, 3),
     ("er16", 0):
-        ("ce72c234eccd076c7c590315cd9c3ecd7732038e0cb05b284e690edd5ab60f16", 15, 75, 119, 3),
+        ("ce72c234eccd076c7c590315cd9c3ecd7732038e0cb05b284e690edd5ab60f16",
+         11, 66, 113, 3),
     ("er16", 1):
-        ("7ef42e9e3e38fdb2b790cb158f4f466a501670069ffc35be51419616a79116c3", 15, 75, 129, 3),
+        ("7ef42e9e3e38fdb2b790cb158f4f466a501670069ffc35be51419616a79116c3",
+         11, 67, 125, 3),
 }
 
 
@@ -267,3 +276,58 @@ PINNED_ISOLATING = {
                          ids=lambda k: "-".join(map(str, k)))
 def test_isolating_cuts_are_pinned(key):
     assert isolating_fingerprint(*key) == PINNED_ISOLATING[key]
+
+
+def _src(value) -> str:
+    """repr with double-quoted strings, as the tables above are written."""
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, tuple):
+        inner = ", ".join(map(_src, value))
+        return f"({inner},)" if len(value) == 1 else f"({inner})"
+    return repr(value)
+
+
+def pin_source(name: str, table: dict, fingerprint_of, width: int = 88) -> str:
+    """`name = {...}` with every key of `table` re-fingerprinted: hashes on
+    their own lines, then the counts, then tuple rows packed to `width`."""
+    lines = [f"{name} = {{"]
+    for key in table:
+        lines.append(f"    {_src(key)}:")
+        groups = []  # (indent, items); each group starts a new line
+        counts = None  # the open group of counts, if the last field was one
+        for field in fingerprint_of(*key):
+            if isinstance(field, tuple) and field and all(isinstance(x, tuple) for x in field):
+                items = [_src(x) for x in field]
+                items[0], items[-1] = "(" + items[0], items[-1] + ")"
+                groups.append((10, items))
+                counts = None
+            elif isinstance(field, str):
+                groups.append((9, [_src(field)]))
+                counts = None
+            elif counts is None:
+                counts = [_src(field)]
+                groups.append((9, counts))
+            else:
+                counts.append(_src(field))
+        body = []
+        for indent, items in groups:
+            body.append(" " * 9 + items[0])
+            for item in items[1:]:
+                if len(body[-1]) + len(item) + 3 > width:
+                    body[-1] += ","
+                    body.append(" " * indent + item)
+                else:
+                    body[-1] += ", " + item
+            body[-1] += ","
+        body[0] = " " * 8 + "(" + body[0].lstrip()
+        body[-1] = body[-1][:-1] + "),"
+        lines.extend(body)
+    lines.append("}")
+    return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    print(pin_source("PINNED", PINNED, fingerprint), end="\n\n\n")
+    print(pin_source("PINNED_OC", PINNED_OC, oc_fingerprint), end="\n\n\n")
+    print(pin_source("PINNED_ISOLATING", PINNED_ISOLATING, isolating_fingerprint))
