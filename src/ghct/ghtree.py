@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import Cut, Graph, _quotient, cut_cost, label_key, sorted_labels, unused_label
 from .maxflow import WorkCounter, min_cut
@@ -31,7 +32,9 @@ class GHTree:
     nodes: tuple
     edges: tuple
 
+    @cached_property
     def _adjacency(self) -> dict:
+        """{node: [(neighbour, weight), ...]}, built once per tree."""
         adj = {v: [] for v in self.nodes}
         for u, v, w in self.edges:
             adj[u].append((v, w))
@@ -42,7 +45,7 @@ class GHTree:
         """Minimum s-t cut value and the tree-induced cut containing t."""
         if s == t:
             raise ValueError("query endpoints must be distinct")
-        adj = self._adjacency()
+        adj = self._adjacency
         if s not in adj or t not in adj:
             raise ValueError("query endpoints must be tree nodes")
         prev = {s: None}

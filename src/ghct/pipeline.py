@@ -30,7 +30,6 @@ from .isolating import isolating_cuts
 from .maxflow import WorkCounter
 from .octree import certified_source_cuts, covering_cut_costs, flatten_to_star, \
     ordered_cuts
-from .oracle import is_laminar
 
 DEFAULT_MAX_ATTEMPTS = 10_000
 
@@ -109,13 +108,15 @@ def perturb(g: Graph, rng) -> Graph:
 
 def partition_schedule(size: int) -> tuple:
     """Sampling rates: the geometric block (1, 1/2, ..., 2^-floor(log2 size))
-    repeated ceil(log2(size+1)^2) times."""
+    twice.
+
+    The schedule sets only the work and the number of Las-Vegas attempts:
+    the callers keep a cut only after a check that does not depend on it.
+    """
     if size < 1:
         raise ValueError("schedule needs a positive ground-set size")
     depth = size.bit_length() - 1
-    block = [2.0 ** -j for j in range(depth + 1)]
-    repeats = max(1, math.ceil(math.log2(size + 1) ** 2))
-    return tuple(block * repeats)
+    return tuple(2.0 ** -j for j in range(depth + 1)) * 2
 
 
 def source_schedule(size: int, ambient_nodes: int) -> tuple:
@@ -242,9 +243,10 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
                          certify: str = "isolating") -> list:
     """Laminar family of minimum source cuts touching at most `limit` of x.
 
-    Accumulates certified cuts over twice the partition schedule, keeping
-    per-node running estimates; returns [] as soon as the family stops
-    being laminar (the caller re-perturbs and retries).
+    Accumulates certified cuts over twice the partition schedule, that is
+    at most four geometric blocks, keeping per-node running estimates;
+    returns [] as soon as the family stops being laminar (the caller
+    re-perturbs and retries).
     """
     x = set(x)
     if not x:
@@ -264,14 +266,15 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
         lam, certified = certified_ordered_cuts(s, seq, g, counter, certify)
         for v in sample:
             estimates[v] = min(estimates[v], lam[v])
-        grew = False
-        for cut in certified.values():
-            if len(cut.members & x) <= limit and cut.members not in family:
-                family.add(cut.members)
-                covered |= cut.members
-                grew = True
-        if grew and not is_laminar(family):
-            return []
+        added = [cut.members for cut in certified.values()
+                 if len(cut.members & x) <= limit and cut.members not in family]
+        family.update(added)
+        covered.update(*added)
+        # The family was laminar before this round, so only the new cuts
+        # can cross another member.
+        for a in added:
+            if any(a & b and not (a <= b or b <= a) for b in family):
+                return []
     return sorted(family, key=lambda c: (len(c), sorted(label_key(v) for v in c)))
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ghct.graph import Graph, cut_cost
+from ghct.graph import Cut, Graph, cut_cost
 from ghct.maxflow import WorkCounter, min_cut
 from ghct.oracle import brute_all_min_cuts, is_laminar, verify_gh_tree
 from ghct.pipeline import (
@@ -80,13 +80,9 @@ class TestRandomSubset:
 class TestSchedules:
     def test_partition_schedule_shape(self):
         for size in (1, 2, 5, 23, 100):
-            sched = partition_schedule(size)
             depth = size.bit_length() - 1
             block = tuple(2.0 ** -j for j in range(depth + 1))
-            repeats = max(1, math.ceil(math.log2(size + 1) ** 2))
-            assert len(sched) == len(block) * repeats
-            assert sched[: len(block)] == block
-            assert sched == block * repeats
+            assert partition_schedule(size) == block * 2
 
     def test_source_schedule_shape(self):
         for size, n in ((2, 6), (5, 30), (23, 24)):
@@ -275,6 +271,39 @@ class TestFixedSourceLaminar:
                 assert len(block & ground) <= limit
                 costs = [min_cut(g, {s}, {v}, counter).cost for v in block & ground]
                 assert cut_cost(g, block) in costs
+
+    class TakeAll:
+        """Stands in for the rng: every sample takes every candidate."""
+
+        def random(self):
+            return 0.0
+
+    def run_with_certified(self, monkeypatch, rounds):
+        """Run on a path with the certified cut of each round given by
+        `rounds`; returns the family and the number of rounds run."""
+        pending = iter(rounds)
+        calls = []
+
+        def fake(s, seq, g, counter, certify):
+            calls.append(seq)
+            members = next(pending, None)
+            certified = {} if members is None else {seq[0]: Cut(frozenset(members), 1)}
+            return {v: 1 for v in seq}, certified
+
+        monkeypatch.setattr("ghct.pipeline.certified_ordered_cuts", fake)
+        path = Graph(range(5), [(i, i + 1, 1) for i in range(4)])
+        family = fixed_source_laminar(0, {1, 2, 3, 4}, 4, path, self.TakeAll(),
+                                      WorkCounter())
+        return family, len(calls)
+
+    def test_crossing_cut_rejects_in_its_round(self, monkeypatch):
+        family, calls = self.run_with_certified(monkeypatch, [{1, 2}, {2, 3}])
+        assert family == []
+        assert calls == 2
+
+    def test_nested_cuts_are_kept(self, monkeypatch):
+        family, _ = self.run_with_certified(monkeypatch, [{1, 2}, {1, 2, 3}])
+        assert family == [frozenset({1, 2}), frozenset({1, 2, 3})]
 
 
 class TestSelectSourceWeak:

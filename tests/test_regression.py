@@ -83,28 +83,28 @@ PINNED = {
           (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "oc1", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         453, 3875, 3856, 7, 10,
+         157, 999, 990, 7, 8,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "oc1", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         347, 2312, 2284, 7, 11,
+         183, 1090, 1074, 7, 9,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         683, 4488, 4396, 9, 12,
-         ((0, (12, 12)), (1, (16, 16)), (2, (16, 16)), (3, (4, 4)))),
+         222, 1167, 1128, 7, 10,
+         ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         4930, 30126, 29481, 9, 14,
-         ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (8, 8)))),
+         945, 5547, 5421, 9, 14,
+         ((0, (12, 12)), (1, (16, 16)), (2, (15, 15)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         434, 2629, 2537, 7, 10,
-         ((0, (12, 12)), (1, (16, 16)), (2, (8, 8)), (3, (4, 4)))),
+         144, 765, 750, 8, 13,
+         ((0, (12, 12)), (1, (16, 16)), (2, (14, 14)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         1255, 8858, 8813, 8, 10,
-         ((0, (12, 12)), (1, (13, 13)), (2, (14, 14)), (3, (8, 8)))),
+         506, 3380, 3344, 9, 14,
+         ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (8, 8)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
          11, 74, 105, 0, 0,
@@ -117,28 +117,28 @@ PINNED = {
           (5, (6, 9)), (6, (3, 3)))),
     ("grid3x4", "oc1", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         386, 3129, 4307, 6, 10,
+         155, 1118, 1506, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "oc1", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         202, 1501, 2046, 6, 12,
+         142, 984, 1328, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         783, 4149, 5726, 6, 9,
+         289, 1476, 1932, 6, 9,
          ((0, (12, 17)), (1, (13, 16)), (2, (9, 12)))),
     ("grid3x4", "weak-oc", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         913, 5286, 7164, 5, 8,
-         ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)))),
+         163, 896, 1164, 6, 7,
+         ((0, (12, 17)), (1, (16, 22)), (2, (9, 12)))),
     ("grid3x4", "weak-oc-octree", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         636, 3457, 4836, 5, 10,
-         ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)))),
+         100, 551, 741, 6, 8,
+         ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)), (3, (6, 9)))),
     ("grid3x4", "weak-oc-octree", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         75, 700, 967, 6, 6,
-         ((0, (12, 17)), (1, (16, 22)), (2, (7, 9)))),
+         44, 273, 362, 6, 6,
+         ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)), (3, (5, 6)))),
     ("er16", "classic", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
          15, 185, 459, 0, 0,
@@ -153,28 +153,28 @@ PINNED = {
           (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "oc1", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1215, 11974, 27087, 5, 6,
+         268, 2574, 5768, 5, 5,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "oc1", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         904, 9317, 21374, 5, 5,
+         287, 2768, 6229, 5, 6,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1399, 14015, 32159, 7, 8,
-         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
+         182, 1598, 3524, 6, 6,
+         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         3637, 26734, 54517, 5, 7,
-         ((0, (16, 40)), (1, (12, 12)))),
+         708, 5933, 12683, 6, 9,
+         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         646, 7699, 18335, 7, 8,
-         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
+         87, 884, 2023, 6, 6,
+         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         1737, 14601, 31529, 5, 7,
-         ((0, (16, 40)), (1, (12, 12)))),
+         338, 3184, 7086, 6, 9,
+         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
 }
 
 
