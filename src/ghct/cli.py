@@ -85,18 +85,24 @@ def _check_writable(*paths) -> None:
 
 def run_method(g: Graph, method: str, seed: int, max_attempts: int | None = None,
                certify: str = "isolating"):
-    """Build a cut tree; returns (tree, stats dict)."""
+    """Build a cut tree; returns (tree, stats dict).
+
+    The stats hold `depth_stats`, {"<depth>": [nodes, edges]} summed over
+    the refinement steps at each depth, in depth order.
+    """
     counter = WorkCounter()
     stats = PipelineStats()
+    depth: dict = {}
     rng = random.Random(seed)
     started = time.perf_counter()
     if method == "classic":
-        tree = gomory_hu_classic(g, counter)
+        tree = gomory_hu_classic(g, counter, depth_stats=depth)
     elif method == "oc1":
-        tree = gh_via_oc1(g, rng, counter, stats=stats, max_attempts=max_attempts)
+        tree = gh_via_oc1(g, rng, counter, stats=stats, max_attempts=max_attempts,
+                          depth_stats=depth)
     elif method == "weak-oc":
-        tree = gh_via_weak_oc(g, rng, counter, stats=stats,
-                              max_attempts=max_attempts, certify=certify)
+        tree = gh_via_weak_oc(g, rng, counter, stats=stats, max_attempts=max_attempts,
+                              certify=certify, depth_stats=depth)
     else:
         raise ValueError(f"unknown method {method!r}")
     wall_ms = (time.perf_counter() - started) * 1000.0
@@ -107,6 +113,7 @@ def run_method(g: Graph, method: str, seed: int, max_attempts: int | None = None
         "wall_ms": round(wall_ms, 3),
         "seed": seed,
         "method": method,
+        "depth_stats": {str(d): depth[d] for d in sorted(depth)},
     })
     return tree, payload
 
@@ -184,6 +191,7 @@ def cmd_ordered_cuts(args) -> int:
 def _bench_row(path: Path, method: str, seed: int, max_attempts: int):
     g = _read_graph(path)
     tree, stats = run_method(g, method, seed, max_attempts=max_attempts)
+    stats.pop("depth_stats")  # rows stay flat
     row = {"instance": path.stem, "n": g.num_nodes, "m": g.num_edges}
     row.update(stats)
     return g, tree, row

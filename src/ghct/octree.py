@@ -3,11 +3,14 @@
 An OC tree for a node sequence (s, v1, ..., vl) is a partition of the
 graph's nodes into one block per sequence node, plus a parent map whose
 edges always point to earlier sequence positions.  The down-set of v (the
-union of blocks in v's subtree) is a minimum (prefix before v)-v cut.
+union of blocks in v's subtree) is a minimum (prefix before v)-v cut, and
+the tree records its cost as the engine returned it.
 
 The divide-and-conquer solver `ordered_cuts` builds a valid tree with
-max-flow work that stays subquadratic on random node orders, and
-`flatten_to_star` reads its depth-1 tree off as a `{rep: down-set}` dict.
+max-flow work that stays subquadratic on random node orders.  Its readers
+(`covering_cut_costs`, `certified_source_cuts`, `flatten_to_star`) each
+walk the tree once in sequence order, where parents precede children, and
+read the recorded costs instead of re-costing down-sets.
 """
 
 from __future__ import annotations
@@ -29,22 +32,23 @@ class ValidationResult:
 
 
 class OCTree:
-    """Partition + parent tree over a node sequence.
+    """Partition + parent tree over a node sequence, with down-set costs.
 
     `order` is the sequence (first element is the source/root), `parent`
-    maps every non-root sequence node to an earlier one, and `blocks` maps
-    each sequence node to its partition block.  The constructor only
-    stores these; `validate` checks them.
+    maps every non-root sequence node to an earlier one, `blocks` maps
+    each sequence node to its partition block, and `costs` maps every
+    non-root sequence node to the cost of its down-set.  The constructor
+    only stores these; `validate` checks them.
     """
 
-    __slots__ = ("order", "parent", "blocks", "_children", "_down")
+    __slots__ = ("order", "parent", "blocks", "costs", "_down")
 
-    def __init__(self, order, parent, blocks):
+    def __init__(self, order, parent, blocks, costs):
         self.order = tuple(order)
         self.parent = dict(parent)
         self.blocks = {v: frozenset(b) for v, b in blocks.items()}
-        self._children = None
-        self._down = {}
+        self.costs = dict(costs)
+        self._down = None
 
     @property
     def root(self):
@@ -59,6 +63,8 @@ class OCTree:
         pos = {v: i for i, v in enumerate(self.order)}
         if set(self.parent) != set(self.order[1:]):
             return "parent map must cover exactly the non-root sequence nodes"
+        if set(self.costs) != set(self.order[1:]):
+            return "costs must cover exactly the non-root sequence nodes"
         for u, v in self.parent.items():
             if v not in pos:
                 return f"parent of {u!r} is not a sequence node"
@@ -79,40 +85,24 @@ class OCTree:
             return "blocks are not pairwise disjoint"
         return ""
 
-    def children(self) -> dict:
-        if self._children is None:
-            kids = {v: [] for v in self.order}
-            for u, p in self.parent.items():
-                kids[p].append(u)
-            pos = {v: i for i, v in enumerate(self.order)}
-            for v in kids:
-                kids[v].sort(key=lambda u: pos[u])
-            self._children = kids
-        return self._children
-
     def down_set(self, v) -> frozenset:
         """Union of blocks over the subtree rooted at v."""
         if v not in self.blocks:
             raise ValueError(f"{v!r} is not a sequence node")
-        cached = self._down.get(v)
-        if cached is not None:
-            return cached
-        out = set()
-        stack = [v]
-        kids = self.children()
-        while stack:
-            u = stack.pop()
-            out |= self.blocks[u]
-            stack.extend(kids[u])
-        result = frozenset(out)
-        self._down[v] = result
-        return result
+        if self._down is None:
+            # Children follow their parent in the sequence, so a reverse
+            # pass folds every subtree into its root before the root is read.
+            down = {u: set(block) for u, block in self.blocks.items()}
+            for u in reversed(self.order[1:]):
+                down[self.parent[u]] |= down[u]
+            self._down = {u: frozenset(d) for u, d in down.items()}
+        return self._down[v]
 
     def __eq__(self, other):
         if not isinstance(other, OCTree):
             return NotImplemented
         return (self.order == other.order and self.parent == other.parent
-                and self.blocks == other.blocks)
+                and self.blocks == other.blocks and self.costs == other.costs)
 
     def __repr__(self):
         return f"OCTree(order={self.order!r})"
@@ -122,8 +112,8 @@ def validate(tree: OCTree, g: Graph, counter: WorkCounter | None = None) -> Vali
     """Full validity check against the graph.
 
     Structural defects are reported as a falsy result with a reason; then
-    every non-root sequence node's down-set cost must equal the exact
-    minimum (prefix)-node cut value.
+    every non-root sequence node's recorded cost must equal its down-set's
+    cost, and that cost the exact minimum (prefix)-node cut value.
     """
     problem = tree.structural_problem()
     if problem:
@@ -134,6 +124,9 @@ def validate(tree: OCTree, g: Graph, counter: WorkCounter | None = None) -> Vali
     for k, v in enumerate(tree.order[1:], 1):
         prefix = tree.order[:k]
         cost = cut_cost(g, tree.down_set(v))
+        if tree.costs[v] != cost:
+            return ValidationResult(False, f"recorded cost of {v!r} is {tree.costs[v]}, "
+                                           f"its down-set costs {cost}")
         expected = min_cut(g, set(prefix), {v}, counter).cost
         if cost != expected:
             return ValidationResult(
@@ -146,64 +139,61 @@ def validate(tree: OCTree, g: Graph, counter: WorkCounter | None = None) -> Vali
 def certifying_prefix(tree: OCTree, u) -> tuple:
     """The source sequence whose minimum cut the down-set of u attains.
 
-    Chase from u: each step moves to the latest earlier node that is the
-    current node's parent or a sibling under that parent, ending at the
-    root.  Returned in root-first order.  The down-set of u is a minimum
-    (returned sequence)-u cut.
+    Chase from u: each step moves to the latest node before the current
+    one in the sequence that is the current node's parent or a child of
+    that parent, ending at the root.  Returned in root-first order.  The
+    down-set of u is a minimum (returned sequence)-u cut.
     """
     if u == tree.root:
         raise ValueError("the root has no certifying prefix")
-    pos = {v: i for i, v in enumerate(tree.order)}
-    kids = tree.children()
     chain = []
-    cur = u
-    while cur != tree.root:
-        p = tree.parent[cur]
-        admissible = [p] + [w for w in kids[p] if pos[w] < pos[cur]]
-        nxt = max(admissible, key=lambda w: pos[w])
-        chain.append(nxt)
-        cur = nxt
+    i = tree.order.index(u)
+    while i:
+        p = tree.parent[tree.order[i]]
+        i -= 1
+        while tree.order[i] != p and tree.parent.get(tree.order[i]) != p:
+            i -= 1
+        chain.append(tree.order[i])
     chain.reverse()
     return tuple(chain)
 
 
-def certified_source_cuts(tree: OCTree, g: Graph) -> dict:
+def certified_source_cuts(tree: OCTree) -> dict:
     """Down-sets provably equal to minimum source-u cuts.
 
     A node u qualifies when every non-root node on its certifying prefix
-    has a down-set at least as expensive as u's own.
+    has a down-set at least as expensive as u's own.  One step of that
+    prefix goes to u's latest earlier sibling, or else to its parent, so
+    one pass in sequence order carries the cheapest cost along each chain.
     """
-    costs = {v: cut_cost(g, tree.down_set(v)) for v in tree.order[1:]}
+    through = {tree.root: math.inf}  # cheapest cost on each chain, own included
+    latest_child: dict = {}
     out = {}
     for u in tree.order[1:]:
-        chain = certifying_prefix(tree, u)
-        if all(costs[w] >= costs[u] for w in chain[1:]):
-            out[u] = Cut(tree.down_set(u), costs[u])
+        p = tree.parent[u]
+        above = through[latest_child.get(p, p)]
+        latest_child[p] = u
+        cost = tree.costs[u]
+        through[u] = min(above, cost)
+        if above >= cost:
+            out[u] = Cut(tree.down_set(u), cost)
     return out
 
 
-def covering_cut_costs(tree: OCTree, g: Graph) -> dict:
+def covering_cut_costs(tree: OCTree) -> dict:
     """Per node, the cheapest stored cut containing it.
 
     For every non-source node x this is min over the down-sets that cover
     x; it upper-bounds the exact source-x cut value.  Nodes inside the
     root's own block are covered by no stored cut and get +inf.
     """
-    kids = tree.children()
     root = tree.root
-    out: dict = {}
-    stack = [(root, math.inf)]
-    while stack:
-        v, inherited = stack.pop()
-        if v == root:
-            best = inherited
-        else:
-            best = min(inherited, cut_cost(g, tree.down_set(v)))
+    best = {root: math.inf}
+    out = {x: math.inf for x in tree.blocks[root] if x != root}
+    for v in tree.order[1:]:
+        best[v] = min(best[tree.parent[v]], tree.costs[v])
         for x in tree.blocks[v]:
-            if x != root:
-                out[x] = best
-        for u in kids[v]:
-            stack.append((u, best))
+            out[x] = best[v]
     return out
 
 
@@ -225,16 +215,21 @@ def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
             raise ValueError(f"{v!r} is not a node of the graph")
     parent: dict = {}
     blocks: dict = {}
-    _build(order, g, counter, parent, blocks)
-    return OCTree(order, parent, blocks)
+    costs: dict = {}
+    _build(order, g, counter, parent, blocks, costs)
+    return OCTree(order, parent, blocks, costs)
 
 
-def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict) -> None:
-    """Write the tree for (order, g) into `parent` and `blocks`.
+def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict,
+           costs: dict) -> None:
+    """Write the tree for (order, g) into `parent`, `blocks` and `costs`.
 
     The blocks of order's nodes partition g's nodes; a recursive call on a
     head node's sink side overwrites that node's block, and the caller
-    adds back the source side it cut off.
+    adds back the source side it cut off.  A node's down-set is fixed by
+    the one-target step that parents it; g is a contraction that keeps
+    the cost of every set without its source, so the engine's cut value
+    is that down-set's cost in the input graph.
     """
     if len(order) == 1:
         blocks[order[0]] = g.node_set
@@ -242,21 +237,23 @@ def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict) ->
 
     half = min((len(order) + 1 + 1) // 2, len(order) - 1)  # ceil((len + 1) / 2), tail non-empty
     head, tail = order[:half], order[half:]
-    _build(head, g, counter, parent, blocks)
+    _build(head, g, counter, parent, blocks, costs)
     for v in head:
         block = blocks[v]
         targets = tuple(b for b in tail if b in block)
         if not targets:
             continue
         sub_g = contract(g, block, v)
-        sink = min_cut_minimal_sink(sub_g, {v}, set(targets), counter).members
+        cut = min_cut_minimal_sink(sub_g, {v}, set(targets), counter)
+        sink = cut.members
         if len(targets) == 1:  # the minimal sink side is that target's latest cut
             parent[targets[0]] = v
             blocks[targets[0]] = sink
+            costs[targets[0]] = cut.cost
             blocks[v] = block - sink
             continue
         rec_g = contract(sub_g, sink | {v}, v)
-        _build((v, *targets), rec_g, counter, parent, blocks)
+        _build((v, *targets), rec_g, counter, parent, blocks, costs)
         blocks[v] = (block - sink) | blocks[v]
 
 
@@ -268,7 +265,7 @@ def flatten_to_star(tree: OCTree) -> dict:
     here, and keeps each surviving node's down-set.  The down-sets are
     pairwise disjoint, and none holds the root.
     """
-    return {v: tree.down_set(v) for v in tree.children()[tree.root]}
+    return {v: tree.down_set(v) for v in tree.order[1:] if tree.parent[v] == tree.root}
 
 
 def format_oc_tree(tree: OCTree) -> str:

@@ -165,14 +165,16 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
 
     Returns (estimates over all non-source nodes, {node: Cut}).
     """
+    if certify not in ("isolating", "octree"):
+        raise ValueError(f"unknown certification mode {certify!r}")
     seq = tuple(seq)
     if not seq:
         return {}, {}
     tree = ordered_cuts((s, *seq), g, counter)
-    estimates = covering_cut_costs(tree, g)
+    estimates = covering_cut_costs(tree)
 
     if certify == "octree":
-        certified = certified_source_cuts(tree, g)
+        certified = certified_source_cuts(tree)
         # Parents precede children, so a reverse pass sees every descendant
         # of u before u and can mark u's parent as above a certified node.
         above = set()
@@ -180,8 +182,6 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
             if u in certified or u in above:
                 above.add(tree.parent[u])
         return estimates, {u: cut for u, cut in certified.items() if u not in above}
-    if certify != "isolating":
-        raise ValueError(f"unknown certification mode {certify!r}")
 
     running = math.inf
     filtered = []
@@ -218,10 +218,10 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
         seq = sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
         if not seq:
             continue
-        star = flatten_to_star(ordered_cuts((s, *seq), g, counter))
-        for v, block in star.items():
+        tree = ordered_cuts((s, *seq), g, counter)
+        for v, block in flatten_to_star(tree).items():
             live -= block - {v}
-            cost = cut_cost(g, block)
+            cost = tree.costs[v]
             for u in block:
                 if cost < estimates.get(u, math.inf):
                     estimates[u] = cost
@@ -229,13 +229,13 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     # Every round keeps its representatives live, so this sample is not empty.
     sample = random_subset(live, 1.0, rng)
     seq = sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
+    tree = ordered_cuts((s, *seq), g, counter)
     kept = {}
     best = math.inf
-    for v, block in flatten_to_star(ordered_cuts((s, *seq), g, counter)).items():
-        cost = cut_cost(g, block)
-        if cost <= best:
+    for v, block in flatten_to_star(tree).items():
+        if tree.costs[v] <= best:
             kept[v] = block
-            best = cost
+            best = tree.costs[v]
     return kept
 
 

@@ -108,7 +108,7 @@ def test_criterion_03_prefix_certification(oc_instances):
             if cut_cost(g, tree.down_set(u)) != min_cut(g, set(prefix), {u},
                                                         counter).cost:
                 bad += 1
-        for u, cut in certified_source_cuts(tree, g).items():
+        for u, cut in certified_source_cuts(tree).items():
             if cut.cost != min_cut(g, {seq[0]}, {u}, counter).cost:
                 bad += 1
     report("3 certifying-prefix cuts", bad == 0,

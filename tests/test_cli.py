@@ -65,9 +65,12 @@ class TestCompute:
             outs.append(out.read_bytes())
             payload = json.loads(st.read_text())
             payload.pop("wall_ms")
-            stats.append(payload)
+            stats.append(json.dumps(payload))
         assert outs[0] == outs[1]
         assert stats[0] == stats[1]
+        depth_stats = json.loads(stats[0])["depth_stats"]
+        assert list(depth_stats) == [str(d) for d in range(len(depth_stats))]
+        assert depth_stats["0"] == [3, 3]
 
     def test_malformed_input_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.dimacs"
@@ -212,7 +215,7 @@ class TestOrderedCutsCommand:
 
     def test_failed_check_exits_3(self, tri_file, tmp_path, capsys, monkeypatch):
         # Node 2's block {2} costs 4; the minimum 1-2 cut {2, 3} costs 3.
-        wrong = OCTree((1, 2, 3), {2: 1, 3: 1}, {1: {1}, 2: {2}, 3: {3}})
+        wrong = OCTree((1, 2, 3), {2: 1, 3: 1}, {1: {1}, 2: {2}, 3: {3}}, {2: 4, 3: 5})
         monkeypatch.setattr("ghct.cli.ordered_cuts", lambda order, g, counter: wrong)
         out = tmp_path / "oc.txt"
         assert main(["ordered-cuts", str(tri_file), "--sequence", "1,2,3",
@@ -340,6 +343,8 @@ class TestBench:
                     "random-tree-plus-noise"}
         names = {row["instance"].split("_")[0] for row in payload["rows"]}
         assert families <= names
+        assert not any(isinstance(v, (dict, list))
+                       for row in payload["rows"] for v in row.values())
         instances = len(list(corpus.glob("*.dimacs")))
         assert len(payload["rows"]) == instances * 2 * 1
         scaling = payload["oc_scaling"]

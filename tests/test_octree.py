@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ghct.generators import star
-from ghct.graph import cut_cost
+from ghct.graph import Cut, Graph, cut_cost
 from ghct.maxflow import WorkCounter, min_cut
 from ghct.octree import (
     OCTree,
@@ -24,7 +24,7 @@ from conftest import random_graph
 def tri_tree():
     """Valid tree for sequence (1, 2, 3) on the triangle fixture."""
     return OCTree((1, 2, 3), {2: 1, 3: 2},
-                  {1: {1}, 2: {2}, 3: {3}})
+                  {1: {1}, 2: {2}, 3: {3}}, {2: 3, 3: 5})
 
 
 def random_sequence(rng, g, max_len=None):
@@ -52,16 +52,30 @@ class TestValidate:
         assert validate(tri_tree, tri)
 
     def test_broken_partition_reported(self, tri):
-        broken = OCTree((1, 2), {2: 1}, {1: {1, 3}, 2: {2, 3}})
+        broken = OCTree((1, 2), {2: 1}, {1: {1, 3}, 2: {2, 3}}, {2: 3})
         result = validate(broken, tri)
         assert not result
         assert result.reason
 
     def test_wrong_cut_cost(self, tri):
-        bad = OCTree((1, 2), {2: 1}, {1: {1, 3}, 2: {2}})
+        bad = OCTree((1, 2), {2: 1}, {1: {1, 3}, 2: {2}}, {2: 4})
         result = validate(bad, tri)
         assert not result
         assert "costs 4" in result.reason
+
+    def test_wrong_recorded_cost(self, tri):
+        # Blocks are right; the recorded cost of node 3's down-set {3} is not.
+        tree = OCTree((1, 2, 3), {2: 1, 3: 2}, {1: {1}, 2: {2}, 3: {3}}, {2: 3, 3: 6})
+        result = validate(tree, tri)
+        assert not result
+        assert "recorded cost of 3 is 6" in result.reason
+
+    @pytest.mark.parametrize("costs", [{2: 3}, {2: 3, 3: 5, 1: 0}])
+    def test_cost_keys_must_be_the_non_root_nodes(self, tri, costs):
+        tree = OCTree((1, 2, 3), {2: 1, 3: 2}, {1: {1}, 2: {2}, 3: {3}}, costs)
+        assert tree.structural_problem() == (
+            "costs must cover exactly the non-root sequence nodes")
+        assert not validate(tree, tri)
 
     def test_counts_flows_in_counter(self, tri, tri_tree):
         c = WorkCounter()
@@ -74,7 +88,7 @@ class TestCertifyingPrefix:
         assert certifying_prefix(tri_tree, 3) == (1, 2)
 
     def test_star_earliest_child(self):
-        tree = OCTree((1, 2, 3), {2: 1, 3: 1}, {1: {1}, 2: {2}, 3: {3}})
+        tree = OCTree((1, 2, 3), {2: 1, 3: 1}, {1: {1}, 2: {2}, 3: {3}}, {2: 4, 3: 5})
         assert certifying_prefix(tree, 2) == (1,)
         assert certifying_prefix(tree, 3) == (1, 2)
 
@@ -101,16 +115,40 @@ class TestCertifyingPrefix:
                 assert cut_cost(g, tree.down_set(u)) == expected
 
 
+def random_labelled_graph(rng, n):
+    """Random graph with weights 0-3, labelled by tuples about half the time."""
+    labels = [("t", i) for i in range(n)] if rng.random() < 0.5 else list(range(1, n + 1))
+    edges = [(labels[i], labels[j], rng.randint(0, 3))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    return Graph(labels, edges)
+
+
+class TestRecordedCosts:
+    def test_costs_and_certified_cuts_match_references(self):
+        # Recorded costs against re-costed down-sets, and the one-pass
+        # certification against the chain-by-chain certifying_prefix rule.
+        rng = random.Random(101)
+        for _ in range(120):
+            g = random_labelled_graph(rng, rng.randint(2, 14))
+            tree = ordered_cuts(random_sequence(rng, g), g, WorkCounter())
+            cost = {v: cut_cost(g, tree.down_set(v)) for v in tree.order[1:]}
+            assert tree.costs == cost
+            expected = {u: Cut(tree.down_set(u), cost[u]) for u in tree.order[1:]
+                        if all(cost[w] >= cost[u] for w in certifying_prefix(tree, u)[1:])}
+            got = certified_source_cuts(tree)
+            assert list(got.items()) == list(expected.items())
+
+
 class TestCertifiedSourceCuts:
-    def test_triangle_chain(self, tri, tri_tree):
-        certified = certified_source_cuts(tri_tree, tri)
+    def test_triangle_chain(self, tri_tree):
+        certified = certified_source_cuts(tri_tree)
         assert set(certified) == {2}
         assert certified[2].members == {2, 3}
         assert certified[2].cost == 3
 
-    def test_single_follower_always_certified(self, g2):
-        tree = OCTree((1, 2), {2: 1}, {1: {1}, 2: {2}})
-        certified = certified_source_cuts(tree, g2)
+    def test_single_follower_always_certified(self):
+        tree = OCTree((1, 2), {2: 1}, {1: {1}, 2: {2}}, {2: 5})
+        certified = certified_source_cuts(tree)
         assert set(certified) == {2}
 
     def test_certified_cuts_are_true_source_cuts(self):
@@ -120,18 +158,18 @@ class TestCertifiedSourceCuts:
             g = random_graph(rng, rng.randint(3, 10))
             seq = random_sequence(rng, g)
             tree = ordered_cuts(seq, g, counter)
-            for u, cut in certified_source_cuts(tree, g).items():
+            for u, cut in certified_source_cuts(tree).items():
                 assert cut.cost == min_cut(g, {seq[0]}, {u}, counter).cost
 
 
 class TestCoveringCutCosts:
-    def test_triangle(self, tri, tri_tree):
-        costs = covering_cut_costs(tri_tree, tri)
+    def test_triangle(self, tri_tree):
+        costs = covering_cut_costs(tri_tree)
         assert costs == {2: 3, 3: 3}
 
-    def test_two_nodes(self, g2):
-        tree = OCTree((1, 2), {2: 1}, {1: {1}, 2: {2}})
-        assert covering_cut_costs(tree, g2) == {2: 5}
+    def test_two_nodes(self):
+        tree = OCTree((1, 2), {2: 1}, {1: {1}, 2: {2}}, {2: 5})
+        assert covering_cut_costs(tree) == {2: 5}
 
     def test_upper_bounds_source_cut_value(self):
         rng = random.Random(71)
@@ -140,7 +178,7 @@ class TestCoveringCutCosts:
             g = random_graph(rng, rng.randint(3, 10))
             seq = random_sequence(rng, g)
             tree = ordered_cuts(seq, g, counter)
-            costs = covering_cut_costs(tree, g)
+            costs = covering_cut_costs(tree)
             for v, bound in costs.items():
                 exact = min_cut(g, {seq[0]}, {v}, counter).cost
                 assert bound >= exact
@@ -208,14 +246,15 @@ class TestFlattenToStar:
         assert flatten_to_star(tri_tree) == {2: {2, 3}}
 
     def test_already_star_unchanged(self):
-        tree = OCTree((1, 2, 3), {2: 1, 3: 1}, {1: {1}, 2: {2}, 3: {3}})
+        tree = OCTree((1, 2, 3), {2: 1, 3: 1}, {1: {1}, 2: {2}, 3: {3}}, {2: 4, 3: 5})
         star = flatten_to_star(tree)
         assert star == {2: {2}, 3: {3}}
         assert list(star) == [2, 3]
 
     def test_deep_chain_collapses(self):
         tree = OCTree(("s", "a", "b", "c"), {"a": "s", "b": "a", "c": "b"},
-                      {"s": {"s"}, "a": {"a"}, "b": {"b"}, "c": {"c"}})
+                      {"s": {"s"}, "a": {"a"}, "b": {"b"}, "c": {"c"}},
+                      {"a": 1, "b": 2, "c": 1})
         assert flatten_to_star(tree) == {"a": {"a", "b", "c"}}
 
     def test_outputs_satisfy_star_definition(self):

@@ -173,8 +173,12 @@ class TestCertifiedOrderedCuts:
                 seen |= cut.members
 
     def test_unknown_mode_rejected(self, g2):
-        with pytest.raises(ValueError):
-            certified_ordered_cuts(1, (2,), g2, WorkCounter(), certify="x")
+        # Before any flow runs, and also for an empty sequence.
+        for seq in ((), (2,)):
+            counter = WorkCounter()
+            with pytest.raises(ValueError):
+                certified_ordered_cuts(1, seq, g2, counter, certify="x")
+            assert counter.calls == 0
 
 
 class TestFixedSourceBlocks:
