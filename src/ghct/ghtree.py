@@ -92,7 +92,10 @@ class PartitionTree:
     place by `split`.  Edges are [i, j, weight] index triples into
     `supernodes`; each weight equals the cost of the graph cut induced by
     removing that edge.  `depth[i]` counts the refinement steps that
-    supernode i and the supernodes it was split from have taken.
+    supernode i and the supernodes it was split from have taken, and
+    `min_key[i]` is the smallest `label_key` of its members.
+    `branch_labels` names the contracted branches of an auxiliary graph:
+    the first n - 1 labels ("b", k) that are not nodes of g.
     """
 
     def __init__(self, g: Graph):
@@ -100,6 +103,10 @@ class PartitionTree:
         self.supernodes = [set(g.labels)]
         self.edges = []
         self.depth = [0]
+        self._key = {v: label_key(v) for v in g.labels}
+        self.min_key = [min(self._key.values())]
+        names = itertools.count()
+        self.branch_labels = [unused_label("b", names, g) for _ in g.labels[1:]]
 
     def pick_supernode(self):
         """Largest splittable supernode; ties by smallest member label."""
@@ -107,7 +114,7 @@ class PartitionTree:
         for i, sn in enumerate(self.supernodes):
             if len(sn) < 2:
                 continue
-            key = (-len(sn), min(label_key(v) for v in sn))
+            key = (-len(sn), self.min_key[i])
             if best is None or key < best[0]:
                 best = (key, i)
         return None if best is None else best[1]
@@ -117,7 +124,12 @@ class PartitionTree:
 
         Each tree edge of xi whose other end is in `moved` goes to b.
         """
+        keys = self._key
+        b_min = min(keys[v] for v in b_members)
         self.supernodes[xi] -= b_members
+        if b_min == self.min_key[xi]:  # xi's smallest member may have moved to b
+            self.min_key[xi] = min(keys[v] for v in self.supernodes[xi])
+        self.min_key.append(b_min)
         bi = len(self.supernodes)
         self.supernodes.append(set(b_members))
         self.depth.append(self.depth[xi] + 1)
@@ -158,9 +170,8 @@ def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
 
     reps = {}
     branch_of = {}
-    names = itertools.count()
-    for start in adj[xi]:
-        label = reps[start] = unused_label("b", names, g)
+    for start, label in zip(adj[xi], tree.branch_labels):
+        reps[start] = label
         component = {start}
         queue = deque([start])
         while queue:

@@ -70,6 +70,7 @@ class Graph:
         if not labels:
             raise ValueError("graph needs at least one node")
 
+        k = len(labels)
         merged: dict = {}
         for u, v, w in edges:
             if u == v:
@@ -82,12 +83,12 @@ class Graph:
                 iu, iv = index[u], index[v]
             except KeyError as exc:
                 raise ValueError(f"edge endpoint {exc.args[0]!r} is not a node") from None
-            key = (iu, iv) if iu < iv else (iv, iu)
+            key = iu * k + iv if iu < iv else iv * k + iu
             merged[key] = merged.get(key, 0) + w
 
         self.labels = labels
         self._index = index
-        self.edges = tuple((iu, iv, w) for (iu, iv), w in sorted(merged.items()))
+        self.edges = _merged_edges(merged, k)
         self._adj = None
         self._node_set = None
 
@@ -159,21 +160,29 @@ def cut_cost(g: Graph, members) -> int:
     return total
 
 
+def _merged_edges(merged: dict, k: int) -> tuple:
+    """Edge triples (a, b, w) in (a, b) order from weights merged on the
+    integer keys a * k + b, a < b < k."""
+    return tuple([(key // k, key % k, merged[key]) for key in sorted(merged)])
+
+
 def _quotient(g: Graph, new_labels, rep_of) -> Graph:
     """Contract by an index->new-label map; merges parallels, drops loops."""
-    pos = {lab: i for i, lab in enumerate(new_labels)}
+    labels = tuple(new_labels)
+    pos = {lab: i for i, lab in enumerate(labels)}
+    new_of = [pos[rep] for rep in rep_of]
+    k = len(labels)
     merged: dict = {}
     for iu, iv, w in g.edges:
-        cu = pos[rep_of[iu]]
-        cv = pos[rep_of[iv]]
-        if cu == cv:
-            continue
-        key = (cu, cv) if cu < cv else (cv, cu)
-        merged[key] = merged.get(key, 0) + w
+        a = new_of[iu]
+        b = new_of[iv]
+        if a != b:
+            key = a * k + b if a < b else b * k + a
+            merged[key] = merged.get(key, 0) + w
     out = Graph.__new__(Graph)
-    out.labels = tuple(new_labels)
+    out.labels = labels
     out._index = pos
-    out.edges = tuple((a, b, w) for (a, b), w in sorted(merged.items()))
+    out.edges = _merged_edges(merged, k)
     out._adj = None
     out._node_set = None
     return out

@@ -47,3 +47,15 @@ def connected_random_graph(rng: random.Random, n: int, density: float = 0.5,
             if (u, v) not in seen and rng.random() < density:
                 edges.append((u, v, rng.randint(1, max_weight)))
     return Graph(range(1, n + 1), edges)
+
+
+def scrambled(rng: random.Random, g: Graph) -> Graph:
+    """g with its nodes in random construction order and, about half the
+    time, tuple labels (some of them ("b", k)) instead of integers."""
+    if rng.random() < 0.5:
+        names = {v: v for v in g.labels}
+    else:
+        names = {v: (rng.choice("bv"), v) for v in g.labels}
+    labels = [names[v] for v in g.labels]
+    rng.shuffle(labels)
+    return Graph(labels, [(names[u], names[v], w) for u, v, w in g.edge_labels()])

@@ -10,11 +10,11 @@ from ghct.ghtree import (
     gomory_hu_classic,
     gomory_hu_generalized,
 )
-from ghct.graph import Graph, cut_cost
+from ghct.graph import Graph, cut_cost, label_key
 from ghct.maxflow import WorkCounter, min_cut
 from ghct.oracle import verify_gh_tree
 
-from conftest import random_graph
+from conftest import random_graph, scrambled
 
 
 class TestAuxiliaryGraph:
@@ -57,6 +57,48 @@ class TestAuxiliaryGraph:
         assert cut_cost(h, {reps[1]}) == cut_cost(g, {4, 5})
         assert cut_cost(h, {1}) == cut_cost(g, {1})
         assert cut_cost(h, {1, 2}) == cut_cost(g, {1, 2})
+
+    def test_equals_reference_on_random_trees(self):
+        # Random splits build the partition tree; the auxiliary graph must be
+        # what the public constructor builds from g's edges with every branch
+        # behind a tree neighbour of xi relabelled to that neighbour's label.
+        rng = random.Random(13)
+        for _ in range(60):
+            g = scrambled(rng, random_graph(rng, rng.randint(2, 12), density=rng.random()))
+            tree = PartitionTree(g)
+            for _ in range(rng.randint(0, g.num_nodes - 1)):
+                xi = rng.randrange(len(tree.supernodes))
+                members = sorted(tree.supernodes[xi], key=repr)
+                if len(members) < 2:
+                    continue
+                nbrs = [j if i == xi else i for i, j, _ in tree.edges if xi in (i, j)]
+                tree.split(xi, set(rng.sample(members, rng.randint(1, len(members) - 1))), 0,
+                           {j for j in nbrs if rng.random() < 0.5})
+            keys = [(-len(sn), min(map(label_key, sn))) for sn in tree.supernodes]
+            assert tree.min_key == [k for _, k in keys]
+            big = [i for i, sn in enumerate(tree.supernodes) if len(sn) > 1]
+            assert tree.pick_supernode() == min(big, key=keys.__getitem__, default=None)
+
+            xi = rng.randrange(len(tree.supernodes))
+            h, reps = auxiliary_graph(g, tree, xi)
+            adj = {i: [] for i in range(len(tree.supernodes))}
+            for i, j, _ in tree.edges:
+                adj[i].append(j)
+                adj[j].append(i)
+            assert sorted(reps) == sorted(adj[xi])
+            assert len(set(reps.values())) == len(reps)
+            assert not any(g.has_node(label) for label in reps.values())
+            rep = {v: v for v in tree.supernodes[xi]}
+            for nb, label in reps.items():
+                stack, seen = [nb], {xi, nb}
+                while stack:
+                    k = stack.pop()
+                    rep.update((v, label) for v in tree.supernodes[k])
+                    stack += [j for j in adj[k] if j not in seen]
+                    seen.update(adj[k])
+            nodes = [v for v in g.labels if v in tree.supernodes[xi]] + list(reps.values())
+            assert h == Graph(nodes, [(rep[u], rep[v], w) for u, v, w in g.edge_labels()
+                                      if rep[u] != rep[v]])
 
 
 class TestClassic:

@@ -14,7 +14,7 @@ from ghct.graph import (
     write_dimacs,
 )
 
-from conftest import random_graph
+from conftest import random_graph, scrambled
 
 
 class TestConstruction:
@@ -113,6 +113,28 @@ class TestContract:
                 continue
             side = set(rng.sample(sorted(inner), rng.randint(1, len(inner))))
             assert cut_cost(sub, side) == cut_cost(g, side)
+
+    def test_equals_constructor_on_relabelled_edges(self):
+        # contract merges parallel edges on its own keys; the result must be
+        # what the public constructor builds from the relabelled edges, with
+        # the same labels and the same edges in the same order.
+        rng = random.Random(5)
+        for _ in range(80):
+            g = scrambled(rng, random_graph(rng, rng.randint(2, 12), density=rng.random()))
+            keep = set(rng.sample(g.labels, rng.randint(1, g.num_nodes)))
+            s = rng.choice(sorted(keep, key=repr))
+            rep = {v: v if v in keep else s for v in g.labels}
+            kept = [v for v in g.labels if v in keep]
+            got = contract(g, keep, s)
+            assert got == Graph(kept, [(rep[u], rep[v], w) for u, v, w in g.edge_labels()
+                                       if rep[u] != rep[v]])
+            pos = {v: i for i, v in enumerate(kept)}
+            merged = {}
+            for u, v, w in g.edge_labels():
+                a, b = sorted((pos[rep[u]], pos[rep[v]]))
+                if a != b:
+                    merged[a, b] = merged.get((a, b), 0) + w
+            assert got.edges == tuple((a, b, w) for (a, b), w in sorted(merged.items()))
 
 
 class TestContractSetToNode:

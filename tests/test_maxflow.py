@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ghct.generators import grid
 from ghct.graph import Graph, cut_cost
 from ghct.maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
 from ghct.oracle import brute_all_min_cuts, brute_min_cut
@@ -22,6 +23,50 @@ def random_sides(rng, g):
     k = rng.randint(1, len(labels) - 2)
     j = rng.randint(k + 1, len(labels) - 1)
     return set(labels[:k]), set(labels[k:j])
+
+
+def complete_graph(n):
+    nodes = range(1, n + 1)
+    return Graph(nodes, [(u, v, 1) for u in nodes for v in nodes if u < v])
+
+
+def diamond_chain(links=3, width=3):
+    """(graph, sink): source 1 reaches hub 2 over one weight-1 edge; each
+    hub fans out to `width` middle nodes that meet again at the next hub,
+    and the last hub is the sink.  A disjoint path of the same length runs
+    beside the chain.  Every search-tree path through the middle nodes
+    crosses the edge (1, 2), so once one of them is augmented the others
+    of the same search have zero residual."""
+    edges = [(1, 2, 1)]
+    hub, nxt = 2, 3
+    for _ in range(links):
+        new_hub = nxt + width
+        for m in range(nxt, new_hub):
+            edges += [(hub, m, 2), (m, new_hub, 2)]
+        hub, nxt = new_hub, new_hub + 1
+    prev = 1
+    for _ in range(2 * links):
+        edges.append((prev, nxt, 2))
+        prev, nxt = nxt, nxt + 1
+    edges.append((prev, hub, 2))
+    return Graph(range(1, nxt), edges), hub
+
+
+def shared_arc_cases(rng):
+    """(graph, s_side, t_side) on graphs with many equal-length s-t paths
+    that share arcs: K5-K8, K_{3,4}, the 3x3 and 3x4 grids and a diamond
+    chain.  Each graph comes with unit, 1-3 and perturbed weights, and
+    with singleton and multi-node terminal sides."""
+    k34 = Graph(range(1, 8), [(u, v, 1) for u in range(1, 4) for v in range(4, 8)])
+    chain, hub = diamond_chain()
+    graphs = [(complete_graph(n), 1, n) for n in range(5, 9)]
+    graphs += [(k34, 1, 2), (k34, 1, 7), (grid(3, 3, rng, (1, 1)), 1, 9),
+               (grid(3, 4, rng, (1, 1)), 1, 12), (chain, 1, hub)]
+    for g, s, t in graphs:
+        weighted = Graph(g.labels, [(u, v, rng.randint(1, 3)) for u, v, _ in g.edge_labels()])
+        for h in (g, weighted, perturb(g, rng)):
+            yield h, {s}, {t}
+            yield (h, *random_sides(rng, h))
 
 
 class TestMinCut:
@@ -79,6 +124,11 @@ class TestMinCut:
                 assert cut_cost(h, res.members) == ref.cost
                 sides = brute_all_min_cuts(h, s_side, t_side)
                 assert res.members == frozenset.union(*sides)
+        for h, s_side, t_side in shared_arc_cases(rng):
+            res = min_cut(h, s_side, t_side, counter)
+            assert res.cost == brute_min_cut(h, s_side, t_side).cost
+            assert cut_cost(h, res.members) == res.cost
+            assert res.members == frozenset.union(*brute_all_min_cuts(h, s_side, t_side))
 
 
 class TestLatestMinCut:
@@ -142,6 +192,11 @@ class TestMinimalSink:
                 res = min_cut_minimal_sink(h, s_side, t_side, counter)
                 sides = brute_all_min_cuts(h, s_side, t_side)
                 assert res.members == frozenset.intersection(*sides)
+        for h, s_side, t_side in shared_arc_cases(rng):
+            res = min_cut_minimal_sink(h, s_side, t_side, counter)
+            assert res.cost == brute_min_cut(h, s_side, t_side).cost
+            assert cut_cost(h, res.members) == res.cost
+            assert res.members == frozenset.intersection(*brute_all_min_cuts(h, s_side, t_side))
 
     def test_nested_instance_monotonicity(self, counter):
         # Growing the source side / shrinking the sink side can only
