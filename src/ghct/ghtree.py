@@ -7,17 +7,18 @@ minimum source cuts, and split each cut off the supernode.  The classic
 algorithm is the strategy that returns one pivot cut; the generalized
 driver takes its caller's strategy.  A family that breaks the contract
 raises StrategyError at once.  The loop ends with a complete partition
-tree whose singletons form the cut tree.
+tree whose singletons form the cut tree.  g's labels are sorted once, and
+that one order breaks the loop's ties and orders the finished tree.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Cut, Graph, _quotient, cut_cost, label_key, sorted_labels, unused_label
+from .graph import Cut, Graph, _quotient, cut_cost, sorted_labels
 from .maxflow import WorkCounter, min_cut
 
 
@@ -42,43 +43,34 @@ class GHTree:
         return adj
 
     def query(self, s, t):
-        """Minimum s-t cut value and the tree-induced cut containing t."""
+        """Minimum s-t cut value and the tree-induced cut containing t: the
+        minimum edge nearest s on the path, and the subtree below it."""
         if s == t:
             raise ValueError("query endpoints must be distinct")
         adj = self._adjacency
         if s not in adj or t not in adj:
             raise ValueError("query endpoints must be tree nodes")
         prev = {s: None}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            if x == t:
-                break
+        order = [s]
+        for x in order:  # grows while it is read
             for y, w in adj[x]:
                 if y not in prev:
                     prev[y] = (x, w)
-                    queue.append(y)
+                    order.append(y)
         if t not in prev:
             raise ValueError("tree is not connected")
-        best_edge = None
-        best_w = None
+        best = None
         x = t
         while prev[x] is not None:
             p, w = prev[x]
-            if best_w is None or w <= best_w:
-                best_edge, best_w = (p, x), w
+            if best is None or w <= best[1]:
+                best = x, w
             x = p
-        a, b = best_edge
-        members = set()
-        queue = deque([b])
-        seen = {b}
-        while queue:
-            x = queue.popleft()
-            members.add(x)
-            for y, _ in adj[x]:
-                if y not in seen and not (x == b and y == a):
-                    seen.add(y)
-                    queue.append(y)
+        below, best_w = best
+        members = {below}
+        for x in order[order.index(below) + 1:]:
+            if prev[x][0] in members:
+                members.add(x)
         return best_w, Cut(frozenset(members), best_w)
 
     def to_graph(self) -> Graph:
@@ -89,49 +81,45 @@ class PartitionTree:
     """Spanning tree over disjoint supernodes covering all graph nodes.
 
     Starts as one supernode holding every node of g and is refined in
-    place by `split`.  Edges are [i, j, weight] index triples into
-    `supernodes`; each weight equals the cost of the graph cut induced by
-    removing that edge.  `depth[i]` counts the refinement steps that
-    supernode i and the supernodes it was split from have taken, and
-    `min_key[i]` is the smallest `label_key` of its members.
-    `branch_labels` names the contracted branches of an auxiliary graph:
-    the first n - 1 labels ("b", k) that are not nodes of g.
+    place by `split`.  `rank[v]` is label v's position in `sorted_labels`
+    order; `supernodes[i]` lists supernode i's members in that order, and
+    `supernode_of[v]` is the index of the supernode holding v.  Edges are
+    [i, j, weight] index triples into `supernodes`; each weight equals the
+    cost of the graph cut induced by removing that edge.  `depth[i]`
+    counts the refinement steps that supernode i and the supernodes it
+    was split from have taken.  `branch_labels` names the contracted
+    branches of an auxiliary graph: the first n - 1 labels ("b", k) that
+    are not nodes of g.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        self.supernodes = [set(g.labels)]
+        order = sorted_labels(g.labels)
+        self.rank = {v: r for r, v in enumerate(order)}
+        self.supernodes = [order]
+        self.supernode_of = dict.fromkeys(order, 0)
         self.edges = []
         self.depth = [0]
-        self._key = {v: label_key(v) for v in g.labels}
-        self.min_key = [min(self._key.values())]
-        names = itertools.count()
-        self.branch_labels = [unused_label("b", names, g) for _ in g.labels[1:]]
+        fresh = (("b", k) for k in itertools.count())
+        self.branch_labels = list(itertools.islice(
+            (label for label in fresh if not g.has_node(label)), g.num_nodes - 1))
 
     def pick_supernode(self):
         """Largest splittable supernode; ties by smallest member label."""
-        best = None
-        for i, sn in enumerate(self.supernodes):
-            if len(sn) < 2:
-                continue
-            key = (-len(sn), self.min_key[i])
-            if best is None or key < best[0]:
-                best = (key, i)
-        return None if best is None else best[1]
+        rank, sns = self.rank, self.supernodes
+        return min((i for i, sn in enumerate(sns) if len(sn) > 1),
+                   key=lambda i: (-len(sns[i]), rank[sns[i][0]]), default=None)
 
     def split(self, xi: int, b_members: set, weight: int, moved: set) -> None:
         """Replace supernode xi by (xi - b, b).
 
         Each tree edge of xi whose other end is in `moved` goes to b.
         """
-        keys = self._key
-        b_min = min(keys[v] for v in b_members)
-        self.supernodes[xi] -= b_members
-        if b_min == self.min_key[xi]:  # xi's smallest member may have moved to b
-            self.min_key[xi] = min(keys[v] for v in self.supernodes[xi])
-        self.min_key.append(b_min)
+        members = self.supernodes[xi]
         bi = len(self.supernodes)
-        self.supernodes.append(set(b_members))
+        self.supernodes[xi] = [v for v in members if v not in b_members]
+        self.supernodes.append([v for v in members if v in b_members])
+        self.supernode_of.update(dict.fromkeys(b_members, bi))
         self.depth.append(self.depth[xi] + 1)
         for edge in self.edges:
             if edge[0] == xi and edge[1] in moved:
@@ -141,19 +129,17 @@ class PartitionTree:
         self.edges.append([xi, bi, weight])
 
     def finish(self) -> GHTree:
-        labels = []
-        for sn in self.supernodes:
-            if len(sn) != 1:
-                raise AssertionError("partition tree is not complete")
-            labels.append(next(iter(sn)))
+        if any(len(sn) != 1 for sn in self.supernodes):
+            raise AssertionError("partition tree is not complete")
+        rank = self.rank
         rows = []
         for i, j, w in self.edges:
-            u, v = labels[i], labels[j]
-            if label_key(v) < label_key(u):
+            (u,), (v,) = self.supernodes[i], self.supernodes[j]
+            if rank[v] < rank[u]:
                 u, v = v, u
             rows.append((u, v, w))
-        rows.sort(key=lambda e: (label_key(e[0]), label_key(e[1])))
-        return GHTree(tuple(sorted_labels(self.g.labels)), tuple(rows))
+        rows.sort(key=lambda e: (rank[e[0]], rank[e[1]]))
+        return GHTree(tuple(rank), tuple(rows))
 
 
 def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
@@ -163,43 +149,39 @@ def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
     label per tree neighbor, and reps maps each neighbor's supernode index
     to the label of the branch behind it.
     """
-    adj = {i: [] for i in range(len(tree.supernodes))}
+    adj = [[] for _ in tree.supernodes]
     for i, j, _ in tree.edges:
         adj[i].append(j)
         adj[j].append(i)
 
     reps = {}
-    branch_of = {}
+    branch = [None] * len(adj)  # supernode index -> label of its branch
     for start, label in zip(adj[xi], tree.branch_labels):
         reps[start] = label
-        component = {start}
-        queue = deque([start])
-        while queue:
-            k = queue.popleft()
-            for v in tree.supernodes[k]:
-                branch_of[v] = label
-            for nb in adj[k]:
-                if nb != xi and nb not in component:
-                    component.add(nb)
-                    queue.append(nb)
+        branch[start] = label
+        stack = [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb != xi and branch[nb] is None:
+                    branch[nb] = label
+                    stack.append(nb)
 
-    x_members = tree.supernodes[xi]
-    nodes = [lab for lab in g.labels if lab in x_members] + list(reps.values())
-    rep_of = [branch_of.get(lab, lab) for lab in g.labels]
+    of = tree.supernode_of
+    nodes = [lab for lab in g.labels if of[lab] == xi] + list(reps.values())
+    rep_of = [branch[of[lab]] or lab for lab in g.labels]  # branch labels are non-empty tuples
     return _quotient(g, nodes, rep_of), reps
 
 
-def _refine(g: Graph, strategy, depth_stats) -> GHTree:
+def _refine(tree: PartitionTree, strategy, depth_stats) -> GHTree:
     """The refinement loop behind both public drivers.
 
     The cuts of one family are split off in the family's order.  Each is
     costed in h as returned: splitting off a disjoint cut changes neither
     its cost nor the branches it holds.
     """
-    tree = PartitionTree(g)
     while (xi := tree.pick_supernode()) is not None:
         x_members = frozenset(tree.supernodes[xi])
-        h, reps = auxiliary_graph(g, tree, xi)
+        h, reps = auxiliary_graph(tree.g, tree, xi)
         if depth_stats is not None:
             nodes, edges = depth_stats.get(tree.depth[xi], (0, 0))
             depth_stats[tree.depth[xi]] = [nodes + h.num_nodes, edges + h.num_edges]
@@ -214,14 +196,18 @@ def _refine(g: Graph, strategy, depth_stats) -> GHTree:
 def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None = None) -> GHTree:
     """Classic construction: one pivot minimum cut per refinement step.
 
-    The pivot pair is the two smallest labels of the chosen supernode, so
-    the output is deterministic.
+    The pivot pair is the two smallest labels of the chosen supernode,
+    taken by the partition tree's label rank, so the output is
+    deterministic.
     """
+    tree = PartitionTree(g)
+    rank = tree.rank.__getitem__
+
     def pivot(h, x_members):
-        s, t = sorted_labels(x_members)[:2]
+        s, t = heapq.nsmallest(2, x_members, key=rank)
         return s, [min_cut(h, {s}, {t}, counter).members]
 
-    return _refine(g, pivot, depth_stats)
+    return _refine(tree, pivot, depth_stats)
 
 
 class StrategyError(ValueError):
@@ -257,4 +243,4 @@ def gomory_hu_generalized(g: Graph, strategy, depth_stats: dict | None = None) -
     contract raises StrategyError; the driver does not call the strategy
     again.
     """
-    return _refine(g, strategy, depth_stats)
+    return _refine(PartitionTree(g), strategy, depth_stats)

@@ -58,7 +58,7 @@ class Graph:
     construction order and `edges` holds (u_index, v_index, weight) triples.
     """
 
-    __slots__ = ("labels", "_index", "edges", "_adj", "_node_set")
+    __slots__ = ("labels", "_index", "edges", "_node_set")
 
     def __init__(self, nodes: Iterable[Label], edges: Iterable[tuple] = ()):
         labels = tuple(nodes)
@@ -89,7 +89,6 @@ class Graph:
         self.labels = labels
         self._index = index
         self.edges = _merged_edges(merged, k)
-        self._adj = None
         self._node_set = None
 
     # -- basics ---------------------------------------------------------
@@ -111,16 +110,6 @@ class Graph:
 
     def has_node(self, label) -> bool:
         return label in self._index
-
-    def adjacency(self):
-        """Per-node list of (neighbor_index, weight), built lazily."""
-        if self._adj is None:
-            adj = [[] for _ in self.labels]
-            for iu, iv, w in self.edges:
-                adj[iu].append((iv, w))
-                adj[iv].append((iu, w))
-            self._adj = adj
-        return self._adj
 
     def edge_labels(self):
         """Edges as (u_label, v_label, weight) triples."""
@@ -183,7 +172,6 @@ def _quotient(g: Graph, new_labels, rep_of) -> Graph:
     out.labels = labels
     out._index = pos
     out.edges = _merged_edges(merged, k)
-    out._adj = None
     out._node_set = None
     return out
 
@@ -217,15 +205,6 @@ def contract_set_to_node(g: Graph, members, label) -> Graph:
         raise ValueError(f"contraction label {label!r} collides with a surviving node")
     rep_of = [label if i in member_idx else g.labels[i] for i in range(g.num_nodes)]
     return _quotient(g, survivors + [label], rep_of)
-
-
-def unused_label(tag: str, names, *graphs):
-    """The next (tag, k), k drawn from the counter `names`, that is a node
-    of none of `graphs`; used to name contracted nodes."""
-    while True:
-        label = (tag, next(names))
-        if not any(g.has_node(label) for g in graphs):
-            return label
 
 
 # -- DIMACS-style text format -------------------------------------------

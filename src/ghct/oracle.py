@@ -44,7 +44,10 @@ def _enumerate_min_sides(g: Graph, s_side, t_side):
         raise ValueError(f"enumeration limited to {MAX_ENUM_NODES} nodes")
 
     free = [i for i in range(g.num_nodes) if i not in s_idx and i not in t_idx]
-    adj = g.adjacency()
+    adj = [[] for _ in g.labels]
+    for iu, iv, w in g.edges:
+        adj[iu].append((iv, w))
+        adj[iv].append((iu, w))
     inside = [False] * g.num_nodes
     for i in t_idx:
         inside[i] = True

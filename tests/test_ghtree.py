@@ -10,7 +10,7 @@ from ghct.ghtree import (
     gomory_hu_classic,
     gomory_hu_generalized,
 )
-from ghct.graph import Graph, cut_cost, label_key
+from ghct.graph import Graph, cut_cost, label_key, sorted_labels
 from ghct.maxflow import WorkCounter, min_cut
 from ghct.oracle import verify_gh_tree
 
@@ -74,8 +74,11 @@ class TestAuxiliaryGraph:
                 nbrs = [j if i == xi else i for i, j, _ in tree.edges if xi in (i, j)]
                 tree.split(xi, set(rng.sample(members, rng.randint(1, len(members) - 1))), 0,
                            {j for j in nbrs if rng.random() < 0.5})
+            for i, sn in enumerate(tree.supernodes):
+                assert sn == sorted_labels(sn)
+                assert all(tree.supernode_of[v] == i for v in sn)
+            assert sorted(tree.supernode_of, key=repr) == sorted(g.labels, key=repr)
             keys = [(-len(sn), min(map(label_key, sn))) for sn in tree.supernodes]
-            assert tree.min_key == [k for _, k in keys]
             big = [i for i, sn in enumerate(tree.supernodes) if len(sn) > 1]
             assert tree.pick_supernode() == min(big, key=keys.__getitem__, default=None)
 
@@ -169,6 +172,74 @@ class TestTreeQuery:
         tree = GHTree((1, 2), ((1, 2, 5),))
         with pytest.raises(ValueError):
             tree.query(1, 1)
+
+    @staticmethod
+    def random_tree(rng, n):
+        labels = list(range(n)) if rng.random() < 0.5 else [(rng.choice("bv"), v) for v in range(n)]
+        rng.shuffle(labels)
+        edges = []
+        for i in range(1, n):
+            u, v = labels[rng.randrange(i)], labels[i]
+            if rng.random() < 0.5:
+                u, v = v, u
+            edges.append((u, v, rng.choice((1, 2, 3))))
+        rng.shuffle(edges)
+        return labels, edges
+
+    def test_matches_brute_reference_with_ties(self):
+        # With weights in {1, 2, 3} most paths hold tied minimum edges: the
+        # query must pick the one nearest s, and its members must be t's
+        # component once that edge is removed.
+        rng = random.Random(127)
+        for _ in range(80):
+            labels, edges = self.random_tree(rng, rng.randint(2, 15))
+            tree = GHTree(tuple(labels), tuple(edges))
+            adj = {v: [] for v in labels}
+            for k, (u, v, w) in enumerate(edges):
+                adj[u].append((v, k))
+                adj[v].append((u, k))
+
+            def component(start, removed):
+                seen, stack = {start}, [start]
+                while stack:
+                    for y, k in adj[stack.pop()]:
+                        if k != removed and y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+                return seen
+
+            for s in labels:
+                back = {s: None}
+                stack = [s]
+                while stack:
+                    x = stack.pop()
+                    for y, k in adj[x]:
+                        if y not in back:
+                            back[y] = (x, k)
+                            stack.append(y)
+                for t in labels:
+                    if t == s:
+                        continue
+                    path = []  # edge indices from s to t
+                    x = t
+                    while back[x] is not None:
+                        x, k = back[x]
+                        path.append(k)
+                    path.reverse()
+                    low = min(edges[k][2] for k in path)
+                    nearest = next(k for k in path if edges[k][2] == low)
+                    value, cut = tree.query(s, t)
+                    assert value == cut.cost == low
+                    assert cut.members == component(t, nearest)
+
+    def test_forest_is_not_connected(self):
+        rng = random.Random(131)
+        for _ in range(20):
+            labels, edges = self.random_tree(rng, rng.randint(2, 15))
+            u, v, _ = edges.pop(rng.randrange(len(edges)))
+            tree = GHTree(tuple(labels), tuple(edges))
+            with pytest.raises(ValueError, match="tree is not connected"):
+                tree.query(u, v)
 
 
 # Second-step families for test_invalid_family_raises: source 2, supernode
