@@ -38,7 +38,6 @@ from .pipeline import (
     AttemptLimitError,
     PipelineStats,
     certified_ordered_cuts,
-    cut_less,
     fixed_source_blocks,
     fixed_source_laminar,
     gh_via_oc1,

@@ -51,10 +51,11 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool) -> Cut:
     recomputed first, and a path left at zero is skipped.  Each such path
     is a shortest augmenting path in the residual network at that moment,
     since augmenting along shortest paths never shortens a distance, so
-    the number of searches stays independent of the capacities.  The search that misses the sink has reached exactly
-    the residual source component, whose complement is the
-    inclusion-maximal sink side; the minimal one is what can still reach
-    the sink.
+    the number of searches stays independent of the capacities.
+
+    The search that misses the sink has reached exactly the residual
+    source component, whose complement is the inclusion-maximal sink
+    side; the minimal one is what can still reach the sink.
     """
     index = g._index
     try:

@@ -131,25 +131,6 @@ def source_schedule(size: int, ambient_nodes: int) -> tuple:
     return tuple(rates)
 
 
-# -- total order on cuts -------------------------------------------------
-
-
-def cut_less(a, b, x_members) -> bool:
-    """Strict total order on equal-cost cuts: |cut ∩ X|, then by labels.
-
-    The tie-break compares membership of the smallest label in the
-    symmetric difference, which makes the order total and deterministic.
-    """
-    ax = len(a & x_members)
-    bx = len(b & x_members)
-    if ax != bx:
-        return ax < bx
-    diff = a ^ b
-    if not diff:
-        return False
-    return min(diff, key=label_key) in a
-
-
 # -- certified ordered cuts (weak route) ---------------------------------
 
 
@@ -197,25 +178,29 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
 # -- fixed-source partitions ---------------------------------------------
 
 
+def _by_estimate(sample, estimates) -> list:
+    """The sample in decreasing cost estimate, ties in label order."""
+    return sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
+
+
 def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     """Pairwise-disjoint minimum source cuts covering most of x, as
     {rep: block} in sequence order.
 
     Repeatedly samples x at scheduled rates, solves ordered cuts on the
     sample sorted by decreasing cost estimate, flattens to a star, and
-    absorbs the blocks.  The final full-rate round is filtered by the
-    running-minimum rule, which guarantees every kept block is a genuine
-    minimum source cut of g.
+    absorbs the blocks.  A final full-rate round follows; of its star, the
+    blocks `certified_source_cuts` keeps (each costs no more than every
+    earlier one) are genuine minimum source cuts of g.
     """
     live = set(x)
     if not live:
         return {}
     estimates = {v: cut_cost(g, {v}) for v in live}
-    rates = partition_schedule(len(live))
-
-    for rate in rates:
-        sample = random_subset(live, rate, rng)
-        seq = sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
+    # Every round keeps its representatives live, so the last sample is
+    # not empty and `tree` is the full-rate round's.
+    for rate in partition_schedule(len(live)) + (1.0,):
+        seq = _by_estimate(random_subset(live, rate, rng), estimates)
         if not seq:
             continue
         tree = ordered_cuts((s, *seq), g, counter)
@@ -225,18 +210,8 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
             for u in block:
                 if cost < estimates.get(u, math.inf):
                     estimates[u] = cost
-
-    # Every round keeps its representatives live, so this sample is not empty.
-    sample = random_subset(live, 1.0, rng)
-    seq = sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
-    tree = ordered_cuts((s, *seq), g, counter)
-    kept = {}
-    best = math.inf
-    for v, block in flatten_to_star(tree).items():
-        if tree.costs[v] <= best:
-            kept[v] = block
-            best = tree.costs[v]
-    return kept
+    return {v: cut.members for v, cut in certified_source_cuts(tree).items()
+            if tree.parent[v] == s}
 
 
 def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
@@ -259,12 +234,11 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
         candidates = x - covered
         if not candidates:
             break
-        sample = random_subset(candidates, rate, rng)
-        seq = sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
+        seq = _by_estimate(random_subset(candidates, rate, rng), estimates)
         if not seq:
             continue
         lam, certified = certified_ordered_cuts(s, seq, g, counter, certify)
-        for v in sample:
+        for v in seq:
             estimates[v] = min(estimates[v], lam[v])
         added = [cut.members for cut in certified.values()
                  if len(cut.members & x) <= limit and cut.members not in family]
@@ -310,20 +284,21 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
     star-shaped ordered-cut trees.
 
     Follows the source toward locally-heaviest nodes: whenever some block
-    is larger (in the cut order) than its complement, the source jumps to
-    that block's representative.  Terminates only once all of x minus the
-    source is covered by blocks; otherwise re-perturbs and retries.
+    holds more than half of x, or exactly half without x's smallest
+    label, the source jumps to that block's representative.  Terminates
+    only once all of x minus the source is covered by blocks; otherwise
+    re-perturbs and retries.
     """
     def attempt(xs, x_set):
         s = xs[0]
         perturbed = perturb(h, rng)
-        whole = h.node_set
         for rate in source_schedule(len(xs), h.num_nodes):
             sample = random_subset(x_set - {s}, rate, rng)
             blocks = fixed_source_blocks(s, sample, perturbed, rng, counter)
             for v, block in blocks.items():
-                if cut_less(whole - block, block, x_set):
-                    s = v  # the block outweighs its complement: move there
+                inside = 2 * len(block & x_set)
+                if inside > len(xs) or inside == len(xs) and xs[0] not in block:
+                    s = v  # the block outweighs the rest of x: move there
                     break
             else:
                 if x_set - {s} <= set().union(*blocks.values()):

@@ -173,8 +173,9 @@ class TestVerify:
 
     def test_node_set_mismatch_exits_1(self, tri_file, tmp_path):
         tree = tmp_path / "tree.dimacs"
-        tree.write_text("p ghct 2 1\ne 1 2 5\n")
-        assert main(["verify", str(tri_file), str(tree)]) == 1
+        for text in ("p ghct 2 1\ne 1 2 5\n", "p ghct 4 2\ne 1 2 5\ne 2 3 1\n"):
+            tree.write_text(text)
+            assert main(["verify", str(tri_file), str(tree)]) == 1
 
     def test_non_tree_edge_count_exits_1(self, tri_file, tmp_path):
         tree = tmp_path / "tree.dimacs"

@@ -137,6 +137,11 @@ class TestRecordedCosts:
                         if all(cost[w] >= cost[u] for w in certifying_prefix(tree, u)[1:])}
             got = certified_source_cuts(tree)
             assert list(got.items()) == list(expected.items())
+            # On the root's children the rule is a running minimum.
+            children = [v for v in tree.order[1:] if tree.parent[v] == tree.root]
+            star = [v for i, v in enumerate(children)
+                    if all(cost[w] >= cost[v] for w in children[:i])]
+            assert [u for u in got if tree.parent[u] == tree.root] == star
 
 
 class TestCertifiedSourceCuts:

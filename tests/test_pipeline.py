@@ -10,7 +10,6 @@ from ghct.pipeline import (
     AttemptLimitError,
     PipelineStats,
     certified_ordered_cuts,
-    cut_less,
     fixed_source_blocks,
     fixed_source_laminar,
     gh_via_oc1,
@@ -92,32 +91,6 @@ class TestSchedules:
             assert len(sched) == depth * k + 1
             assert sched[-1] == 1.0
             assert all(sched[i] <= sched[i + 1] for i in range(len(sched) - 1))
-
-
-class TestCutOrder:
-    def test_supernode_overlap_breaks_cost_ties(self):
-        x = {1, 2, 3}
-        a, b = frozenset({1, 9}), frozenset({2, 3})
-        assert cut_less(a, b, x)
-
-    def test_strict_total_order_on_random_cuts(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(3, 9))
-            labels = sorted(g.labels)
-            x = set(rng.sample(labels, rng.randint(1, len(labels))))
-            cuts = [frozenset(rng.sample(labels, rng.randint(1, g.num_nodes - 1)))
-                    for _ in range(6)]
-            for a in cuts:
-                assert not cut_less(a, a, x)
-                for b in cuts:
-                    if a != b:
-                        assert cut_less(a, b, x) != cut_less(b, a, x)
-            for a in cuts:
-                for b in cuts:
-                    for c in cuts:
-                        if cut_less(a, b, x) and cut_less(b, c, x):
-                            assert cut_less(a, c, x)
 
 
 class TestCertifiedOrderedCuts:
@@ -252,6 +225,15 @@ class TestSelectSourceOc1:
         with pytest.raises(AttemptLimitError):
             select_source_oc1(tri, {1, 2, 3}, random.Random(0), WorkCounter(),
                               max_attempts=0)
+
+    @pytest.mark.parametrize("tag", ["v", "x"])
+    def test_walk_settles_on_tuple_labels(self, tag):
+        # The auxiliary graph's branch labels ("b", k) sort before these
+        # members, so the walk's tie rule must not read h's smallest label.
+        g = Graph([(tag, k) for k in range(6)], [((tag, 4), (tag, 5), 1)])
+        for seed in range(4):
+            tree = gh_via_oc1(g, random.Random(seed), WorkCounter(), max_attempts=50)
+            assert verify_gh_tree(g, tree).ok
 
 
 class TestFixedSourceLaminar:
