@@ -4,7 +4,9 @@ Deliberately naive: minimum cuts by exhaustive enumeration, cut-tree
 verification by checking every node pair, laminarity by pairwise tests.
 This module must stay independent of the algorithms it judges, so the only
 engine it touches is the max-flow reference (and only above the
-enumeration limit, or where the definition itself is flow-based).
+enumeration limit, or where the definition itself is flow-based).  There,
+all-pairs values take n-1 max flows, not one per pair (Gusfield, "Very
+simple methods for all pairs network flow analysis", SIAM J. Comput. 1990).
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .graph import Graph, cut_cost, sorted_labels
 from .maxflow import WorkCounter, min_cut
 
 MAX_ENUM_NODES = 20
-# Above this size verify_gh_tree falls back to the max-flow engine as the
-# per-pair reference instead of enumerating.
+# Above this size the all-pairs reference is Gusfield's n-1 max flows
+# instead of per-pair enumeration.
 MAX_PAIRWISE_ENUM_NODES = 12
 
 
@@ -106,7 +108,7 @@ def brute_all_min_cuts(g: Graph, s_side, t_side) -> list:
     return [frozenset(labels[i] for i in side) for side in sides]
 
 
-@dataclass
+@dataclass(slots=True)  # slots: a caller may hold thousands of reports
 class Report:
     """Verification outcome; serializes to JSON for CI consumption."""
 
@@ -136,11 +138,35 @@ class Report:
         return json.dumps(payload, indent=2, default=str)
 
 
-def reference_cut_value(g: Graph, s, t) -> int:
-    """Per-pair reference: enumeration when feasible, max flow otherwise."""
-    if g.num_nodes <= MAX_PAIRWISE_ENUM_NODES:
-        return brute_min_cut(g, {s}, {t}).cost
-    return min_cut(g, {s}, {t}, WorkCounter()).cost
+def reference_cut_values(g: Graph) -> dict:
+    """Exact {(s, t): lambda(s, t)} for every pair s < t in sorted_labels order.
+
+    Up to MAX_PAIRWISE_ENUM_NODES nodes each pair is enumerated.  Above,
+    Gusfield's equivalent-flow tree: one flow from each node i to an earlier
+    node p[i]; lambda(s, t) is the least flow on the tree path from s to t.
+    """
+    nodes = sorted_labels(g.labels)
+    n = len(nodes)
+    if n <= MAX_PAIRWISE_ENUM_NODES:
+        return {(s, t): brute_min_cut(g, {s}, {t}).cost
+                for i, s in enumerate(nodes) for t in nodes[i + 1:]}
+    counter = WorkCounter()  # the global at call time, so callers can swap it
+    p = [0] * n
+    flow = [0] * n
+    for i in range(1, n):
+        cut = min_cut(g, {nodes[i]}, {nodes[p[i]]}, counter)
+        flow[i] = cut.cost
+        for j in range(i + 1, n):
+            if p[j] == p[i] and nodes[j] not in cut.members:
+                p[j] = i
+    # p[b] < b, so the tree path from a < b to b ends with the edge p[b]-b.
+    table = {}
+    for a, s in enumerate(nodes):
+        for b in range(a + 1, n):
+            q = p[b]
+            rest = float("inf") if q == a else table[(s, nodes[q]) if a < q else (nodes[q], s)]
+            table[s, nodes[b]] = min(rest, flow[b])
+    return table
 
 
 def verify_gh_tree(g: Graph, tree, reference: dict | None = None) -> Report:
@@ -148,23 +174,28 @@ def verify_gh_tree(g: Graph, tree, reference: dict | None = None) -> Report:
 
     For each pair (s, t) the minimum edge on the tree path must equal the
     true minimum s-t cut value, and removing that edge must induce a cut
-    of exactly that cost in `g`.  `reference` may supply precomputed
-    {(s, t): value} entries to avoid recomputing across methods.
+    of exactly that cost in `g`.  Cost: `reference_cut_values` (n-1 max
+    flows, Gusfield 1990) plus one tree query per pair.  `reference` may
+    supply precomputed {(s, t): value} entries to avoid recomputing across
+    methods; if a pair is missing, every missing pair is filled in.
     """
     report = Report("gh-tree")
     if set(tree.nodes) != set(g.labels):
         raise ValueError("tree and graph have different node sets")
     nodes = sorted_labels(g.labels)
+    if reference is None:
+        reference = reference_cut_values(g)
+    elif any((s, t) not in reference for i, s in enumerate(nodes) for t in nodes[i + 1:]):
+        for pair, value in reference_cut_values(g).items():
+            reference.setdefault(pair, value)
+    induced_costs = {}  # a tree induces at most 2(n-1) distinct cuts
     for i, s in enumerate(nodes):
         for t in nodes[i + 1:]:
-            if reference is not None and (s, t) in reference:
-                expected = reference[(s, t)]
-            else:
-                expected = reference_cut_value(g, s, t)
-                if reference is not None:
-                    reference[(s, t)] = expected
+            expected = reference[s, t]
             value, cut = tree.query(s, t)
-            induced = cut_cost(g, cut.members)
+            induced = induced_costs.get(cut.members)
+            if induced is None:
+                induced = induced_costs[cut.members] = cut_cost(g, cut.members)
             if value != expected or induced != expected:
                 report.add(s=s, t=t, tree_value=value, expected=expected,
                            induced_cut_cost=induced, cut=cut.members)

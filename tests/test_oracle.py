@@ -1,19 +1,30 @@
+import ast
 import json
 import random
 
 import pytest
 
-from ghct.ghtree import GHTree
-from ghct.graph import Graph
+from ghct import oracle
+from ghct.generators import grid
+from ghct.ghtree import GHTree, gomory_hu_classic
+from ghct.graph import Graph, cut_cost, sorted_labels
+from ghct.maxflow import WorkCounter, min_cut
 from ghct.oracle import (
+    Report,
     brute_all_min_cuts,
     brute_min_cut,
     is_laminar,
+    reference_cut_values,
     verify_gh_tree,
     verify_oc1,
 )
 
-from conftest import random_graph
+from conftest import connected_random_graph, random_graph, scrambled
+
+
+def _pairs(g):
+    nodes = sorted_labels(g.labels)
+    return [(s, t) for i, s in enumerate(nodes) for t in nodes[i + 1:]]
 
 
 class TestBruteMinCut:
@@ -74,6 +85,136 @@ class TestVerifyGhTree:
         payload = json.loads(verify_gh_tree(tri, tree).to_json())
         assert payload["ok"] is False
         assert payload["violations"]
+
+
+def _with_zero_weights(rng, n):
+    """Random graph whose weights include 0 (a zero edge is no bridge)."""
+    edges = [(u, v, rng.randint(0, 3)) for u in range(1, n + 1)
+             for v in range(u + 1, n + 1) if rng.random() < 0.4]
+    return Graph(range(1, n + 1), edges)
+
+
+def _two_components(rng, n):
+    """Two random halves with no edge between them: lambda 0 across."""
+    edges = [(u, v, rng.randint(1, 9)) for u in range(1, n + 1)
+             for v in range(u + 1, n + 1)
+             if (u <= n // 2) == (v <= n // 2) and rng.random() < 0.5]
+    return Graph(range(1, n + 1), edges)
+
+
+class TestReferenceCutValues:
+    """Above the pairwise enumeration limit the table comes from n-1 flows;
+    enumeration still runs up to 20 nodes, so it judges the flow path."""
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: _with_zero_weights(rng, 13),
+        lambda rng: _two_components(rng, 14),
+        # scrambled's Random(2) draws tuple labels, ordered by label_key
+        lambda rng: scrambled(random.Random(2), random_graph(rng, 15, density=0.15)),
+    ], ids=["zero-weights-13", "two-components-14", "sparse-tuple-labels-15"])
+    def test_matches_enumeration(self, make):
+        g = make(random.Random(13))
+        assert g.num_nodes > oracle.MAX_PAIRWISE_ENUM_NODES
+        table = reference_cut_values(g)
+        assert list(table) == _pairs(g)
+        for (s, t), value in table.items():
+            assert value == brute_min_cut(g, {s}, {t}).cost, (s, t)
+
+    def test_counts_n_minus_1_flows_on_the_oracle_counter(self, monkeypatch):
+        # A benchmark replays verification with oracle.WorkCounter swapped
+        # for a shared counter; every engine call must land on it.
+        g = connected_random_graph(random.Random(5), 16)
+        tree = gomory_hu_classic(g, WorkCounter())
+        shared = WorkCounter()
+        calls = []
+
+        def counted_min_cut(*args):
+            calls.append(args)
+            return min_cut(*args)
+
+        monkeypatch.setattr(oracle, "WorkCounter", lambda: shared)
+        monkeypatch.setattr(oracle, "min_cut", counted_min_cut)
+        assert verify_gh_tree(g, tree).ok
+        assert shared.calls == len(calls) == g.num_nodes - 1
+        assert shared.nodes_total == (g.num_nodes - 1) * g.num_nodes
+
+
+def _per_pair_report(g, tree):
+    """The verification report with one min_cut per pair as the reference."""
+    report = Report("gh-tree")
+    for s, t in _pairs(g):
+        expected = min_cut(g, {s}, {t}, WorkCounter()).cost
+        value, cut = tree.query(s, t)
+        induced = cut_cost(g, cut.members)
+        if value != expected or induced != expected:
+            report.add(s=s, t=t, tree_value=value, expected=expected,
+                       induced_cut_cost=induced, cut=cut.members)
+    return report
+
+
+def _bumped(tree, k):
+    edges = list(tree.edges)
+    u, v, w = edges[k]
+    edges[k] = (u, v, w + 1)
+    return GHTree(tree.nodes, tuple(edges))
+
+
+def _u_side(tree, k):
+    """The nodes on the first endpoint's side of tree edge k."""
+    edges = [e for i, e in enumerate(tree.edges) if i != k]
+    side = {tree.edges[k][0]}
+    for _ in tree.nodes:
+        side |= {b for a, b, _ in edges if a in side} | {a for a, b, _ in edges if b in side}
+    return side
+
+
+def _moved(tree, k):
+    """Tree edge k = (u, v, w) reattached from u to another node on u's
+    side, so the result is still a spanning tree."""
+    edges = list(tree.edges)
+    u, v, w = edges.pop(k)
+    x = min(_u_side(tree, k) - {u}, key=sorted_labels(tree.nodes).index)
+    return GHTree(tree.nodes, tuple(edges + [(x, v, w)]))
+
+
+class TestVerifyReportIdentity:
+    @pytest.mark.parametrize("make", [
+        lambda rng: connected_random_graph(rng, 14),
+        lambda rng: scrambled(rng, connected_random_graph(rng, 13, density=0.3)),
+        lambda rng: grid(4, 4, rng),
+    ], ids=["random-14", "scrambled-13", "grid-4x4"])
+    def test_reports_match_per_pair_reference(self, make, monkeypatch):
+        g = make(random.Random(7))
+        tree = gomory_hu_classic(g, WorkCounter())
+        k = next(k for k in range(len(tree.edges)) if len(_u_side(tree, k)) > 1)
+        moved = _moved(tree, k)
+        for candidate in (tree, _bumped(tree, 0), moved):
+            expected = _per_pair_report(g, candidate)
+            assert candidate is tree or not expected.ok
+            assert verify_gh_tree(g, candidate).to_json() == expected.to_json()
+
+        reference = {}
+        first = verify_gh_tree(g, moved, reference)
+        assert set(reference) == set(_pairs(g))
+
+        def no_engine(*args):
+            raise AssertionError("engine called with a full reference")
+
+        monkeypatch.setattr(oracle, "min_cut", no_engine)
+        assert verify_gh_tree(g, moved, reference).to_json() == first.to_json()
+
+
+def test_oracle_imports_none_of_the_algorithms_it_judges():
+    with open(oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").rsplit(".", 1)[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    assert not imported & {"ghtree", "pipeline", "octree", "isolating"}
 
 
 class TestIsLaminar:
