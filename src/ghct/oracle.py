@@ -2,7 +2,8 @@
 
 Deliberately naive: minimum cuts by exhaustive enumeration, cut-tree
 verification by checking every node pair, laminarity by pairwise tests.
-This module must stay independent of the algorithms it judges, so the only
+This module must stay independent of the algorithms it judges: it reads a
+judged tree's nodes and edges and runs none of its code, and the only
 engine it touches is the max-flow reference (and only above the
 enumeration limit, or where the definition itself is flow-based).  There,
 all-pairs values take n-1 max flows, not one per pair (Gusfield, "Very
@@ -169,36 +170,81 @@ def reference_cut_values(g: Graph) -> dict:
     return table
 
 
+def _tree_adjacency(tree) -> dict:
+    """{node: [(neighbour, weight, edge index), ...]} of a spanning tree.
+
+    Raises ValueError when `tree.edges` do not span `tree.nodes` as a tree.
+    """
+    adj = {v: [] for v in tree.nodes}
+    if len(tree.edges) != len(adj) - 1:
+        raise ValueError("tree must have exactly n-1 edges")
+    for k, (u, v, w) in enumerate(tree.edges):
+        if u not in adj or v not in adj:
+            raise ValueError(f"tree edge ({u!r}, {v!r}) leaves the tree's nodes")
+        adj[u].append((v, w, k))
+        adj[v].append((u, w, k))
+    if len(_side(adj, next(iter(adj)), None)) != len(adj):
+        raise ValueError("tree is not connected")
+    return adj
+
+
+def _side(adj: dict, start, k) -> frozenset:
+    """The nodes reachable from `start` without crossing tree edge k."""
+    members = {start}
+    stack = [start]
+    while stack:
+        for y, _, j in adj[stack.pop()]:
+            if j != k and y not in members:
+                members.add(y)
+                stack.append(y)
+    return frozenset(members)
+
+
 def verify_gh_tree(g: Graph, tree, reference: dict | None = None) -> Report:
     """Check the cut-tree property for every node pair.
 
     For each pair (s, t) the minimum edge on the tree path must equal the
     true minimum s-t cut value, and removing that edge must induce a cut
-    of exactly that cost in `g`.  Cost: `reference_cut_values` (n-1 max
-    flows, Gusfield 1990) plus one tree query per pair.  `reference` may
-    supply precomputed {(s, t): value} entries to avoid recomputing across
-    methods; if a pair is missing, every missing pair is filled in.
+    of exactly that cost in `g`; on a tie the edge nearest s is taken, and
+    a violation reports the side of it away from s.  Only `tree.nodes` and
+    `tree.edges` are read; ValueError if they are not a spanning tree of
+    g's nodes.  Cost: `reference_cut_values` (n-1 max flows, Gusfield
+    1990), one tree walk per source, and at most n-1 induced-cut costs.
+    `reference` may supply precomputed {(s, t): value} entries to avoid
+    recomputing across methods; if a pair is missing, every missing pair
+    is filled in.
     """
     report = Report("gh-tree")
     if set(tree.nodes) != set(g.labels):
         raise ValueError("tree and graph have different node sets")
+    adj = _tree_adjacency(tree)
     nodes = sorted_labels(g.labels)
     if reference is None:
         reference = reference_cut_values(g)
     elif any((s, t) not in reference for i, s in enumerate(nodes) for t in nodes[i + 1:]):
         for pair, value in reference_cut_values(g).items():
             reference.setdefault(pair, value)
-    induced_costs = {}  # a tree induces at most 2(n-1) distinct cuts
+    induced_costs = {}  # tree edge index -> cost of either side
     for i, s in enumerate(nodes):
+        # Walk from s; best[t] = (weight, edge index, endpoint away from s)
+        # of the minimum edge on the s-t path, the one nearest s on a tie.
+        best = {s: None}
+        order = [s]
+        for x in order:  # grows while it is read
+            above = best[x]
+            for y, w, k in adj[x]:
+                if y not in best:
+                    best[y] = above if above is not None and above[0] <= w else (w, k, y)
+                    order.append(y)
         for t in nodes[i + 1:]:
             expected = reference[s, t]
-            value, cut = tree.query(s, t)
-            induced = induced_costs.get(cut.members)
+            value, k, below = best[t]
+            induced = induced_costs.get(k)
             if induced is None:
-                induced = induced_costs[cut.members] = cut_cost(g, cut.members)
+                induced = induced_costs[k] = cut_cost(g, _side(adj, below, k))
             if value != expected or induced != expected:
                 report.add(s=s, t=t, tree_value=value, expected=expected,
-                           induced_cut_cost=induced, cut=cut.members)
+                           induced_cut_cost=induced, cut=_side(adj, below, k))
     return report
 
 

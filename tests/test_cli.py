@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+from ghct import oracle
 from ghct.cli import MAX_SCALING_SIZE, main
 from ghct.graph import write_dimacs
+from ghct.maxflow import WorkCounter
 from ghct.octree import OCTree
-from ghct.generators import cycle, erdos_renyi, grid, random_tree_plus_noise, star
+from ghct.generators import cycle, erdos_renyi, erdos_renyi_m, grid, random_tree_plus_noise, \
+    star
 
 from conftest import random_graph
 
@@ -182,6 +185,14 @@ class TestVerify:
         tree.write_text("p ghct 3 3\ne 1 2 1\ne 1 3 2\ne 2 3 3\n")
         assert main(["verify", str(tri_file), str(tree)]) == 1
 
+    def test_cycle_with_n_minus_1_edges_exits_1(self, tmp_path, capsys):
+        graph = tmp_path / "g.dimacs"
+        graph.write_text("p ghct 4 4\ne 1 2 1\ne 2 3 1\ne 3 4 1\ne 1 4 1\n")
+        tree = tmp_path / "tree.dimacs"
+        tree.write_text("p ghct 4 3\ne 1 2 2\ne 2 3 2\ne 1 3 2\n")
+        assert main(["verify", str(graph), str(tree)]) == 1
+        assert capsys.readouterr() == ("", "error: tree is not connected\n")
+
 
 class TestOrderedCutsCommand:
     def test_explicit_sequence(self, tri_file, tmp_path):
@@ -317,6 +328,25 @@ class TestBench:
     def test_generate_into_a_file_exits_1(self, tri_file, capsys):
         assert main(["bench", str(tri_file), "--generate"]) == 1
         assert capsys.readouterr().err == f"error: {tri_file}: File exists\n"
+
+    def test_verify_computes_each_reference_once(self, tmp_path, monkeypatch):
+        # Sizes above the pairwise enumeration limit, so the reference
+        # is n-1 flows on the oracle's counter.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        sizes = (13, 16)
+        for n in sizes:
+            g = erdos_renyi_m(n, 3 * n, random.Random(n))
+            (corpus / f"er{n}.dimacs").write_text(write_dimacs(g))
+        shared = WorkCounter()
+        monkeypatch.setattr(oracle, "WorkCounter", lambda: shared)
+        report = tmp_path / "rows.json"
+        assert main(["bench", str(corpus), "--methods", "classic,oc1", "--seeds", "0,1",
+                     "--verify", "--report", str(report)]) == 0
+        rows = json.loads(report.read_text())["rows"]
+        assert len(rows) == 2 * 2 * len(sizes)
+        assert all(row["verified"] is True for row in rows)
+        assert shared.calls == sum(n - 1 for n in sizes)
 
     def test_one_node_graph_skipped_in_scaling_fit(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

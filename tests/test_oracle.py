@@ -1,11 +1,12 @@
 import ast
 import json
 import random
+import types
 
 import pytest
 
 from ghct import oracle
-from ghct.generators import grid
+from ghct.generators import erdos_renyi_m, grid
 from ghct.ghtree import GHTree, gomory_hu_classic
 from ghct.graph import Graph, cut_cost, sorted_labels
 from ghct.maxflow import WorkCounter, min_cut
@@ -79,6 +80,20 @@ class TestVerifyGhTree:
         tree = GHTree((1, 2), ((1, 2, 5),))
         with pytest.raises(ValueError):
             verify_gh_tree(tri, tree)
+
+    @pytest.mark.parametrize("nodes, edges, message", [
+        ((1, 2, 3), ((1, 3, 3),), "tree must have exactly n-1 edges"),
+        ((1, 2, 3), ((1, 2, 3), (2, 3, 4), (1, 3, 3)), "tree must have exactly n-1 edges"),
+        # n-1 edges around a cycle, so node 4 is cut off
+        ((1, 2, 3, 4), ((1, 2, 1), (2, 3, 1), (1, 3, 1)), "tree is not connected"),
+        ((1, 2, 3), ((1, 2, 3), (2, 9, 4)), "tree edge (2, 9) leaves the tree's nodes"),
+    ], ids=["too-few-edges", "too-many-edges", "cycle", "foreign-endpoint"])
+    def test_malformed_tree_raises_one_line(self, nodes, edges, message):
+        g = Graph(range(1, len(nodes) + 1), [(1, 2, 1)])
+        tree = types.SimpleNamespace(nodes=nodes, edges=edges)
+        with pytest.raises(ValueError) as exc:
+            verify_gh_tree(g, tree)
+        assert str(exc.value) == message
 
     def test_report_serializes(self, tri):
         tree = GHTree((1, 2, 3), ((1, 2, 3), (2, 3, 4)))
@@ -202,6 +217,46 @@ class TestVerifyReportIdentity:
 
         monkeypatch.setattr(oracle, "min_cut", no_engine)
         assert verify_gh_tree(g, moved, reference).to_json() == first.to_json()
+
+
+class TestVerifyReadsOnlyTreeEdges:
+    """The oracle judges a tree from its nodes and edges alone: it runs no
+    code of the tree, and its pair loop does no per-pair graph work."""
+
+    def test_reports_without_calling_the_tree(self, monkeypatch):
+        g = connected_random_graph(random.Random(7), 14)
+        tree = gomory_hu_classic(g, WorkCounter())
+        k = next(k for k in range(len(tree.edges)) if len(_u_side(tree, k)) > 1)
+        candidates = (tree, _bumped(tree, 0), _moved(tree, k))
+        expected = [_per_pair_report(g, c).to_json() for c in candidates]
+
+        def no_query(*args):
+            raise AssertionError("the oracle called the tree it judges")
+
+        monkeypatch.setattr(GHTree, "query", no_query)
+        for candidate, report in zip(candidates, expected):
+            assert verify_gh_tree(g, candidate).to_json() == report
+            plain = types.SimpleNamespace(nodes=candidate.nodes, edges=candidate.edges)
+            assert verify_gh_tree(g, plain).to_json() == report
+
+    def test_n_minus_1_flows_and_at_most_n_minus_1_cut_costs(self, monkeypatch):
+        g = erdos_renyi_m(40, 160, random.Random(3))
+        tree = gomory_hu_classic(g, WorkCounter())
+        flows, costs = [], []
+
+        def counted_min_cut(*args):
+            flows.append(args)
+            return min_cut(*args)
+
+        def counted_cut_cost(*args):
+            costs.append(args)
+            return cut_cost(*args)
+
+        monkeypatch.setattr(oracle, "min_cut", counted_min_cut)
+        monkeypatch.setattr(oracle, "cut_cost", counted_cut_cost)
+        assert verify_gh_tree(g, tree).ok
+        assert len(flows) == g.num_nodes - 1
+        assert 0 < len(costs) <= g.num_nodes - 1
 
 
 def test_oracle_imports_none_of_the_algorithms_it_judges():
