@@ -184,22 +184,20 @@ def cmd_ordered_cuts(args) -> int:
     return 0
 
 
-def _bench_row(path: Path, method: str, seed: int, max_attempts: int):
-    g = _read_graph(path)
+def _bench_row(g: Graph, instance: str, method: str, seed: int, max_attempts: int):
     tree, stats = run_method(g, method, seed, max_attempts=max_attempts)
     stats.pop("depth_stats")  # rows stay flat
-    row = {"instance": path.stem, "n": g.num_nodes, "m": g.num_edges}
+    row = {"instance": instance, "n": g.num_nodes, "m": g.num_edges}
     row.update(stats)
-    return g, tree, row
+    return tree, row
 
 
-def _oc_scaling_runs(paths, seeds):
+def _oc_scaling_runs(graphs: dict, seeds):
     """Ordered-cuts work counts on the erdos-renyi family, grouped by n."""
     by_n: dict = {}
-    for path in paths:
+    for path, g in graphs.items():
         if not path.stem.startswith("erdos-renyi"):
             continue
-        g = _read_graph(path)
         if g.num_nodes < 2:  # no flow work, and log(0) in fit_exponent
             continue
         for seed in seeds:
@@ -255,7 +253,8 @@ def cmd_bench(args) -> int:
     # After --generate, which may create the report's directory.
     _check_writable(args.report)
 
-    jobs = [(path, method, seed, cap) for path in paths
+    graphs = {path: _read_graph(path) for path in paths}
+    jobs = [(graphs[path], path.stem, method, seed, cap) for path in paths
             for method in methods for seed in seeds]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -267,15 +266,15 @@ def cmd_bench(args) -> int:
     rows = []
     # Jobs run instance by instance, so each instance's all-pairs values
     # are computed once, shared by its rows and dropped before the next.
-    ref_path = reference = None
-    for (path, *_), (g, tree, row) in zip(jobs, results):
+    ref_graph = reference = None
+    for (g, *_), (tree, row) in zip(jobs, results):
         if args.verify:
-            if path != ref_path:
-                ref_path, reference = path, reference_cut_values(g)
+            if g is not ref_graph:
+                ref_graph, reference = g, reference_cut_values(g)
             row["verified"] = verify_gh_tree(g, tree, reference).ok
         rows.append(row)
 
-    by_n = _oc_scaling_runs(paths, seeds)
+    by_n = _oc_scaling_runs(graphs, seeds)
     exponent = fit_exponent(by_n)
     scaling = {
         "gamma_reference": GAMMA_REFERENCE,

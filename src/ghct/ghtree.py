@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Cut, Graph, _quotient, cut_cost, sorted_labels
+from .graph import Cut, Graph, _quotient, cut_cost
 from .maxflow import WorkCounter, min_cut
 
 
@@ -94,9 +94,9 @@ class PartitionTree:
 
     def __init__(self, g: Graph):
         self.g = g
-        order = sorted_labels(g.labels)
+        order = g.label_order
         self.rank = {v: r for r, v in enumerate(order)}
-        self.supernodes = [order]
+        self.supernodes = [list(order)]
         self.supernode_of = dict.fromkeys(order, 0)
         self.edges = []
         self.depth = [0]
@@ -139,7 +139,7 @@ class PartitionTree:
                 u, v = v, u
             rows.append((u, v, w))
         rows.sort(key=lambda e: (rank[e[0]], rank[e[1]]))
-        return GHTree(tuple(rank), tuple(rows))
+        return GHTree(self.g.label_order, tuple(rows))
 
 
 def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):

@@ -58,7 +58,7 @@ class Graph:
     construction order and `edges` holds (u_index, v_index, weight) triples.
     """
 
-    __slots__ = ("labels", "_index", "edges", "_node_set")
+    __slots__ = ("labels", "_index", "edges", "_node_set", "_label_order")
 
     def __init__(self, nodes: Iterable[Label], edges: Iterable[tuple] = ()):
         labels = tuple(nodes)
@@ -90,6 +90,7 @@ class Graph:
         self._index = index
         self.edges = _merged_edges(merged, k)
         self._node_set = None
+        self._label_order = None
 
     # -- basics ---------------------------------------------------------
 
@@ -107,6 +108,14 @@ class Graph:
         if self._node_set is None:
             self._node_set = frozenset(self.labels)
         return self._node_set
+
+    @property
+    def label_order(self) -> tuple:
+        """All labels in `sorted_labels` order, sorted once; every cut tree
+        of this graph shares the tuple as its `nodes`."""
+        if self._label_order is None:
+            self._label_order = tuple(sorted_labels(self.labels))
+        return self._label_order
 
     def has_node(self, label) -> bool:
         return label in self._index
@@ -173,6 +182,7 @@ def _quotient(g: Graph, new_labels, rep_of) -> Graph:
     out._index = pos
     out.edges = _merged_edges(merged, k)
     out._node_set = None
+    out._label_order = None
     return out
 
 

@@ -1,12 +1,13 @@
 """Exact minimum S-T cut engine with minimal-side extraction.
 
 A shortest-augmenting-path solver over exact integer capacities (Edmonds
-& Karp 1972).  One breadth-first search serves many augmentations: it
-augments the search-tree path to every sink in-neighbour one level short
-of the sink, each a shortest path.  Every higher-level routine funnels
-through the three entry points here, each of which records the size of
-the graph it was handed in a WorkCounter and returns a `Cut`: the sink
-side as `members`, the flow value as `cost`.
+& Karp 1972).  Each search is bidirectional: breadth-first trees grow
+from the source and from the sink until they meet, and every meet of one
+level expansion closes a shortest augmenting path, so one search serves
+many augmentations.  Every higher-level routine funnels through the
+three entry points here, each of which records the size of the graph it
+was handed in a WorkCounter once its terminal sides pass validation, and
+returns a `Cut`: the sink side as `members`, the flow value as `cost`.
 
 Multi-node terminals are handled by merging each side into a single
 super-terminal while building the flow network (no infinite-capacity arcs,
@@ -42,20 +43,63 @@ class WorkCounter:
         }
 
 
-def _solve(g: Graph, s_side, t_side, minimal_sink: bool) -> Cut:
+def _grow(res: list, fwd: list, bwd: list):
+    """Grow the forward tree from the source (network node 0) and the
+    backward tree from the sink (node 1) until they meet or one closes.
+
+    Each step expands one whole level of the side whose frontier holds
+    fewer nodes, recording tree predecessors in `fwd` and `bwd`.  Neither
+    tree takes a node the other holds; a residual arc (x, y) from the
+    forward into the backward tree is a meet instead.  The first expansion
+    that finds meets ends the growth, so every meet returned closes a
+    shortest s-t path.  Returns (meets, front, back), the last two the
+    trees' frontiers; no meets means one frontier is empty.
+    """
+    front, back = [0], [1]
+    meets = []
+    while front and back and not meets:
+        if len(front) <= len(back):
+            level, front = front, []
+            for x in level:
+                for y, c in res[x].items():
+                    if c:
+                        if bwd[y] >= 0:
+                            meets.append((x, y))
+                        elif fwd[y] < 0:
+                            fwd[y] = x
+                            front.append(y)
+        else:
+            level, back = back, []
+            for y in level:
+                for x in res[y]:
+                    if res[x][y]:
+                        if fwd[x] >= 0:
+                            meets.append((x, y))
+                        elif bwd[x] < 0:
+                            bwd[x] = y
+                            back.append(x)
+    return meets, front, back
+
+
+def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter) -> Cut:
     """Maximum flow between the merged terminal sides, as the sink side's Cut.
 
-    Each breadth-first search from the source stops at the level that
-    reaches the sink.  Then every sink in-neighbour on the level before it
-    has its search-tree path augmented; each path's bottleneck is
-    recomputed first, and a path left at zero is skipped.  Each such path
-    is a shortest augmenting path in the residual network at that moment,
-    since augmenting along shortest paths never shortens a distance, so
-    the number of searches stays independent of the capacities.
+    Each search grows a forward tree from the source along residual arcs
+    and a backward tree from the sink along reversed ones (`_grow`), and
+    every meet it returns closes a shortest augmenting path.  Each such
+    path is augmented in turn: its bottleneck is recomputed first, and a
+    path left at zero is skipped.  Since augmenting along shortest paths
+    never shortens a distance, the number of searches stays independent
+    of the capacities (Edmonds & Karp 1972).
 
-    The search that misses the sink has reached exactly the residual
-    source component, whose complement is the inclusion-maximal sink
-    side; the minimal one is what can still reach the sink.
+    A search ends without a meet when one tree closes, its frontier
+    empty.  A closed forward tree is the residual source component, whose
+    complement is the inclusion-maximal sink side; a closed backward tree
+    is what can still reach the sink, the inclusion-minimal sink side.
+    The side asked for comes from finishing its tree's search from where
+    it stopped.
+
+    The graph's size is recorded in `counter` once the sides are valid.
     """
     index = g._index
     try:
@@ -72,6 +116,7 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool) -> Cut:
         if node_of[i] == 0:
             raise ValueError("terminal sides must be disjoint")
         node_of[i] = 1
+    counter.record(g.num_nodes, g.num_edges)
     n = 2
     for i, x in enumerate(node_of):
         if x < 0:
@@ -90,51 +135,64 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool) -> Cut:
             res[y][x] = res[y].get(x, 0) + w
     flow = 0
     while True:
-        parent = [-1] * n  # BFS predecessor per network node; -1: unreached
-        parent[0] = 0
-        found = [0]
-        while found and parent[1] < 0:
-            level, found = found, []
-            for x in level:
-                for y, c in res[x].items():
-                    if c and parent[y] < 0:
-                        parent[y] = x
-                        found.append(y)
-                if parent[1] >= 0:
-                    break
-        if parent[1] < 0:
+        # Tree predecessors, -1 off the tree: fwd[y] precedes y on the
+        # path from the source, bwd[x] follows x on the path to the sink.
+        fwd = [-1] * n
+        fwd[0] = 0
+        bwd = [-1] * n
+        bwd[1] = 1
+        meets, front, back = _grow(res, fwd, bwd)
+        if not meets:
             break
-        for u in level:  # the level before the sink
-            aug = res[u].get(1)
-            y = u
-            while y and aug:
-                x = parent[y]
-                c = res[x][y]
+        for x, y in meets:
+            aug = res[x][y]
+            v = x
+            while v and aug:
+                u = fwd[v]
+                c = res[u][v]
                 if c < aug:
                     aug = c
-                y = x
+                v = u
+            v = y
+            while v != 1 and aug:
+                w = bwd[v]
+                c = res[v][w]
+                if c < aug:
+                    aug = c
+                v = w
             if not aug:
                 continue
-            res[u][1] -= aug
-            res[1][u] += aug
-            y = u
-            while y:
-                x = parent[y]
-                res[x][y] -= aug
-                res[y][x] += aug
-                y = x
+            res[x][y] -= aug
+            res[y][x] += aug
+            v = x
+            while v:
+                u = fwd[v]
+                res[u][v] -= aug
+                res[v][u] += aug
+                v = u
+            v = y
+            while v != 1:
+                w = bwd[v]
+                res[v][w] -= aug
+                res[w][v] += aug
+                v = w
             flow += aug
+    # The flow is maximum, so neither tree can reach into the other, and
+    # finishing one needs no check against the other.
     if minimal_sink:
-        sink_side = [False] * n
-        sink_side[1] = True
-        queue = [1]
-        for y in queue:
+        for y in back:
             for x in res[y]:
-                if not sink_side[x] and res[x][y]:
-                    sink_side[x] = True
-                    queue.append(x)
+                if bwd[x] < 0 and res[x][y]:
+                    bwd[x] = y
+                    back.append(x)
+        sink_side = [p >= 0 for p in bwd]
     else:
-        sink_side = [p < 0 for p in parent]
+        for x in front:
+            for y, c in res[x].items():
+                if c and fwd[y] < 0:
+                    fwd[y] = x
+                    front.append(y)
+        sink_side = [p < 0 for p in fwd]
     labels = g.labels
     return Cut(frozenset(labels[i] for i, x in enumerate(node_of) if sink_side[x]), flow)
 
@@ -145,14 +203,12 @@ def min_cut(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
     The returned sink side is the inclusion-maximal one (complement of the
     residual source component).
     """
-    counter.record(g.num_nodes, g.num_edges)
-    return _solve(g, s_side, t_side, minimal_sink=False)
+    return _solve(g, s_side, t_side, False, counter)
 
 
 def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
     """Among all minimum S-T cuts, the one with inclusion-minimal sink side."""
-    counter.record(g.num_nodes, g.num_edges)
-    return _solve(g, s_side, t_side, minimal_sink=True)
+    return _solve(g, s_side, t_side, True, counter)
 
 
 def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:
@@ -160,5 +216,4 @@ def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:
     that can still reach v in the residual network of a maximum flow."""
     if u == v:
         raise ValueError("terminals must be distinct")
-    counter.record(g.num_nodes, g.num_edges)
-    return _solve(g, {u}, {v}, minimal_sink=True)
+    return _solve(g, {u}, {v}, True, counter)

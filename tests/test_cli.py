@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ghct import oracle
+from ghct import cli, oracle
 from ghct.cli import MAX_SCALING_SIZE, main
 from ghct.graph import write_dimacs
 from ghct.maxflow import WorkCounter
@@ -422,6 +422,27 @@ class TestBench:
                 row.pop("wall_ms")
             reports.append(sorted(rows, key=lambda r: (r["instance"], r["method"])))
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_instance_parsed_once(self, tmp_path, monkeypatch, jobs):
+        # The jobs, --verify and the scaling fit all read the graphs that
+        # cmd_bench parsed: one parse per corpus file.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = random.Random(3)
+        for n in (6, 8):
+            g = erdos_renyi(n, 0.5, rng)
+            (corpus / f"erdos-renyi_n{n}.dimacs").write_text(write_dimacs(g))
+        (corpus / "grid.dimacs").write_text(write_dimacs(grid(2, 3, rng)))
+        parsed = []
+        parse = cli.parse_dimacs
+        monkeypatch.setattr(cli, "parse_dimacs", lambda text: parsed.append(text) or parse(text))
+        report = tmp_path / "rows.json"
+        assert main(["bench", str(corpus), "--methods", "classic,oc1", "--seeds", "0,1",
+                     "--jobs", str(jobs), "--verify", "--report", str(report)]) == 0
+        rows = json.loads(report.read_text())["rows"]
+        assert len(rows) == 3 * 2 * 2 and all(row["verified"] for row in rows)
+        assert len(parsed) == 3
 
 
 class TestGenerators:

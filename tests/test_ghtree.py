@@ -122,6 +122,13 @@ class TestClassic:
         assert tree.nodes == (1,)
         assert tree.edges == ()
 
+    def test_trees_of_one_graph_share_their_nodes(self):
+        # A caller keeping many trees of one graph keeps one node tuple.
+        g = scrambled(random.Random(5), random_graph(random.Random(5), 9))
+        first, second = (gomory_hu_classic(g, WorkCounter()) for _ in range(2))
+        assert first.nodes == tuple(sorted_labels(g.labels))
+        assert first.nodes is second.nodes is g.label_order
+
     def test_passes_oracle_on_random_instances(self):
         rng = random.Random(103)
         counter = WorkCounter()

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ghct import maxflow
 from ghct.generators import grid
 from ghct.graph import Graph, cut_cost
 from ghct.maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
@@ -55,18 +56,127 @@ def diamond_chain(links=3, width=3):
 def shared_arc_cases(rng):
     """(graph, s_side, t_side) on graphs with many equal-length s-t paths
     that share arcs: K5-K8, K_{3,4}, the 3x3 and 3x4 grids and a diamond
-    chain.  Each graph comes with unit, 1-3 and perturbed weights, and
-    with singleton and multi-node terminal sides."""
+    chain both ways round (from the sink hub, the paths of one search
+    share the weight-1 arc next to the sink).  Each graph comes with unit,
+    1-3 and perturbed weights, and with singleton and multi-node terminal
+    sides."""
     k34 = Graph(range(1, 8), [(u, v, 1) for u in range(1, 4) for v in range(4, 8)])
     chain, hub = diamond_chain()
     graphs = [(complete_graph(n), 1, n) for n in range(5, 9)]
     graphs += [(k34, 1, 2), (k34, 1, 7), (grid(3, 3, rng, (1, 1)), 1, 9),
-               (grid(3, 4, rng, (1, 1)), 1, 12), (chain, 1, hub)]
+               (grid(3, 4, rng, (1, 1)), 1, 12), (chain, 1, hub), (chain, hub, 1)]
     for g, s, t in graphs:
         weighted = Graph(g.labels, [(u, v, rng.randint(1, 3)) for u, v, _ in g.edge_labels()])
         for h in (g, weighted, perturb(g, rng)):
             yield h, {s}, {t}
             yield (h, *random_sides(rng, h))
+
+
+def with_pendants(g, anchor, length):
+    """(graph, end): g plus a path of `length` new nodes hanging off
+    `anchor` by weight-1 edges; `end` is the path's far end.  Every
+    minimum cut separating `end` from g cuts the path, so the minimal and
+    the maximal sink sides differ once the path has two nodes."""
+    labels = sorted(g.labels)
+    nxt = labels[-1] + 1
+    edges = list(g.edge_labels())
+    prev = anchor
+    for v in range(nxt, nxt + length):
+        edges.append((prev, v, 1))
+        prev = v
+    return Graph(labels + list(range(nxt, nxt + length)), edges), prev
+
+
+def closing_cases(rng):
+    """(graph, s_side, t_side, closed) on 6-12 nodes where one search tree
+    closes first: the backward tree (closed "back") behind a pendant sink
+    or sink pair, the forward tree ("front") behind a pendant source or
+    source pair.  Bases are K5-K10 and grids with unit or 1-3 weights; the
+    far terminal is a base node or a random multi-node side of the base."""
+    bases = [complete_graph(n) for n in range(5, 11)]
+    bases += [grid(2, 3, rng, (1, 1)), grid(3, 3, rng, (1, 1)), grid(2, 5, rng, (1, 1))]
+    for base in bases:
+        for g in (base, Graph(base.labels, [(u, v, rng.randint(1, 3))
+                                            for u, v, _ in base.edge_labels()])):
+            anchor = max(g.labels)
+            for length in (1, 2):
+                h, end = with_pendants(g, anchor, length)
+                far = sorted(g.labels)[:rng.randint(1, len(g.labels) - 1)]
+                for other in ({1}, set(rng.sample(far, min(len(far), 3)))):
+                    yield h, other, {end}, "back"
+                    yield h, {end}, other, "front"
+
+
+class TestBidirectionalSearch:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Every _grow call as (residual distance before it, its meets'
+        path lengths, front, back), distance None when the sink is cut off.
+        Each call first checks that no residual capacity is negative."""
+        calls = []
+        grow = maxflow._grow
+
+        def recording(res, fwd, bwd):
+            assert all(c >= 0 for arcs in res for c in arcs.values())
+            dist = [-1] * len(res)
+            dist[0] = 0
+            queue = [0]
+            for x in queue:
+                for y, c in res[x].items():
+                    if c and dist[y] < 0:
+                        dist[y] = dist[x] + 1
+                        queue.append(y)
+            meets, front, back = grow(res, fwd, bwd)
+            lengths = []
+            for x, y in meets:
+                length = 1
+                while x:
+                    x, length = fwd[x], length + 1
+                while y != 1:
+                    y, length = bwd[y], length + 1
+                lengths.append(length)
+            calls.append((dist[1] if dist[1] >= 0 else None, lengths, front, back))
+            return meets, front, back
+
+        monkeypatch.setattr(maxflow, "_grow", recording)
+        return calls
+
+    @staticmethod
+    def check_both_modes(h, s_side, t_side, counter):
+        sides = brute_all_min_cuts(h, s_side, t_side)
+        cost = brute_min_cut(h, s_side, t_side).cost
+        res = min_cut(h, s_side, t_side, counter)
+        assert (res.members, res.cost) == (frozenset.union(*sides), cost)
+        res = min_cut_minimal_sink(h, s_side, t_side, counter)
+        assert (res.members, res.cost) == (frozenset.intersection(*sides), cost)
+
+    def test_closing_tree(self, searches, counter):
+        # The search that ends the flow closes the tree the case expects,
+        # and both modes still return the maximal and the minimal side.
+        rng = random.Random(53)
+        for h, s_side, t_side, closed in closing_cases(rng):
+            assert 6 <= h.num_nodes <= 12
+            searches.clear()
+            self.check_both_modes(h, s_side, t_side, counter)
+            assert searches[-1][1] == []
+            front, back = searches[-1][2:]
+            assert not (back if closed == "back" else front)
+
+    def test_meets_close_shortest_paths(self, searches, counter):
+        # Every meet of a search closes a path as short as the residual
+        # network allows at that moment; the last search finds none.
+        rng = random.Random(59)
+        cases = [case[:3] for case in closing_cases(rng)]
+        cases += list(shared_arc_cases(rng))
+        for _ in range(40):
+            g = random_graph(rng, rng.randint(3, 10))
+            cases.append((perturb(g, rng), *random_sides(rng, g)))
+        for h, s_side, t_side in cases:
+            searches.clear()
+            self.check_both_modes(h, s_side, t_side, counter)
+            for dist, lengths, _, _ in searches:
+                assert (dist is None) == (not lengths)
+                assert all(length == dist for length in lengths)
 
 
 class TestMinCut:
@@ -91,10 +201,15 @@ class TestMinCut:
         assert (c.calls, c.nodes_total, c.edges_total) == (1, 3, 3)
 
     def test_rejects_bad_sides(self, tri, counter):
-        with pytest.raises(ValueError):
-            min_cut(tri, set(), {2}, counter)
-        with pytest.raises(ValueError):
-            min_cut(tri, {1, 2}, {2}, counter)
+        # A rejected call is no engine work: the counter stays at zero.
+        for s_side, t_side in (({1}, {1}), ({9}, {2}), (set(), {2}), ({1, 2}, {2})):
+            for solve in (min_cut, min_cut_minimal_sink):
+                with pytest.raises(ValueError):
+                    solve(tri, s_side, t_side, counter)
+        for u, v in ((1, 1), (9, 2)):
+            with pytest.raises(ValueError):
+                latest_min_cut(tri, u, v, counter)
+        assert counter == WorkCounter()
 
     def test_cost_symmetric_in_sides(self, counter):
         # f(S,T) = f(T,S), and complementing a sink side yields a minimum
