@@ -26,8 +26,8 @@ from .graph import Graph, GraphFormatError, parse_dimacs, write_dimacs
 from .maxflow import WorkCounter
 from .octree import format_oc_tree, ordered_cuts, validate
 from .oracle import reference_cut_values, verify_gh_tree
-from .pipeline import AttemptLimitError, PipelineStats, gh_via_oc1, gh_via_weak_oc, \
-    max_attempts_cap
+from .pipeline import DEFAULT_MAX_ATTEMPTS, AttemptLimitError, PipelineStats, gh_via_oc1, \
+    gh_via_weak_oc
 
 GAMMA_REFERENCE = 0.584  # log2(1.5), the expected work-scaling exponent offset
 METHODS = ("classic", "oc1", "weak-oc")
@@ -50,10 +50,19 @@ def _read_graph(path) -> Graph:
 
 
 def _attempt_cap(explicit: int | None) -> int:
+    """The attempt cap: the flag, else OC_MAX_ATTEMPTS, else the default."""
+    name, value = "max_attempts", explicit
+    if value is None:
+        name, value = "OC_MAX_ATTEMPTS", os.environ.get("OC_MAX_ATTEMPTS")
+        if not value:
+            return DEFAULT_MAX_ATTEMPTS
     try:
-        return max_attempts_cap(explicit)
-    except ValueError as exc:
-        raise _InputError(exc) from None
+        cap = int(value)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise _InputError(f"{name} must be a non-negative integer, got {value!r}")
+    return cap
 
 
 def _write_text(path: str | Path | None, text: str) -> None:
@@ -83,8 +92,8 @@ def _check_writable(*paths) -> None:
         raise _InputError(f"{path}: {os.strerror(code)}")
 
 
-def run_method(g: Graph, method: str, seed: int, max_attempts: int | None = None,
-               certify: str = "isolating"):
+def run_method(g: Graph, method: str, seed: int,
+               max_attempts: int = DEFAULT_MAX_ATTEMPTS, certify: str = "isolating"):
     """Build a cut tree; returns (tree, stats dict).
 
     The stats hold `depth_stats`, {"<depth>": [nodes, edges]} summed over
@@ -234,7 +243,7 @@ def cmd_bench(args) -> int:
             _write_text(corpus / f"{name}.dimacs", write_dimacs(g))
         for n in args.scaling_sizes:
             g = erdos_renyi_m(n, 4 * n, rng, weights=(1, 1))
-            _write_text(corpus / f"erdos-renyi_n{n}.dimacs", write_dimacs(g))
+            _write_text(corpus / f"erdos-renyi-unit_n{n}.dimacs", write_dimacs(g))
     paths = sorted(corpus.glob("*.dimacs")) if corpus.is_dir() else []
     if not paths:
         raise _InputError(f"no .dimacs instances under {corpus}")

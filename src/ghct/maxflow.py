@@ -101,12 +101,8 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter) -
 
     The graph's size is recorded in `counter` once the sides are valid.
     """
-    index = g._index
-    try:
-        s_idx = [index[lab] for lab in s_side]
-        t_idx = [index[lab] for lab in t_side]
-    except KeyError as exc:
-        raise ValueError(f"{exc.args[0]!r} is not a node of this graph") from None
+    s_idx = g.indices(s_side)
+    t_idx = g.indices(t_side)
     if not s_idx or not t_idx:
         raise ValueError("terminal sides must be non-empty")
     node_of = [-1] * g.num_nodes  # source side -> 0, sink side -> 1, free -> 2, 3, ...

@@ -21,7 +21,6 @@ the returned cuts in original units.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .graph import Graph, cut_cost, label_key, sorted_labels
@@ -36,26 +35,6 @@ DEFAULT_MAX_ATTEMPTS = 10_000
 
 class AttemptLimitError(RuntimeError):
     """The Las-Vegas harness cap was reached without a certified output."""
-
-
-def max_attempts_cap(explicit: int | None = None) -> int:
-    """The attempt cap: `explicit`, else OC_MAX_ATTEMPTS, else the default.
-
-    A value that is not a non-negative integer raises ValueError naming
-    where it came from.
-    """
-    name, value = "max_attempts", explicit
-    if value is None:
-        name, value = "OC_MAX_ATTEMPTS", os.environ.get("OC_MAX_ATTEMPTS")
-        if not value:
-            return DEFAULT_MAX_ATTEMPTS
-    try:
-        cap = int(value)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return cap
 
 
 @dataclass
@@ -206,10 +185,7 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
         tree = ordered_cuts((s, *seq), g, counter)
         for v, block in flatten_to_star(tree).items():
             live -= block - {v}
-            cost = tree.costs[v]
-            for u in block:
-                if cost < estimates.get(u, math.inf):
-                    estimates[u] = cost
+            estimates[v] = min(estimates[v], tree.costs[v])
     return {v: cut.members for v, cut in certified_source_cuts(tree).items()
             if tree.parent[v] == s}
 
@@ -255,31 +231,37 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
 # -- source selection (the driver's line-4 strategies) --------------------
 
 
-def _las_vegas(h: Graph, x, stats: PipelineStats | None,
-               max_attempts: int | None, attempt):
-    """Run `attempt(xs, x_set)` until it returns a result other than None.
+def _las_vegas(h: Graph, x, stats: PipelineStats | None, max_attempts: int,
+               attempt):
+    """Run `attempt(xs, x_set)` until it returns a result other than None,
+    at most `max_attempts` times.
 
-    `xs` is x in label order.  Owns the attempt cap, the PipelineStats
-    record of accepted invocations and the AttemptLimitError.
+    `xs` is x in label order.  Owns the PipelineStats record of accepted
+    invocations and the AttemptLimitError.  The environment is not read:
+    the public callers default the cap to DEFAULT_MAX_ATTEMPTS (10,000),
+    and only the CLI consults OC_MAX_ATTEMPTS.
     """
     xs = sorted_labels(x)
     if len(xs) < 2:
         raise ValueError("need at least two supernode members")
-    cap = max_attempts_cap(max_attempts)
+    if max_attempts < 0:
+        raise ValueError(
+            f"max_attempts must be a non-negative integer, got {max_attempts!r}")
     x_set = set(xs)
-    for attempts in range(1, cap + 1):
+    for attempts in range(1, max_attempts + 1):
         result = attempt(xs, x_set)
         if result is not None:
             if stats is not None:
                 stats.record(attempts)
             return result
     raise AttemptLimitError(
-        f"source selection exceeded {cap} attempts on a {h.num_nodes}-node graph")
+        f"source selection exceeded {max_attempts} attempts"
+        f" on a {h.num_nodes}-node graph")
 
 
 def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
                       stats: PipelineStats | None = None,
-                      max_attempts: int | None = None):
+                      max_attempts: int = DEFAULT_MAX_ATTEMPTS):
     """Pick a source and disjoint minimum source cuts covering x via
     star-shaped ordered-cut trees.
 
@@ -310,7 +292,7 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
 
 def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
                        stats: PipelineStats | None = None,
-                       max_attempts: int | None = None,
+                       max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                        certify: str = "isolating"):
     """Pick a uniformly random source; accept once the laminar family of
     small-side cuts covers all but half of x."""
@@ -335,9 +317,11 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
 
 def gh_via_oc1(g: Graph, rng, counter: WorkCounter,
                stats: PipelineStats | None = None,
-               max_attempts: int | None = None,
+               max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                depth_stats: dict | None = None) -> GHTree:
-    """Cut tree via the star-tree (depth-1) strategy."""
+    """Cut tree via the star-tree (depth-1) strategy; each source selection
+    makes at most `max_attempts` attempts (default 10,000, whatever the
+    environment says)."""
 
     def strategy(h, x_members):
         return select_source_oc1(h, x_members, rng, counter, stats=stats,
@@ -348,10 +332,12 @@ def gh_via_oc1(g: Graph, rng, counter: WorkCounter,
 
 def gh_via_weak_oc(g: Graph, rng, counter: WorkCounter,
                    stats: PipelineStats | None = None,
-                   max_attempts: int | None = None,
+                   max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                    certify: str = "isolating",
                    depth_stats: dict | None = None) -> GHTree:
-    """Cut tree via certified weak ordered cuts."""
+    """Cut tree via certified weak ordered cuts; each source selection
+    makes at most `max_attempts` attempts (default 10,000, whatever the
+    environment says)."""
 
     def strategy(h, x_members):
         return select_source_weak(h, x_members, rng, counter, stats=stats,

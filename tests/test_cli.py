@@ -6,7 +6,7 @@ import pytest
 
 from ghct import cli, oracle
 from ghct.cli import MAX_SCALING_SIZE, main
-from ghct.graph import write_dimacs
+from ghct.graph import parse_dimacs, write_dimacs
 from ghct.maxflow import WorkCounter
 from ghct.octree import OCTree
 from ghct.generators import cycle, erdos_renyi, erdos_renyi_m, grid, random_tree_plus_noise, \
@@ -381,6 +381,23 @@ class TestBench:
         scaling = payload["oc_scaling"]
         assert scaling["gamma_reference"] == 0.584
         assert scaling["fitted_exponent"] is not None
+
+    def test_scaling_sizes_keep_weighted_instances(self, tmp_path):
+        # The unit-weight scaling graphs get their own names, so the
+        # weighted erdos-renyi_n32 of the corpus is neither replaced nor
+        # left without rows.
+        corpus = tmp_path / "corpus"
+        report = tmp_path / "report.json"
+        assert main(["bench", str(corpus), "--generate", "--scaling-sizes", "32",
+                     "--methods", "classic", "--seeds", "0",
+                     "--report", str(report)]) == 0
+        weighted = parse_dimacs((corpus / "erdos-renyi_n32.dimacs").read_text())
+        assert any(w != 1 for _, _, w in weighted.edges)
+        unit = parse_dimacs((corpus / "erdos-renyi-unit_n32.dimacs").read_text())
+        assert {w for _, _, w in unit.edges} == {1}
+        instances = [row["instance"] for row in json.loads(report.read_text())["rows"]]
+        assert instances.count("erdos-renyi_n32") == 1
+        assert instances.count("erdos-renyi-unit_n32") == 1
 
     def test_csv_report(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -226,6 +226,11 @@ class TestSelectSourceOc1:
             select_source_oc1(tri, {1, 2, 3}, random.Random(0), WorkCounter(),
                               max_attempts=0)
 
+    def test_negative_cap_rejected(self, tri):
+        with pytest.raises(ValueError, match="max_attempts"):
+            select_source_oc1(tri, {1, 2, 3}, random.Random(0), WorkCounter(),
+                              max_attempts=-1)
+
     @pytest.mark.parametrize("tag", ["v", "x"])
     def test_walk_settles_on_tuple_labels(self, tag):
         # The auxiliary graph's branch labels ("b", k) sort before these
@@ -325,6 +330,14 @@ class TestEndToEnd:
             tree = builder(tri, random.Random(5), WorkCounter())
             for (s, t), cost in classic_costs.items():
                 assert tree.query(s, t)[0] == cost
+
+    def test_default_cap_ignores_environment(self, tri, monkeypatch):
+        # Only the CLI reads OC_MAX_ATTEMPTS; a library call without a cap
+        # uses the default whatever the environment says.
+        monkeypatch.setenv("OC_MAX_ATTEMPTS", "0")
+        for builder in (gh_via_oc1, gh_via_weak_oc):
+            tree = builder(tri, random.Random(0), WorkCounter())
+            assert verify_gh_tree(tri, tree).ok
 
     def test_single_node(self):
         g = Graph([1])
