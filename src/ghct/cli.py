@@ -201,11 +201,27 @@ def _bench_row(g: Graph, instance: str, method: str, seed: int, max_attempts: in
     return tree, row
 
 
+_worker_graphs: dict = {}  # instance name -> Graph, in a bench worker process
+
+
+def _load_worker(graphs: dict) -> None:
+    """Pool initializer: each worker receives the parsed corpus once."""
+    _worker_graphs.update(graphs)
+
+
+def _worker_row(instance: str, method: str, seed: int, max_attempts: int):
+    return _bench_row(_worker_graphs[instance], instance, method, seed, max_attempts)
+
+
 def _oc_scaling_runs(graphs: dict, seeds):
-    """Ordered-cuts work counts on the erdos-renyi family, grouped by n."""
+    """Ordered-cuts work counts on the erdos-renyi families, as
+    {n: {family: [nodes_total, ...]}}.  A family is the instance name up
+    to its first "_", so unit-weight and weighted graphs of one size
+    never share a list."""
     by_n: dict = {}
-    for path, g in graphs.items():
-        if not path.stem.startswith("erdos-renyi"):
+    for name, g in graphs.items():
+        family = name.partition("_")[0]
+        if not family.startswith("erdos-renyi"):
             continue
         if g.num_nodes < 2:  # no flow work, and log(0) in fit_exponent
             continue
@@ -215,19 +231,28 @@ def _oc_scaling_runs(graphs: dict, seeds):
             rng.shuffle(nodes)
             counter = WorkCounter()
             ordered_cuts(tuple(nodes), g, counter)
-            by_n.setdefault(g.num_nodes, []).append(counter.nodes_total)
+            by_n.setdefault(g.num_nodes, {}).setdefault(family, []).append(
+                counter.nodes_total)
     return by_n
 
 
 def fit_exponent(by_n: dict) -> float | None:
-    """Least-squares slope of log(mean work) against log(n)."""
-    if len(by_n) < 2:
-        return None
-    lx, ly = [], []
-    for n, values in sorted(by_n.items()):
-        lx.append(math.log(n))
-        ly.append(math.log(statistics.fmean(values)))
-    return statistics.linear_regression(lx, ly).slope
+    """Least-squares slope of log(mean work) against log(n), with one
+    intercept per family: each family's points are centred on their own
+    means, so a family's weights move only its intercept.  None unless
+    some family has two sizes."""
+    points: dict = {}
+    for n, families in by_n.items():
+        for family, values in families.items():
+            points.setdefault(family, []).append(
+                (math.log(n), math.log(statistics.fmean(values))))
+    sxy = sxx = 0.0
+    for pts in points.values():
+        mx = statistics.fmean(x for x, _ in pts)
+        my = statistics.fmean(y for _, y in pts)
+        sxy += sum((x - mx) * (y - my) for x, y in pts)
+        sxx += sum((x - mx) ** 2 for x, _ in pts)
+    return sxy / sxx if sxx else None
 
 
 def cmd_bench(args) -> int:
@@ -262,22 +287,25 @@ def cmd_bench(args) -> int:
     # After --generate, which may create the report's directory.
     _check_writable(args.report)
 
-    graphs = {path: _read_graph(path) for path in paths}
-    jobs = [(graphs[path], path.stem, method, seed, cap) for path in paths
+    graphs = {path.stem: _read_graph(path) for path in paths}
+    jobs = [(name, method, seed, cap) for name in graphs
             for method in methods for seed in seeds]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_row, *zip(*jobs)))
+        # Each worker gets the graphs once; the jobs name their instance.
+        with ProcessPoolExecutor(max_workers=args.jobs, initializer=_load_worker,
+                                 initargs=(graphs,)) as pool:
+            results = list(pool.map(_worker_row, *zip(*jobs)))
     else:
-        results = [_bench_row(*job) for job in jobs]
+        results = [_bench_row(graphs[job[0]], *job) for job in jobs]
     rows = []
     # Jobs run instance by instance, so each instance's all-pairs values
     # are computed once, shared by its rows and dropped before the next.
     ref_graph = reference = None
-    for (g, *_), (tree, row) in zip(jobs, results):
+    for (name, *_), (tree, row) in zip(jobs, results):
         if args.verify:
+            g = graphs[name]
             if g is not ref_graph:
                 ref_graph, reference = g, reference_cut_values(g)
             row["verified"] = verify_gh_tree(g, tree, reference).ok
@@ -289,7 +317,7 @@ def cmd_bench(args) -> int:
         "gamma_reference": GAMMA_REFERENCE,
         "expected_exponent": 1 + GAMMA_REFERENCE,
         "fitted_exponent": exponent,
-        "nodes_total_by_n": {str(n): vals for n, vals in sorted(by_n.items())},
+        "nodes_total_by_n": {str(n): families for n, families in sorted(by_n.items())},
     }
     print(f"bench: {len(rows)} rows "
           f"({len(paths)} instances x {len(methods)} methods x {len(seeds)} seeds)")

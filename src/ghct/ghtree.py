@@ -1,19 +1,20 @@
 """Partition trees, auxiliary graphs, and the Gomory-Hu drivers.
 
 Both drivers run one refinement loop over one PartitionTree, refined in
-place: pick the largest supernode, build its auxiliary graph from the
-live tree, ask a strategy for a source and a family of pairwise-disjoint
-minimum source cuts, and split each cut off the supernode.  The classic
-algorithm is the strategy that returns one pivot cut; the generalized
-driver takes its caller's strategy.  A family that breaks the contract
-raises StrategyError at once.  The loop ends with a complete partition
-tree whose singletons form the cut tree.  g's labels are sorted once, and
-that one order breaks the loop's ties and orders the finished tree.
+place: pick the largest supernode, cut its auxiliary graph H (every tree
+branch hanging off it contracted to one node), and split each cut off the
+supernode.  `branch_map` gives H as a map from g's nodes to H's labels.
+The classic step cuts one pivot pair on g through that map, so it builds
+no H.  The generalized driver builds H (`auxiliary_graph`) and asks its
+caller's strategy for a source and a family of pairwise-disjoint minimum
+source cuts in it; a family that breaks the contract raises StrategyError
+at once.  The loop ends with a complete partition tree whose singletons
+form the cut tree.  g's labels are sorted once, and that one order breaks
+the loop's ties and orders the finished tree.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,11 +143,13 @@ class PartitionTree:
         return GHTree(self.g.label_order, tuple(rows))
 
 
-def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
-    """Contract every tree branch hanging off supernode xi to one node.
+def branch_map(tree: PartitionTree, xi: int):
+    """Contract every tree branch hanging off supernode xi to one node, as
+    a map over g's node indices.
 
-    Returns (H, reps) where H's nodes are xi's members plus one fresh
-    label per tree neighbor, and reps maps each neighbor's supernode index
+    Returns (rep_of, reps): rep_of[i] is the label of g's i-th node in
+    the auxiliary graph H (its own label inside xi, else the label of the
+    branch holding it), and reps maps each tree neighbor's supernode index
     to the label of the branch behind it.
     """
     adj = [[] for _ in tree.supernodes]
@@ -167,28 +170,38 @@ def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
                     stack.append(nb)
 
     of = tree.supernode_of
+    # Branch labels are non-empty tuples, so `or` keeps xi's own members.
+    return [branch[of[lab]] or lab for lab in tree.g.labels], reps
+
+
+def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
+    """The auxiliary graph H of supernode xi, built from `branch_map`.
+
+    Returns (H, reps) where H's nodes are xi's members plus one fresh
+    label per tree neighbor, and reps maps each neighbor's supernode index
+    to the label of the branch behind it.
+    """
+    rep_of, reps = branch_map(tree, xi)
+    of = tree.supernode_of
     nodes = [lab for lab in g.labels if of[lab] == xi] + list(reps.values())
-    rep_of = [branch[of[lab]] or lab for lab in g.labels]  # branch labels are non-empty tuples
     return _quotient(g, nodes, rep_of), reps
 
 
-def _refine(tree: PartitionTree, strategy, depth_stats) -> GHTree:
+def _record_depth(depth_stats, depth: int, nodes: int, edges: int) -> None:
+    if depth_stats is not None:
+        total = depth_stats.get(depth, (0, 0))
+        depth_stats[depth] = [total[0] + nodes, total[1] + edges]
+
+
+def _refine(tree: PartitionTree, step) -> GHTree:
     """The refinement loop behind both public drivers.
 
-    The cuts of one family are split off in the family's order.  Each is
-    costed in h as returned: splitting off a disjoint cut changes neither
-    its cost nor the branches it holds.
+    `step(xi)` returns the splits of supernode xi as (members, weight,
+    moved) triples for `PartitionTree.split`, applied in order.
     """
     while (xi := tree.pick_supernode()) is not None:
-        x_members = frozenset(tree.supernodes[xi])
-        h, reps = auxiliary_graph(tree.g, tree, xi)
-        if depth_stats is not None:
-            nodes, edges = depth_stats.get(tree.depth[xi], (0, 0))
-            depth_stats[tree.depth[xi]] = [nodes + h.num_nodes, edges + h.num_edges]
-        s, family = strategy(h, x_members)
-        for cut in _check_family(family, s, h, x_members):
-            moved = {other for other, label in reps.items() if label in cut}
-            tree.split(xi, cut & x_members, cut_cost(h, cut), moved)
+        for b_members, weight, moved in step(xi):
+            tree.split(xi, b_members, weight, moved)
         tree.depth[xi] += 1
     return tree.finish()
 
@@ -198,16 +211,23 @@ def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None =
 
     The pivot pair is the two smallest labels of the chosen supernode,
     taken by the partition tree's label rank, so the output is
-    deterministic.
+    deterministic.  The cut runs on g through the branch map, so no
+    auxiliary graph is built; the engine records H's size, which
+    `depth_stats` reads off the counter.
     """
     tree = PartitionTree(g)
-    rank = tree.rank.__getitem__
 
-    def pivot(h, x_members):
-        s, t = heapq.nsmallest(2, x_members, key=rank)
-        return s, [min_cut(h, {s}, {t}, counter).members]
+    def pivot(xi):
+        s, t = tree.supernodes[xi][:2]
+        rep_of, reps = branch_map(tree, xi)
+        nodes, edges = counter.nodes_total, counter.edges_total
+        cut = min_cut(g, {s}, {t}, counter, groups=rep_of)
+        _record_depth(depth_stats, tree.depth[xi], counter.nodes_total - nodes,
+                      counter.edges_total - edges)
+        moved = {other for other, label in reps.items() if label in cut.members}
+        return [(cut.members.intersection(tree.supernodes[xi]), cut.cost, moved)]
 
-    return _refine(tree, pivot, depth_stats)
+    return _refine(tree, pivot)
 
 
 class StrategyError(ValueError):
@@ -243,4 +263,17 @@ def gomory_hu_generalized(g: Graph, strategy, depth_stats: dict | None = None) -
     contract raises StrategyError; the driver does not call the strategy
     again.
     """
-    return _refine(PartitionTree(g), strategy, depth_stats)
+    tree = PartitionTree(g)
+
+    def step(xi):
+        # Splitting off a disjoint cut changes neither the cost of another
+        # nor the branches it holds, so every cut is costed in h.
+        x_members = frozenset(tree.supernodes[xi])
+        h, reps = auxiliary_graph(g, tree, xi)
+        _record_depth(depth_stats, tree.depth[xi], h.num_nodes, h.num_edges)
+        s, family = strategy(h, x_members)
+        return [(cut & x_members, cut_cost(h, cut),
+                 {other for other, label in reps.items() if label in cut})
+                for cut in _check_family(family, s, h, x_members)]
+
+    return _refine(tree, step)

@@ -126,13 +126,7 @@ class Graph:
         return [(lab[iu], lab[iv], w) for iu, iv, w in self.edges]
 
     def indices(self, members) -> set:
-        idx = self._index
-        out = set()
-        for lab in members:
-            if lab not in idx:
-                raise ValueError(f"{lab!r} is not a node of this graph")
-            out.add(idx[lab])
-        return out
+        return _indices(self._index, members)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -144,6 +138,16 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.num_nodes}, m={self.num_edges})"
+
+
+def _indices(index: dict, members) -> set:
+    """The positions `index` gives `members`; ValueError for a non-member."""
+    out = set()
+    for lab in members:
+        if lab not in index:
+            raise ValueError(f"{lab!r} is not a node of this graph")
+        out.add(index[lab])
+    return out
 
 
 def cut_cost(g: Graph, members) -> int:

@@ -6,20 +6,25 @@ from the source and from the sink until they meet, and every meet of one
 level expansion closes a shortest augmenting path, so one search serves
 many augmentations.  Every higher-level routine funnels through the
 three entry points here, each of which records the size of the graph it
-was handed in a WorkCounter once its terminal sides pass validation, and
+cuts in a WorkCounter once its terminal sides pass validation, and
 returns a `Cut`: the sink side as `members`, the flow value as `cost`.
 
 Multi-node terminals are handled by merging each side into a single
 super-terminal while building the flow network (no infinite-capacity arcs,
-so all arithmetic stays bounded).  Tie-breaking is deterministic: residual
-reachability decides which side is returned, and no randomness is used.
+so all arithmetic stays bounded).  `min_cut` can also cut a contracted
+graph H given as g plus a map from g's nodes to H's labels: the network
+is built from g's edges through the map, summing parallel arcs, so H is
+never built, yet the counter records H's node and edge counts.
+Tie-breaking is deterministic: residual reachability decides which side
+is returned, and no randomness is used.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
-from .graph import Cut, Graph
+from .graph import Cut, Graph, _indices
 
 
 @dataclass
@@ -81,8 +86,14 @@ def _grow(res: list, fwd: list, bwd: list):
     return meets, front, back
 
 
-def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter) -> Cut:
+def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
+           groups=None) -> Cut:
     """Maximum flow between the merged terminal sides, as the sink side's Cut.
+
+    With `groups`, a sequence giving each node of g, by index, its label
+    in a contracted graph H (the `rep_of` map of `graph._quotient`), the
+    flow runs in H without building it: the sides and the returned Cut
+    hold H's labels, and each side must be a single node of H.
 
     Each search grows a forward tree from the source along residual arcs
     and a backward tree from the sink along reversed ones (`_grow`), and
@@ -99,36 +110,68 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter) -
     The side asked for comes from finishing its tree's search from where
     it stopped.
 
-    The graph's size is recorded in `counter` once the sides are valid.
+    The size of the graph the flow runs in, g or H, is recorded in
+    `counter` once the sides are valid.
     """
-    s_idx = g.indices(s_side)
-    t_idx = g.indices(t_side)
+    if groups is None:
+        labels = g.labels
+        s_idx = g.indices(s_side)
+        t_idx = g.indices(t_side)
+    else:
+        if len(groups) != g.num_nodes:
+            raise ValueError("groups must give one label per node of the graph")
+        size = Counter(groups)  # nodes of g per node of H
+        labels = tuple(size)  # H's nodes, by first appearance
+        index = dict(zip(labels, range(len(labels))))
+        s_idx = _indices(index, s_side)
+        t_idx = _indices(index, t_side)
+        if len(s_idx) > 1 or len(t_idx) > 1:
+            raise ValueError("grouped terminal sides must be single nodes")
     if not s_idx or not t_idx:
         raise ValueError("terminal sides must be non-empty")
-    node_of = [-1] * g.num_nodes  # source side -> 0, sink side -> 1, free -> 2, 3, ...
+    node_of = [-1] * len(labels)  # source side -> 0, sink side -> 1, free -> 2, 3, ...
     for i in s_idx:
         node_of[i] = 0
     for i in t_idx:
         if node_of[i] == 0:
             raise ValueError("terminal sides must be disjoint")
         node_of[i] = 1
-    counter.record(g.num_nodes, g.num_edges)
+    # Free nodes of H that merge several nodes of g come first, so that
+    # network nodes from `single` on are single nodes of g.
     n = 2
+    if groups is not None:
+        for i, lab in enumerate(labels):
+            if node_of[i] < 0 and size[lab] > 1:
+                node_of[i] = n
+                n += 1
+    single = n
     for i, x in enumerate(node_of):
         if x < 0:
             node_of[i] = n
             n += 1
-    # res[x][y]: residual capacity from x to y; merged parallel arcs are summed.
+    # Network node of each node of g.
+    net = node_of if groups is None else [node_of[index[lab]] for lab in groups]
+    # res[x][y]: residual capacity from x to y.  g's edges are merged, so
+    # an arc between single nodes of g is one edge; other arcs sum their
+    # parallel edges, both directions alike until the first augmentation.
     res = [{} for _ in range(n)]
     for iu, iv, w in g.edges:
-        x = node_of[iu]
-        y = node_of[iv]
-        if x > 1 and y > 1:  # g's edges are merged, so arcs between free nodes are too
+        x = net[iu]
+        y = net[iv]
+        if x >= single and y >= single:
             res[x][y] = w
             res[y][x] = w
         elif x != y:
-            res[x][y] = res[x].get(y, 0) + w
-            res[y][x] = res[y].get(x, 0) + w
+            r = res[x]
+            if y in r:
+                w += r[y]
+            r[y] = res[y][x] = w
+    if groups is None:
+        counter.record(g.num_nodes, g.num_edges)
+    else:
+        # H's sides are single nodes, so each edge of H is one pair of
+        # opposite arcs.
+        counter.record(n, sum(map(len, res)) // 2)
     flow = 0
     while True:
         # Tree predecessors, -1 off the tree: fwd[y] precedes y on the
@@ -189,17 +232,17 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter) -
                     fwd[y] = x
                     front.append(y)
         sink_side = [p < 0 for p in fwd]
-    labels = g.labels
     return Cut(frozenset(labels[i] for i, x in enumerate(node_of) if sink_side[x]), flow)
 
 
-def min_cut(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
+def min_cut(g: Graph, s_side, t_side, counter: WorkCounter, groups=None) -> Cut:
     """An exact minimum S-T cut; deterministic for a fixed graph.
 
     The returned sink side is the inclusion-maximal one (complement of the
-    residual source component).
+    residual source component).  With `groups`, the cut is taken in the
+    contracted graph the map defines (see `_solve`).
     """
-    return _solve(g, s_side, t_side, False, counter)
+    return _solve(g, s_side, t_side, False, counter, groups)
 
 
 def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:

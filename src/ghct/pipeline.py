@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, cut_cost, label_key, sorted_labels
+from .graph import Graph, label_key, sorted_labels
 from .ghtree import GHTree, gomory_hu_generalized
 from .isolating import isolating_cuts
 from .maxflow import WorkCounter
@@ -157,6 +157,16 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
 # -- fixed-source partitions ---------------------------------------------
 
 
+def _weighted_degrees(g: Graph, x) -> dict:
+    """{v: cut_cost(g, {v})} for every v in x, from one pass over g's edges."""
+    degree = [0] * g.num_nodes
+    for iu, iv, w in g.edges:
+        degree[iu] += w
+        degree[iv] += w
+    labels = g.labels
+    return {labels[i]: degree[i] for i in g.indices(x)}
+
+
 def _by_estimate(sample, estimates) -> list:
     """The sample in decreasing cost estimate, ties in label order."""
     return sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
@@ -175,7 +185,7 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     live = set(x)
     if not live:
         return {}
-    estimates = {v: cut_cost(g, {v}) for v in live}
+    estimates = _weighted_degrees(g, live)
     # Every round keeps its representatives live, so the last sample is
     # not empty and `tree` is the full-rate round's.
     for rate in partition_schedule(len(live)) + (1.0,):
@@ -202,7 +212,7 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     x = set(x)
     if not x:
         return []
-    estimates = {v: cut_cost(g, {v}) for v in x}
+    estimates = _weighted_degrees(g, x)
     rates = partition_schedule(len(x))
     family: set = set()
     covered: set = set()

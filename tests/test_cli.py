@@ -1,12 +1,15 @@
+import concurrent.futures
 import json
+import math
 import os
+import pickle
 import random
 
 import pytest
 
 from ghct import cli, oracle
 from ghct.cli import MAX_SCALING_SIZE, main
-from ghct.graph import parse_dimacs, write_dimacs
+from ghct.graph import Graph, parse_dimacs, write_dimacs
 from ghct.maxflow import WorkCounter
 from ghct.octree import OCTree
 from ghct.generators import cycle, erdos_renyi, erdos_renyi_m, grid, random_tree_plus_noise, \
@@ -398,6 +401,65 @@ class TestBench:
         instances = [row["instance"] for row in json.loads(report.read_text())["rows"]]
         assert instances.count("erdos-renyi_n32") == 1
         assert instances.count("erdos-renyi-unit_n32") == 1
+
+    def test_scaling_fit_keeps_families_apart(self, tmp_path):
+        # The weighted corpus graphs and the unit-weight scaling graphs
+        # overlap at n=32; each fitted point holds one family only.
+        corpus = tmp_path / "corpus"
+        report = tmp_path / "report.json"
+        assert main(["bench", str(corpus), "--generate", "--scaling-sizes", "32", "64",
+                     "--methods", "classic", "--seeds", "0",
+                     "--report", str(report)]) == 0
+        scaling = json.loads(report.read_text())["oc_scaling"]
+        by_n = scaling["nodes_total_by_n"]
+        assert {n: sorted(families) for n, families in by_n.items()} == {
+            "16": ["erdos-renyi"], "32": ["erdos-renyi", "erdos-renyi-unit"],
+            "64": ["erdos-renyi-unit"]}
+        assert all(len(values) == 1 for families in by_n.values()
+                   for values in families.values())
+        # Both families span one doubling of n, so the slope with one
+        # intercept per family is the mean of their two-point slopes.
+        (w16,), (w32,) = by_n["16"]["erdos-renyi"], by_n["32"]["erdos-renyi"]
+        (u32,), (u64,) = by_n["32"]["erdos-renyi-unit"], by_n["64"]["erdos-renyi-unit"]
+        assert scaling["fitted_exponent"] == pytest.approx(
+            (math.log(w32 / w16) + math.log(u64 / u32)) / (2 * math.log(2)))
+
+    def test_jobs_send_each_graph_once(self, tmp_path, monkeypatch):
+        # Workers receive the parsed corpus once, through the pool
+        # initializer; the per-job arguments only name the instance.
+        sent = {}
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                sent["initargs"] = kwargs.get("initargs")
+                super().__init__(*args, **kwargs)
+
+            def map(self, fn, *iterables, **kwargs):
+                sent["jobs"] = [list(column) for column in iterables]
+                return super().map(fn, *sent["jobs"], **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = random.Random(5)
+        for k in range(3):
+            (corpus / f"inst{k}.dimacs").write_text(write_dimacs(erdos_renyi(9, 0.5, rng)))
+        reports = []
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.json"
+            assert main(["bench", str(corpus), "--methods", "classic,weak-oc",
+                         "--seeds", "0,1", "--jobs", str(jobs), "--verify",
+                         "--report", str(path)]) == 0
+            rows = json.loads(path.read_text())["rows"]
+            for row in rows:
+                row.pop("wall_ms")
+            reports.append(rows)
+        assert reports[0] == reports[1]
+        (graphs,) = sent["initargs"]
+        assert sorted(graphs) == ["inst0", "inst1", "inst2"]
+        assert all(isinstance(g, Graph) for g in graphs.values())
+        assert len(sent["jobs"][0]) == 3 * 2 * 2
+        assert b"Graph" not in pickle.dumps(sent["jobs"])
 
     def test_csv_report(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ghct import ghtree
 from ghct.ghtree import (
     GHTree,
     PartitionTree,
@@ -136,6 +137,58 @@ class TestClassic:
             g = random_graph(rng, rng.randint(2, 14))
             tree = gomory_hu_classic(g, counter)
             assert verify_gh_tree(g, tree).ok
+
+    @staticmethod
+    def reference(g, counter, depth_stats):
+        """Classic built the way the generalized driver builds its graphs:
+        each step cuts the auxiliary graph H and costs the cut in H."""
+        tree = PartitionTree(g)
+        while (xi := tree.pick_supernode()) is not None:
+            members = tree.supernodes[xi]
+            h, reps = auxiliary_graph(g, tree, xi)
+            nodes, edges = depth_stats.get(tree.depth[xi], (0, 0))
+            depth_stats[tree.depth[xi]] = [nodes + h.num_nodes, edges + h.num_edges]
+            cut = min_cut(h, {members[0]}, {members[1]}, counter).members
+            moved = {other for other, label in reps.items() if label in cut}
+            tree.split(xi, cut & set(members), cut_cost(h, cut), moved)
+            tree.depth[xi] += 1
+        return tree.finish()
+
+    def test_equals_auxiliary_graph_reference(self):
+        # Classic reads H through the branch map and builds none; tree,
+        # counter and depth_stats must be those of cutting H itself.
+        rng = random.Random(109)
+        for _ in range(120):
+            n = rng.randint(1, 16)
+            weights = rng.choice((1, 4, 16))
+            g = scrambled(rng, Graph(range(1, n + 1), [
+                (u, v, rng.randint(0, weights)) for u in range(1, n + 1)
+                for v in range(u + 1, n + 1) if rng.random() < rng.random()]))
+            counter, depth_stats = WorkCounter(), {}
+            ref_counter, ref_depth_stats = WorkCounter(), {}
+            assert (gomory_hu_classic(g, counter, depth_stats=depth_stats)
+                    == self.reference(g, ref_counter, ref_depth_stats))
+            assert counter == ref_counter
+            assert depth_stats == ref_depth_stats
+
+    def test_every_engine_call_goes_through_min_cut(self, monkeypatch):
+        # Tracers count engine work at the public entry point, so each
+        # counted call must pass through ghtree's min_cut name.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return min_cut(*args, **kwargs)
+
+        monkeypatch.setattr(ghtree, "min_cut", counting)
+        rng = random.Random(113)
+        for _ in range(20):
+            g = random_graph(rng, rng.randint(2, 14))
+            counter = WorkCounter()
+            gomory_hu_classic(g, counter)
+            assert len(calls) == counter.calls == g.num_nodes - 1
+            assert all(arg is g for arg in calls)
+            calls.clear()
 
     def test_depth_accounting(self):
         # Per recursion depth the auxiliary graphs stay within a small

@@ -4,12 +4,12 @@ import pytest
 
 from ghct import maxflow
 from ghct.generators import grid
-from ghct.graph import Graph, cut_cost
+from ghct.graph import Graph, _quotient, cut_cost
 from ghct.maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
 from ghct.oracle import brute_all_min_cuts, brute_min_cut
 from ghct.pipeline import perturb
 
-from conftest import random_graph
+from conftest import random_graph, scrambled
 
 
 @pytest.fixture
@@ -329,6 +329,52 @@ class TestMinimalSink:
             tight = min_cut_minimal_sink(g, s_big, t_small, counter)
             for side in brute_all_min_cuts(g, s_small, t_big):
                 assert tight.members <= side
+
+
+class TestGroups:
+    """min_cut on (g, groups) is min_cut on the contracted graph the map
+    defines, without building it."""
+
+    @staticmethod
+    def random_grouping(rng, g):
+        """(H's labels in a random order, g index -> H label): some nodes of
+        g keep their own label, the others go to a few fresh groups."""
+        fresh = [("grp", k) for k in range(rng.randint(1, 4))]
+        rep_of = [lab if rng.random() < 0.5 else rng.choice(fresh) for lab in g.labels]
+        labels = list(dict.fromkeys(rep_of))
+        rng.shuffle(labels)
+        return labels, rep_of
+
+    def test_matches_quotient(self):
+        rng = random.Random(61)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            weights = rng.choice((1, 3, 16))
+            g = scrambled(rng, Graph(range(1, n + 1), [
+                (u, v, rng.randint(0, weights)) for u in range(1, n + 1)
+                for v in range(u + 1, n + 1) if rng.random() < rng.random()]))
+            labels, rep_of = self.random_grouping(rng, g)
+            if len(labels) < 2:
+                continue
+            h = _quotient(g, labels, rep_of)
+            s, t = rng.sample(labels, 2)
+            on_h, on_g = WorkCounter(), WorkCounter()
+            assert min_cut(g, {s}, {t}, on_g, groups=rep_of) == min_cut(h, {s}, {t}, on_h)
+            assert on_g == on_h
+            checked += 1
+        assert checked > 250
+
+    def test_rejects_bad_groups(self, tri, counter):
+        # A rejected call is no engine work: the counter stays at zero.
+        for groups, s_side, t_side in (((1, 2), {1}, {2}),
+                                       ((1, 1, 3), {1}, {2}),
+                                       ((1, "a", "a"), {1}, {3}),
+                                       ((1, 2, 3), {1, 2}, {3}),
+                                       ((1, 2, 3), {1}, {1})):
+            with pytest.raises(ValueError):
+                min_cut(tri, s_side, t_side, counter, groups=groups)
+        assert counter == WorkCounter()
 
 
 def test_goldberg_running_minimum_property():

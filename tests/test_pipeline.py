@@ -8,6 +8,7 @@ from ghct.maxflow import WorkCounter, min_cut
 from ghct.oracle import brute_all_min_cuts, is_laminar, verify_gh_tree
 from ghct.pipeline import (
     AttemptLimitError,
+    _weighted_degrees,
     PipelineStats,
     certified_ordered_cuts,
     fixed_source_blocks,
@@ -22,7 +23,7 @@ from ghct.pipeline import (
     source_schedule,
 )
 
-from conftest import connected_random_graph, random_graph
+from conftest import connected_random_graph, random_graph, scrambled
 
 
 class TestPerturb:
@@ -152,6 +153,20 @@ class TestCertifiedOrderedCuts:
             with pytest.raises(ValueError):
                 certified_ordered_cuts(1, seq, g2, counter, certify="x")
             assert counter.calls == 0
+
+
+def test_weighted_degrees_are_singleton_cut_costs():
+    # The starting estimates of both fixed-source loops.
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        g = scrambled(rng, Graph(range(1, n + 1), [
+            (u, v, rng.randint(0, 16)) for u in range(1, n + 1)
+            for v in range(u + 1, n + 1) if rng.random() < 0.5]))
+        x = set(rng.sample(g.labels, rng.randint(1, n)))
+        assert _weighted_degrees(g, x) == {v: cut_cost(g, {v}) for v in x}
+    with pytest.raises(ValueError):
+        _weighted_degrees(g, {"missing"})
 
 
 class TestFixedSourceBlocks:
