@@ -21,7 +21,6 @@ is returned, and no randomness is used.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .graph import Cut, Graph, _indices
@@ -120,8 +119,7 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
     else:
         if len(groups) != g.num_nodes:
             raise ValueError("groups must give one label per node of the graph")
-        size = Counter(groups)  # nodes of g per node of H
-        labels = tuple(size)  # H's nodes, by first appearance
+        labels = tuple(dict.fromkeys(groups))  # H's nodes, by first appearance
         index = dict(zip(labels, range(len(labels))))
         s_idx = _indices(index, s_side)
         t_idx = _indices(index, t_side)
@@ -136,15 +134,7 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
         if node_of[i] == 0:
             raise ValueError("terminal sides must be disjoint")
         node_of[i] = 1
-    # Free nodes of H that merge several nodes of g come first, so that
-    # network nodes from `single` on are single nodes of g.
     n = 2
-    if groups is not None:
-        for i, lab in enumerate(labels):
-            if node_of[i] < 0 and size[lab] > 1:
-                node_of[i] = n
-                n += 1
-    single = n
     for i, x in enumerate(node_of):
         if x < 0:
             node_of[i] = n
@@ -152,8 +142,10 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
     # Network node of each node of g.
     net = node_of if groups is None else [node_of[index[lab]] for lab in groups]
     # res[x][y]: residual capacity from x to y.  g's edges are merged, so
-    # an arc between single nodes of g is one edge; other arcs sum their
-    # parallel edges, both directions alike until the first augmentation.
+    # without groups an arc between free nodes is one edge; every other
+    # arc sums its parallel edges, both directions alike until the first
+    # augmentation.
+    single = 2 if groups is None else n
     res = [{} for _ in range(n)]
     for iu, iv, w in g.edges:
         x = net[iu]
