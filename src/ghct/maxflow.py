@@ -9,12 +9,13 @@ three entry points here, each of which records the size of the graph it
 cuts in a WorkCounter once its terminal sides pass validation, and
 returns a `Cut`: the sink side as `members`, the flow value as `cost`.
 
-Multi-node terminals are handled by merging each side into a single
-super-terminal while building the flow network (no infinite-capacity arcs,
-so all arithmetic stays bounded).  `min_cut` can also cut a contracted
-graph H given as g plus a map from g's nodes to H's labels: the network
-is built from g's edges through the map, summing parallel arcs, so H is
-never built, yet the counter records H's node and edge counts.
+Every call cuts a graph H: g itself, or, for `min_cut` given a map from
+g's nodes to H's labels, the contracted graph that map defines.  One
+builder makes every flow network: each terminal side becomes a single
+super-terminal (no infinite-capacity arcs, so all arithmetic stays
+bounded), g's edges are read through the map, and every arc sums the
+edges that map to it.  So H is never built, yet the counter records
+H's node and edge counts.
 Tie-breaking is deterministic: residual reachability decides which side
 is returned, and no randomness is used.
 """
@@ -89,10 +90,12 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
            groups=None) -> Cut:
     """Maximum flow between the merged terminal sides, as the sink side's Cut.
 
-    With `groups`, a sequence giving each node of g, by index, its label
-    in a contracted graph H (the `rep_of` map of `graph._quotient`), the
-    flow runs in H without building it: the sides and the returned Cut
-    hold H's labels, and each side must be a single node of H.
+    The flow runs in a graph H: g itself, read through g's own label
+    index, or, given `groups` (each node of g's label in H, by index: the
+    `rep_of` map of `graph._quotient`), the contracted graph it defines,
+    whose sides must be single nodes.  Each side is one network node,
+    every other node of H its own, and every arc sums the edges of g that
+    map to it.
 
     Each search grows a forward tree from the source along residual arcs
     and a backward tree from the sink along reversed ones (`_grow`), and
@@ -109,24 +112,21 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
     The side asked for comes from finishing its tree's search from where
     it stopped.
 
-    The size of the graph the flow runs in, g or H, is recorded in
-    `counter` once the sides are valid.
+    H's size is recorded in `counter` once the sides are valid.
     """
     if groups is None:
-        labels = g.labels
-        s_idx = g.indices(s_side)
-        t_idx = g.indices(t_side)
+        labels, index = g.labels, g._index  # H is g itself
     else:
         if len(groups) != g.num_nodes:
             raise ValueError("groups must give one label per node of the graph")
         labels = tuple(dict.fromkeys(groups))  # H's nodes, by first appearance
         index = dict(zip(labels, range(len(labels))))
-        s_idx = _indices(index, s_side)
-        t_idx = _indices(index, t_side)
-        if len(s_idx) > 1 or len(t_idx) > 1:
-            raise ValueError("grouped terminal sides must be single nodes")
+    s_idx = _indices(index, s_side)
+    t_idx = _indices(index, t_side)
     if not s_idx or not t_idx:
         raise ValueError("terminal sides must be non-empty")
+    if groups is not None and (len(s_idx) > 1 or len(t_idx) > 1):
+        raise ValueError("grouped terminal sides must be single nodes")
     node_of = [-1] * len(labels)  # source side -> 0, sink side -> 1, free -> 2, 3, ...
     for i in s_idx:
         node_of[i] = 0
@@ -141,19 +141,14 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
             n += 1
     # Network node of each node of g.
     net = node_of if groups is None else [node_of[index[lab]] for lab in groups]
-    # res[x][y]: residual capacity from x to y.  g's edges are merged, so
-    # without groups an arc between free nodes is one edge; every other
-    # arc sums its parallel edges, both directions alike until the first
+    # res[x][y]: residual capacity from x to y.  Every arc sums the edges
+    # of g that map to it, both directions alike until the first
     # augmentation.
-    single = 2 if groups is None else n
     res = [{} for _ in range(n)]
     for iu, iv, w in g.edges:
         x = net[iu]
         y = net[iv]
-        if x >= single and y >= single:
-            res[x][y] = w
-            res[y][x] = w
-        elif x != y:
+        if x != y:
             r = res[x]
             if y in r:
                 w += r[y]
@@ -245,6 +240,4 @@ def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
 def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:
     """The unique inclusion-minimal minimum u-v cut containing v: the nodes
     that can still reach v in the residual network of a maximum flow."""
-    if u == v:
-        raise ValueError("terminals must be distinct")
     return _solve(g, {u}, {v}, True, counter)

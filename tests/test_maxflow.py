@@ -365,6 +365,20 @@ class TestGroups:
             checked += 1
         assert checked > 250
 
+    def test_identity_grouping_is_the_plain_call(self):
+        # Where the two counting rules meet they agree: a grouped call
+        # records the arc pairs it built, a plain one g's merged edges.
+        rng = random.Random(67)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            g = scrambled(rng, Graph(range(1, n + 1), [
+                (u, v, rng.randint(0, 5)) for u in range(1, n + 1)
+                for v in range(u + 1, n + 1) if rng.random() < rng.random()]))
+            s, t = rng.sample(g.labels, 2)
+            plain, grouped = WorkCounter(), WorkCounter()
+            assert min_cut(g, {s}, {t}, grouped, groups=g.labels) == min_cut(g, {s}, {t}, plain)
+            assert grouped == plain
+
     def test_rejects_bad_groups(self, tri, counter):
         # A rejected call is no engine work: the counter stays at zero.
         for groups, s_side, t_side in (((1, 2), {1}, {2}),
