@@ -3,12 +3,14 @@
 Both drivers run one refinement loop over one PartitionTree, refined in
 place: pick the largest supernode, cut its auxiliary graph H (every tree
 branch hanging off it contracted to one node), and split each cut off the
-supernode.  `branch_map` gives H as a map from g's nodes to H's labels.
-The classic step cuts one pivot pair on g through that map, so it builds
-no H.  The generalized driver builds H (`auxiliary_graph`) and asks its
-caller's strategy for a source and a family of pairwise-disjoint minimum
-source cuts in it; a family that breaks the contract raises StrategyError
-at once.  The loop ends with a complete partition tree whose singletons
+supernode.  The classic driver keeps each supernode's H as an adjacency
+over g's node indices and cuts one pivot pair in a copy of it; a cut
+splits H into the two new supernodes' graphs in time linear in the
+smaller side's degree.  The generalized driver builds H afresh
+(`auxiliary_graph`, from the map `branch_map` gives from g's nodes to H's
+labels) and asks its caller's strategy for a source and a family of
+pairwise-disjoint minimum source cuts in it; a family that breaks the
+contract raises StrategyError at once.  The loop ends with a complete partition tree whose singletons
 form the cut tree.  g's labels are sorted once, and that one order breaks
 the loop's ties and orders the finished tree.
 """
@@ -206,26 +208,81 @@ def _refine(tree: PartitionTree, step) -> GHTree:
     return tree.finish()
 
 
+def _split_kept(h: dict, side, a, b) -> dict:
+    """Split the kept graph h in two along `side`, a set of its nodes
+    holding a, and the rest, holding b.
+
+    Returns side's own graph, the rest contracted into the one node b.  h
+    becomes the rest's graph in place, side contracted into the one node
+    a.  A contracted edge sums the edges it merges, and exists if any of
+    them does, so weight-0 edges stay.  Costs O(degree of side).
+    """
+    own = {x: h.pop(x) for x in side}
+    outside = {}  # the rest's neighbours of side, with their summed weights
+    to_rest = {}  # side's neighbours of the rest, likewise
+    for x, nbrs in own.items():
+        for y in [y for y in nbrs if y not in side]:
+            w = nbrs.pop(y)
+            del h[y][x]
+            outside[y] = outside.get(y, 0) + w
+            to_rest[x] = to_rest.get(x, 0) + w
+        if x in to_rest:
+            nbrs[b] = to_rest[x]
+    for y, w in outside.items():
+        h[y][a] = w
+    h[a] = outside
+    own[b] = to_rest
+    return own
+
+
 def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None = None) -> GHTree:
     """Classic construction: one pivot minimum cut per refinement step.
 
     The pivot pair is the two smallest labels of the chosen supernode,
     taken by the partition tree's label rank, so the output is
-    deterministic.  The cut runs on g through the branch map, so no
-    auxiliary graph is built; the engine records H's size, which
-    `depth_stats` reads off the counter.
+    deterministic.  Each supernode of two or more members keeps its
+    auxiliary graph H as an adjacency over g's node indices, each branch
+    node named by one node of g inside the branch, with a map from each
+    tree neighbour to its branch node; the engine cuts a copy of H and
+    records H's size, which `depth_stats` reads off the counter.  A cut
+    splits H in two: the smaller side's graph is read off its own
+    adjacency, and the larger side's graph is H with the smaller side
+    contracted in place.
     """
     tree = PartitionTree(g)
+    kept = {}  # supernode index -> (H, {tree neighbour: branch node of H})
+    if g.num_nodes > 1:
+        h = {i: {} for i in range(g.num_nodes)}
+        for iu, iv, w in g.edges:
+            h[iu][iv] = h[iv][iu] = w
+        kept[0] = h, {}
 
     def pivot(xi):
-        s, t = tree.supernodes[xi][:2]
-        rep_of, reps = branch_map(tree, xi)
+        members = tree.supernodes[xi]
+        s, t = members[:2]
+        h, branch = kept.pop(xi)
         nodes, edges = counter.nodes_total, counter.edges_total
-        cut = min_cut(g, {s}, {t}, counter, groups=rep_of)
+        cut = min_cut(g, {s}, {t}, counter, adj=h)
         _record_depth(depth_stats, tree.depth[xi], counter.nodes_total - nodes,
                       counter.edges_total - edges)
-        moved = {other for other, label in reps.items() if label in cut.members}
-        return [(cut.members.intersection(tree.supernodes[xi]), cut.cost, moved)]
+        b_members = cut.members.intersection(members)
+        sink = g.indices(cut.members)
+        moved = {j for j, x in branch.items() if x in sink}
+        bi = len(tree.supernodes)  # the index `split` gives the sink side
+        si, ti = g._index[s], g._index[t]
+        if 2 * len(sink) <= len(h):
+            h_a, h_b = h, _split_kept(h, sink, ti, si)
+        else:
+            h_b, h_a = h, _split_kept(h, {x for x in h if x not in sink}, si, ti)
+        for j in moved:  # its tree edge goes from xi to bi
+            if j in kept:
+                nb = kept[j][1]
+                nb[bi] = nb.pop(xi)
+        if len(members) - len(b_members) > 1:
+            kept[xi] = h_a, {j: x for j, x in branch.items() if j not in moved} | {bi: ti}
+        if len(b_members) > 1:
+            kept[bi] = h_b, {j: branch[j] for j in moved} | {xi: si}
+        return [(b_members, cut.cost, moved)]
 
     return _refine(tree, pivot)
 

@@ -14,8 +14,9 @@ from typing import Hashable, Iterable
 Label = Hashable
 
 # Largest node count a DIMACS header may declare: far beyond what the
-# pure-Python engine can solve, small enough that the label tuple fits.
-MAX_DIMACS_NODES = 2 ** 24
+# pure-Python engine can solve, and a header alone, with no edges, makes
+# the parser allocate about 120 MB at the cap (labels and their index).
+MAX_DIMACS_NODES = 2 ** 20
 
 
 class GraphFormatError(ValueError):

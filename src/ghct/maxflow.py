@@ -9,13 +9,13 @@ three entry points here, each of which records the size of the graph it
 cuts in a WorkCounter once its terminal sides pass validation, and
 returns a `Cut`: the sink side as `members`, the flow value as `cost`.
 
-Every call cuts a graph H: g itself, or, for `min_cut` given a map from
-g's nodes to H's labels, the contracted graph that map defines.  One
-builder makes every flow network: each terminal side becomes a single
-super-terminal (no infinite-capacity arcs, so all arithmetic stays
-bounded), g's edges are read through the map, and every arc sums the
-edges that map to it.  So H is never built, yet the counter records
-H's node and edge counts.
+Every call cuts a graph H: g itself, or, for `min_cut` given `adj`, a
+contracted graph of g its caller keeps as an adjacency
+`{node: {neighbour: weight}}` over g's node indices, each node of H
+named by one node of g inside it.  A plain call builds its flow network
+from g's edges, each terminal side merged into a single super-terminal
+(no infinite-capacity arcs, so all arithmetic stays bounded); a call on
+a kept H copies it.  One max-flow core then runs on either network.
 Tie-breaking is deterministic: residual reachability decides which side
 is returned, and no randomness is used.
 """
@@ -48,9 +48,9 @@ class WorkCounter:
         }
 
 
-def _grow(res: list, fwd: list, bwd: list):
-    """Grow the forward tree from the source (network node 0) and the
-    backward tree from the sink (node 1) until they meet or one closes.
+def _grow(res: list, fwd: list, bwd: list, source: int, sink: int):
+    """Grow the forward tree from the source and the backward tree from
+    the sink until they meet or one closes.
 
     Each step expands one whole level of the side whose frontier holds
     fewer nodes, recording tree predecessors in `fwd` and `bwd`.  Neither
@@ -60,7 +60,7 @@ def _grow(res: list, fwd: list, bwd: list):
     shortest s-t path.  Returns (meets, front, back), the last two the
     trees' frontiers; no meets means one frontier is empty.
     """
-    front, back = [0], [1]
+    front, back = [source], [sink]
     meets = []
     while front and back and not meets:
         if len(front) <= len(back):
@@ -86,16 +86,12 @@ def _grow(res: list, fwd: list, bwd: list):
     return meets, front, back
 
 
-def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
-           groups=None) -> Cut:
-    """Maximum flow between the merged terminal sides, as the sink side's Cut.
-
-    The flow runs in a graph H: g itself, read through g's own label
-    index, or, given `groups` (each node of g's label in H, by index: the
-    `rep_of` map of `graph._quotient`), the contracted graph it defines,
-    whose sides must be single nodes.  Each side is one network node,
-    every other node of H its own, and every arc sums the edges of g that
-    map to it.
+def _max_flow(res: list, source: int, sink: int, minimal_sink: bool):
+    """Push a maximum flow from `source` to `sink` through the residual
+    network `res`, in place: res[x][y] is the residual capacity from x to
+    y, every arc paired with its reverse, and nodes the flow cannot reach
+    may hold None.  Returns (flow value, sink side), the side as one bool
+    per node.
 
     Each search grows a forward tree from the source along residual arcs
     and a backward tree from the sink along reversed ones (`_grow`), and
@@ -111,76 +107,29 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
     is what can still reach the sink, the inclusion-minimal sink side.
     The side asked for comes from finishing its tree's search from where
     it stopped.
-
-    H's size is recorded in `counter` once the sides are valid.
     """
-    if groups is None:
-        labels, index = g.labels, g._index  # H is g itself
-    else:
-        if len(groups) != g.num_nodes:
-            raise ValueError("groups must give one label per node of the graph")
-        labels = tuple(dict.fromkeys(groups))  # H's nodes, by first appearance
-        index = dict(zip(labels, range(len(labels))))
-    s_idx = _indices(index, s_side)
-    t_idx = _indices(index, t_side)
-    if not s_idx or not t_idx:
-        raise ValueError("terminal sides must be non-empty")
-    if groups is not None and (len(s_idx) > 1 or len(t_idx) > 1):
-        raise ValueError("grouped terminal sides must be single nodes")
-    node_of = [-1] * len(labels)  # source side -> 0, sink side -> 1, free -> 2, 3, ...
-    for i in s_idx:
-        node_of[i] = 0
-    for i in t_idx:
-        if node_of[i] == 0:
-            raise ValueError("terminal sides must be disjoint")
-        node_of[i] = 1
-    n = 2
-    for i, x in enumerate(node_of):
-        if x < 0:
-            node_of[i] = n
-            n += 1
-    # Network node of each node of g.
-    net = node_of if groups is None else [node_of[index[lab]] for lab in groups]
-    # res[x][y]: residual capacity from x to y.  Every arc sums the edges
-    # of g that map to it, both directions alike until the first
-    # augmentation.
-    res = [{} for _ in range(n)]
-    for iu, iv, w in g.edges:
-        x = net[iu]
-        y = net[iv]
-        if x != y:
-            r = res[x]
-            if y in r:
-                w += r[y]
-            r[y] = res[y][x] = w
-    if groups is None:
-        counter.record(g.num_nodes, g.num_edges)
-    else:
-        # H's sides are single nodes, so each edge of H is one pair of
-        # opposite arcs.
-        counter.record(n, sum(map(len, res)) // 2)
     flow = 0
     while True:
         # Tree predecessors, -1 off the tree: fwd[y] precedes y on the
         # path from the source, bwd[x] follows x on the path to the sink.
-        fwd = [-1] * n
-        fwd[0] = 0
-        bwd = [-1] * n
-        bwd[1] = 1
-        meets, front, back = _grow(res, fwd, bwd)
+        fwd = [-1] * len(res)
+        fwd[source] = source
+        bwd = [-1] * len(res)
+        bwd[sink] = sink
+        meets, front, back = _grow(res, fwd, bwd, source, sink)
         if not meets:
             break
         for x, y in meets:
             aug = res[x][y]
             v = x
-            while v and aug:
+            while v != source and aug:
                 u = fwd[v]
                 c = res[u][v]
                 if c < aug:
                     aug = c
                 v = u
             v = y
-            while v != 1 and aug:
+            while v != sink and aug:
                 w = bwd[v]
                 c = res[v][w]
                 if c < aug:
@@ -191,13 +140,13 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
             res[x][y] -= aug
             res[y][x] += aug
             v = x
-            while v:
+            while v != source:
                 u = fwd[v]
                 res[u][v] -= aug
                 res[v][u] += aug
                 v = u
             v = y
-            while v != 1:
+            while v != sink:
                 w = bwd[v]
                 res[v][w] -= aug
                 res[w][v] += aug
@@ -211,25 +160,82 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
                 if bwd[x] < 0 and res[x][y]:
                     bwd[x] = y
                     back.append(x)
-        sink_side = [p >= 0 for p in bwd]
-    else:
-        for x in front:
-            for y, c in res[x].items():
-                if c and fwd[y] < 0:
-                    fwd[y] = x
-                    front.append(y)
-        sink_side = [p < 0 for p in fwd]
-    return Cut(frozenset(labels[i] for i, x in enumerate(node_of) if sink_side[x]), flow)
+        return flow, [p >= 0 for p in bwd]
+    for x in front:
+        for y, c in res[x].items():
+            if c and fwd[y] < 0:
+                fwd[y] = x
+                front.append(y)
+    return flow, [p < 0 for p in fwd]
 
 
-def min_cut(g: Graph, s_side, t_side, counter: WorkCounter, groups=None) -> Cut:
+def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
+           adj=None) -> Cut:
+    """Minimum cut between the terminal sides, as the sink side's Cut.
+
+    Without `adj` the cut is taken in g: each side becomes one network
+    node, every other node of g its own, and every arc sums the edges of
+    g that map to it.  With `adj`, a kept contracted graph H of g (see the module
+    docstring), it is taken in H, whose sides must be single nodes, and
+    the network is a copy of H.  H's size is recorded in `counter` once
+    the sides are valid.
+    """
+    labels = g.labels
+    s_idx = _indices(g._index, s_side)
+    t_idx = _indices(g._index, t_side)
+    if not s_idx or not t_idx:
+        raise ValueError("terminal sides must be non-empty")
+    if s_idx & t_idx:
+        raise ValueError("terminal sides must be disjoint")
+    if adj is not None:
+        if len(s_idx) > 1 or len(t_idx) > 1:
+            raise ValueError("terminal sides of a kept graph must be single nodes")
+        (s,), (t,) = s_idx, t_idx
+        if s not in adj or t not in adj:
+            raise ValueError("terminal sides must be nodes of the kept graph")
+        res = [None] * len(labels)
+        for x, nbrs in adj.items():
+            res[x] = nbrs.copy()
+        # Single-node sides: each edge of H is one pair of opposite arcs.
+        counter.record(len(adj), sum(map(len, adj.values())) // 2)
+        flow, sink_side = _max_flow(res, s, t, minimal_sink)
+        return Cut(frozenset([labels[x] for x in adj if sink_side[x]]), flow)
+    node_of = [-1] * len(labels)  # source side -> 0, sink side -> 1, free -> 2, 3, ...
+    for i in s_idx:
+        node_of[i] = 0
+    for i in t_idx:
+        node_of[i] = 1
+    n = 2
+    for i, x in enumerate(node_of):
+        if x < 0:
+            node_of[i] = n
+            n += 1
+    # res[x][y]: residual capacity from x to y.  Every arc sums the edges
+    # of g that map to it, both directions alike until the first
+    # augmentation.
+    res = [{} for _ in range(n)]
+    for iu, iv, w in g.edges:
+        x = node_of[iu]
+        y = node_of[iv]
+        if x != y:
+            r = res[x]
+            if y in r:
+                w += r[y]
+            r[y] = res[y][x] = w
+    counter.record(g.num_nodes, g.num_edges)
+    flow, sink_side = _max_flow(res, 0, 1, minimal_sink)
+    return Cut(frozenset([labels[i] for i, x in enumerate(node_of) if sink_side[x]]), flow)
+
+
+def min_cut(g: Graph, s_side, t_side, counter: WorkCounter, adj=None) -> Cut:
     """An exact minimum S-T cut; deterministic for a fixed graph.
 
     The returned sink side is the inclusion-maximal one (complement of the
-    residual source component).  With `groups`, the cut is taken in the
-    contracted graph the map defines (see `_solve`).
+    residual source component).  With `adj`, the cut is taken in the kept
+    contracted graph it gives, and its members are the labels of the
+    g-nodes that name H's sink-side nodes (see `_solve`).
     """
-    return _solve(g, s_side, t_side, False, counter, groups)
+    return _solve(g, s_side, t_side, False, counter, adj)
 
 
 def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:

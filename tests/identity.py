@@ -6,7 +6,8 @@ holds the SHA-256 of the canonical tree text, the work counter and
 `depth_stats`, the attempt accounting and the SHA-256 of the random
 generator's final state.  An engine case makes one `min_cut`,
 `min_cut_minimal_sink` or grouped `min_cut` call on random sides of the
-same graph and prints the cut and the work.
+same graph and prints the cut and the work; the grouped call cuts a
+contraction of g kept as an adjacency, and prints it in the group labels.
 
 The 204 graphs are Erdos-Renyi by edge count and by probability, grids,
 cycles, stars and trees plus noise, with at most 22 nodes and weights
@@ -73,7 +74,8 @@ def build(g, method: str, seed: int) -> dict:
 
 
 def engine_cases(g, rng):
-    """Plain calls on disjoint multi-node sides, and one grouped call."""
+    """Plain calls on disjoint multi-node sides, and one call on a random
+    contraction of g."""
     labels = list(g.labels)
     rng.shuffle(labels)
     k = rng.randint(1, len(labels) - 1)
@@ -87,10 +89,22 @@ def engine_cases(g, rng):
     h_labels = sorted(set(rep_of))
     if len(h_labels) > 1:
         s, t = rng.sample(h_labels, 2)
+        # The contracted graph as a kept adjacency: each node of H is named
+        # by the index of the first node of g in it.
+        name = {}
+        for i, lab in enumerate(rep_of):
+            name.setdefault(lab, i)
+        adj = {x: {} for x in name.values()}
+        for iu, iv, w in g.edges:
+            a, b = name[rep_of[iu]], name[rep_of[iv]]
+            if a != b:
+                adj[a][b] = adj[b][a] = adj[a].get(b, 0) + w
         counter = WorkCounter()
-        cut = min_cut(g, {s}, {t}, counter, groups=rep_of)
+        cut = min_cut(g, {g.labels[name[s]]}, {g.labels[name[t]]}, counter, adj=adj)
+        index = {lab: i for i, lab in enumerate(g.labels)}
         yield {"call": "min_cut groups", "s": [s], "t": [t],
-               "members": members(cut.members), "cost": cut.cost, "work": counter.snapshot()}
+               "members": members(rep_of[index[lab]] for lab in cut.members),
+               "cost": cut.cost, "work": counter.snapshot()}
 
 
 def main():

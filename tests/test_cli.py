@@ -9,7 +9,7 @@ import pytest
 
 from ghct import cli, oracle
 from ghct.cli import MAX_SCALING_SIZE, main
-from ghct.graph import Graph, parse_dimacs, write_dimacs
+from ghct.graph import MAX_DIMACS_NODES, Graph, parse_dimacs, write_dimacs
 from ghct.maxflow import WorkCounter
 from ghct.octree import OCTree
 from ghct.generators import cycle, erdos_renyi, erdos_renyi_m, grid, random_tree_plus_noise, \
@@ -83,6 +83,14 @@ class TestCompute:
         bad.write_text("p ghct 2 1\ne 1 5 3\n")
         assert main(["compute", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_node_count_over_the_cap_exits_1(self, tmp_path, capsys):
+        # Rejected at the header, before any per-node allocation.
+        big = tmp_path / "big.dimacs"
+        big.write_text(f"p ghct {MAX_DIMACS_NODES + 1} 0\n")
+        assert main(["compute", str(big)]) == 1
+        assert capsys.readouterr() == ("", f"error: {big}: line 1: node count must be"
+                                           f" in 1..{MAX_DIMACS_NODES}\n")
 
     def test_unreadable_input_exits_1(self, tmp_path, capsys):
         missing = tmp_path / "missing.dimacs"

@@ -190,6 +190,46 @@ class TestClassic:
             assert all(arg is g for arg in calls)
             calls.clear()
 
+    def test_kept_graph_is_the_auxiliary_graph(self, monkeypatch):
+        # At every step the graph classic keeps for the supernode it cuts
+        # is auxiliary_graph's H, once each kept node is renamed to the H
+        # label of the g-node that names it; weights from 0 and sparse
+        # draws give weight-0 edges and disconnected graphs.
+        trees, steps = [], []
+
+        class Recording(PartitionTree):
+            def __init__(self, g):
+                super().__init__(g)
+                trees.append(self)
+
+        def checking(g, s_side, t_side, counter, adj):
+            tree = trees[-1]
+            (s,) = s_side
+            xi = tree.supernode_of[s]
+            rep_of, _ = ghtree.branch_map(tree, xi)
+            h, _ = auxiliary_graph(g, tree, xi)
+            name = {x: rep_of[x] for x in adj}
+            assert len(set(name.values())) == len(name)
+            expected = {v: {} for v in h.labels}
+            for u, v, w in h.edge_labels():
+                expected[u][v] = expected[v][u] = w
+            assert {name[x]: {name[y]: w for y, w in nbrs.items()}
+                    for x, nbrs in adj.items()} == expected
+            steps.append(xi)
+            return min_cut(g, s_side, t_side, counter, adj=adj)
+
+        monkeypatch.setattr(ghtree, "PartitionTree", Recording)
+        monkeypatch.setattr(ghtree, "min_cut", checking)
+        rng = random.Random(127)
+        for _ in range(150):
+            n = rng.randint(1, 16)
+            g = scrambled(rng, random_graph(rng, n, density=rng.random() ** 2,
+                                            max_weight=rng.choice((1, 4))))
+            g = Graph(g.labels, [(u, v, w - 1) for u, v, w in g.edge_labels()])
+            steps.clear()
+            assert verify_gh_tree(g, gomory_hu_classic(g, WorkCounter())).ok
+            assert len(steps) == n - 1
+
     def test_depth_accounting(self):
         # Per recursion depth the auxiliary graphs stay within a small
         # multiple of the input size (measured constant, asserted as a

@@ -116,26 +116,26 @@ class TestBidirectionalSearch:
         calls = []
         grow = maxflow._grow
 
-        def recording(res, fwd, bwd):
+        def recording(res, fwd, bwd, source, sink):
             assert all(c >= 0 for arcs in res for c in arcs.values())
             dist = [-1] * len(res)
-            dist[0] = 0
-            queue = [0]
+            dist[source] = 0
+            queue = [source]
             for x in queue:
                 for y, c in res[x].items():
                     if c and dist[y] < 0:
                         dist[y] = dist[x] + 1
                         queue.append(y)
-            meets, front, back = grow(res, fwd, bwd)
+            meets, front, back = grow(res, fwd, bwd, source, sink)
             lengths = []
             for x, y in meets:
                 length = 1
-                while x:
+                while x != source:
                     x, length = fwd[x], length + 1
-                while y != 1:
+                while y != sink:
                     y, length = bwd[y], length + 1
                 lengths.append(length)
-            calls.append((dist[1] if dist[1] >= 0 else None, lengths, front, back))
+            calls.append((dist[sink] if dist[sink] >= 0 else None, lengths, front, back))
             return meets, front, back
 
         monkeypatch.setattr(maxflow, "_grow", recording)
@@ -332,15 +332,29 @@ class TestMinimalSink:
 
 
 class TestGroups:
-    """min_cut on (g, groups) is min_cut on the contracted graph the map
-    defines, without building it."""
+    """min_cut on (g, adj) is min_cut on the contracted graph H that the
+    kept adjacency adj gives, each node of H named by one node of g."""
+
+    @staticmethod
+    def kept(g, h):
+        """H's adjacency over g's node indices; H's labels are g's labels."""
+        index = {lab: i for i, lab in enumerate(g.labels)}
+        adj = {index[lab]: {} for lab in h.labels}
+        for u, v, w in h.edge_labels():
+            adj[index[u]][index[v]] = adj[index[v]][index[u]] = w
+        return adj
 
     @staticmethod
     def random_grouping(rng, g):
         """(H's labels in a random order, g index -> H label): some nodes of
-        g keep their own label, the others go to a few fresh groups."""
-        fresh = [("grp", k) for k in range(rng.randint(1, 4))]
-        rep_of = [lab if rng.random() < 0.5 else rng.choice(fresh) for lab in g.labels]
+        g stay on their own, the others go to a few groups, and each group
+        is named by a random member."""
+        group = [i if rng.random() < 0.5 else ("grp", rng.randint(1, 4))
+                 for i in range(g.num_nodes)]
+        names = {}
+        for i in rng.sample(range(g.num_nodes), g.num_nodes):
+            names.setdefault(group[i], g.labels[i])
+        rep_of = [names[k] for k in group]
         labels = list(dict.fromkeys(rep_of))
         rng.shuffle(labels)
         return labels, rep_of
@@ -360,14 +374,14 @@ class TestGroups:
             h = _quotient(g, labels, rep_of)
             s, t = rng.sample(labels, 2)
             on_h, on_g = WorkCounter(), WorkCounter()
-            assert min_cut(g, {s}, {t}, on_g, groups=rep_of) == min_cut(h, {s}, {t}, on_h)
+            assert min_cut(g, {s}, {t}, on_g, adj=self.kept(g, h)) == min_cut(h, {s}, {t}, on_h)
             assert on_g == on_h
             checked += 1
         assert checked > 250
 
     def test_identity_grouping_is_the_plain_call(self):
-        # Where the two counting rules meet they agree: a grouped call
-        # records the arc pairs it built, a plain one g's merged edges.
+        # Where the two counting rules meet they agree: a call on a kept
+        # graph records its adjacency entries / 2, a plain one g's edges.
         rng = random.Random(67)
         for _ in range(300):
             n = rng.randint(2, 12)
@@ -375,20 +389,21 @@ class TestGroups:
                 (u, v, rng.randint(0, 5)) for u in range(1, n + 1)
                 for v in range(u + 1, n + 1) if rng.random() < rng.random()]))
             s, t = rng.sample(g.labels, 2)
-            plain, grouped = WorkCounter(), WorkCounter()
-            assert min_cut(g, {s}, {t}, grouped, groups=g.labels) == min_cut(g, {s}, {t}, plain)
-            assert grouped == plain
+            plain, kept = WorkCounter(), WorkCounter()
+            assert min_cut(g, {s}, {t}, kept, adj=self.kept(g, g)) == min_cut(g, {s}, {t}, plain)
+            assert kept == plain
 
     def test_rejects_bad_groups(self, tri, counter):
-        # A rejected call is no engine work: the counter stays at zero.
-        for groups, s_side, t_side in (((1, 2), {1}, {2}),
-                                       ((1, 1, 3), {1}, {2}),
-                                       ((1, "a", "a"), {1}, {3}),
-                                       ((1, 2, 3), {1, 2}, {3}),
-                                       ((1, 2, 3), {1}, {1})):
+        # Unknown, empty, overlapping and multi-node sides are rejected,
+        # and a rejected call is no engine work: the counter stays at zero.
+        pair = _quotient(tri, (1, 3), (1, 1, 3))  # 2 lies inside node 1
+        adj = self.kept(tri, pair)
+        for s_side, t_side in (({1}, {4}), ({1}, {2}), ({2}, {3}), (set(), {3}),
+                               ({1}, set()), ({1}, {1}), ({1, 2}, {3})):
             with pytest.raises(ValueError):
-                min_cut(tri, s_side, t_side, counter, groups=groups)
+                min_cut(tri, s_side, t_side, counter, adj=adj)
         assert counter == WorkCounter()
+        assert min_cut(tri, {1}, {3}, counter, adj=adj) == min_cut(pair, {1}, {3}, WorkCounter())
 
 
 def test_goldberg_running_minimum_property():
