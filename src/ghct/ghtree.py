@@ -1,18 +1,20 @@
 """Partition trees, auxiliary graphs, and the Gomory-Hu drivers.
 
-Both drivers run one refinement loop over one PartitionTree, refined in
-place: pick the largest supernode, cut its auxiliary graph H (every tree
-branch hanging off it contracted to one node), and split each cut off the
-supernode.  The classic driver keeps each supernode's H as an adjacency
-over g's node indices and cuts one pivot pair in a copy of it; a cut
-splits H into the two new supernodes' graphs in time linear in the
-smaller side's degree.  The generalized driver builds H afresh
-(`auxiliary_graph`, from the map `branch_map` gives from g's nodes to H's
-labels) and asks its caller's strategy for a source and a family of
-pairwise-disjoint minimum source cuts in it; a family that breaks the
-contract raises StrategyError at once.  The loop ends with a complete partition tree whose singletons
-form the cut tree.  g's labels are sorted once, and that one order breaks
-the loop's ties and orders the finished tree.
+Both drivers refine one PartitionTree in place: cut a supernode's
+auxiliary graph H (every tree branch hanging off it contracted to one
+node) and split each cut off the supernode.  The classic driver keeps
+each splittable supernode's H as an adjacency over g's node indices and
+cuts one pivot pair in a copy of it; a cut splits H into the two new
+supernodes' graphs in time linear in the smaller side's degree.  A step
+depends only on its supernode's H, so classic refines its kept graphs in
+any order.  The generalized driver refines the largest supernode first,
+builds H afresh (`auxiliary_graph`, from the map `branch_map` gives from
+g's nodes to H's labels) and asks its caller's strategy for a source and
+a family of pairwise-disjoint minimum source cuts in it; a family that
+breaks the contract raises StrategyError at once.  Each driver ends with
+a complete partition tree whose singletons form the cut tree.  g's labels
+are sorted once, and that one order breaks the ties and orders the
+finished tree.
 """
 
 from __future__ import annotations
@@ -88,11 +90,12 @@ class PartitionTree:
     order; `supernodes[i]` lists supernode i's members in that order, and
     `supernode_of[v]` is the index of the supernode holding v.  Edges are
     [i, j, weight] index triples into `supernodes`; each weight equals the
-    cost of the graph cut induced by removing that edge.  `depth[i]`
+    cost of the graph cut induced by removing that edge.  `incident[i]`
+    lists the indices of supernode i's edges in ascending order, and
+    `ends[k]` holds a node of g on each side of edge k, in the order of
+    `edges[k]`'s ends; the sides of a tree edge never change.  `depth[i]`
     counts the refinement steps that supernode i and the supernodes it
-    was split from have taken.  `branch_labels` names the contracted
-    branches of an auxiliary graph: the first n - 1 labels ("b", k) that
-    are not nodes of g.
+    was split from have taken.
     """
 
     def __init__(self, g: Graph):
@@ -102,10 +105,9 @@ class PartitionTree:
         self.supernodes = [list(order)]
         self.supernode_of = dict.fromkeys(order, 0)
         self.edges = []
+        self.incident = [[]]
+        self.ends = []
         self.depth = [0]
-        fresh = (("b", k) for k in itertools.count())
-        self.branch_labels = list(itertools.islice(
-            (label for label in fresh if not g.has_node(label)), g.num_nodes - 1))
 
     def pick_supernode(self):
         """Largest splittable supernode; ties by smallest member label."""
@@ -113,23 +115,38 @@ class PartitionTree:
         return min((i for i, sn in enumerate(sns) if len(sn) > 1),
                    key=lambda i: (-len(sns[i]), rank[sns[i][0]]), default=None)
 
+    def neighbours(self, i):
+        """Yield (tree neighbour, node of g on its side) per edge of
+        supernode i, in edge order."""
+        for k in self.incident[i]:
+            far = self.edges[k][0] == i  # the position of the other end
+            yield self.edges[k][far], self.ends[k][far]
+
     def split(self, xi: int, b_members: set, weight: int, moved: set) -> None:
         """Replace supernode xi by (xi - b, b).
 
-        Each tree edge of xi whose other end is in `moved` goes to b.
+        Each tree edge of xi whose other end is in `moved` goes to b.  The
+        new edge's ends are the smallest members of xi - b and of b.
         """
         members = self.supernodes[xi]
-        bi = len(self.supernodes)
-        self.supernodes[xi] = [v for v in members if v not in b_members]
+        bi, k = len(self.supernodes), len(self.edges)
+        rest = self.supernodes[xi] = [v for v in members if v not in b_members]
         self.supernodes.append([v for v in members if v in b_members])
         self.supernode_of.update(dict.fromkeys(b_members, bi))
         self.depth.append(self.depth[xi] + 1)
-        for edge in self.edges:
-            if edge[0] == xi and edge[1] in moved:
-                edge[0] = bi
-            elif edge[1] == xi and edge[0] in moved:
-                edge[1] = bi
+        stay, go = [], []
+        for e in self.incident[xi]:
+            edge = self.edges[e]
+            far = edge[0] == xi
+            if edge[far] in moved:
+                edge[not far] = bi
+                go.append(e)
+            else:
+                stay.append(e)
+        self.incident[xi] = stay + [k]
+        self.incident.append(go + [k])
         self.edges.append([xi, bi, weight])
+        self.ends.append((rest[0], self.supernodes[bi][0]))
 
     def finish(self) -> GHTree:
         if any(len(sn) != 1 for sn in self.supernodes):
@@ -152,28 +169,26 @@ def branch_map(tree: PartitionTree, xi: int):
     Returns (rep_of, reps): rep_of[i] is the label of g's i-th node in
     the auxiliary graph H (its own label inside xi, else the label of the
     branch holding it), and reps maps each tree neighbor's supernode index
-    to the label of the branch behind it.
+    to the label of the branch behind it.  The branches take the labels
+    ("b", k) that are not nodes of g, in order, in xi's edge order.
     """
-    adj = [[] for _ in tree.supernodes]
-    for i, j, _ in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-
+    g = tree.g
+    fresh = (("b", k) for k in itertools.count() if not g.has_node(("b", k)))
     reps = {}
-    branch = [None] * len(adj)  # supernode index -> label of its branch
-    for start, label in zip(adj[xi], tree.branch_labels):
+    branch = [None] * len(tree.supernodes)  # supernode index -> label of its branch
+    for (start, _), label in zip(tree.neighbours(xi), fresh):
         reps[start] = label
         branch[start] = label
         stack = [start]
         while stack:
-            for nb in adj[stack.pop()]:
+            for nb, _ in tree.neighbours(stack.pop()):
                 if nb != xi and branch[nb] is None:
                     branch[nb] = label
                     stack.append(nb)
 
     of = tree.supernode_of
     # Branch labels are non-empty tuples, so `or` keeps xi's own members.
-    return [branch[of[lab]] or lab for lab in tree.g.labels], reps
+    return [branch[of[lab]] or lab for lab in g.labels], reps
 
 
 def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
@@ -193,19 +208,6 @@ def _record_depth(depth_stats, depth: int, nodes: int, edges: int) -> None:
     if depth_stats is not None:
         total = depth_stats.get(depth, (0, 0))
         depth_stats[depth] = [total[0] + nodes, total[1] + edges]
-
-
-def _refine(tree: PartitionTree, step) -> GHTree:
-    """The refinement loop behind both public drivers.
-
-    `step(xi)` returns the splits of supernode xi as (members, weight,
-    moved) triples for `PartitionTree.split`, applied in order.
-    """
-    while (xi := tree.pick_supernode()) is not None:
-        for b_members, weight, moved in step(xi):
-            tree.split(xi, b_members, weight, moved)
-        tree.depth[xi] += 1
-    return tree.finish()
 
 
 def _split_kept(h: dict, side, a, b) -> dict:
@@ -238,53 +240,45 @@ def _split_kept(h: dict, side, a, b) -> dict:
 def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None = None) -> GHTree:
     """Classic construction: one pivot minimum cut per refinement step.
 
-    The pivot pair is the two smallest labels of the chosen supernode,
-    taken by the partition tree's label rank, so the output is
-    deterministic.  Each supernode of two or more members keeps its
-    auxiliary graph H as an adjacency over g's node indices, each branch
-    node named by one node of g inside the branch, with a map from each
-    tree neighbour to its branch node; the engine cuts a copy of H and
-    records H's size, which `depth_stats` reads off the counter.  A cut
-    splits H in two: the smaller side's graph is read off its own
-    adjacency, and the larger side's graph is H with the smaller side
-    contracted in place.
+    The pivot pair is the two smallest labels of the supernode, taken by
+    the partition tree's label rank, so the output is deterministic.  Each
+    supernode of two or more members keeps its auxiliary graph H as an
+    adjacency over g's node indices, each branch node named by the node
+    of g that `PartitionTree.neighbours` gives for its tree edge; the
+    engine cuts a copy of H and records H's size, which `depth_stats`
+    reads off the counter.  A cut splits H in two: the smaller side's
+    graph is read off its own adjacency, and the larger side's graph is H
+    with the smaller side contracted in place.
     """
     tree = PartitionTree(g)
-    kept = {}  # supernode index -> (H, {tree neighbour: branch node of H})
+    index = g._index
+    kept = {}  # splittable supernode index -> its H
     if g.num_nodes > 1:
         h = {i: {} for i in range(g.num_nodes)}
         for iu, iv, w in g.edges:
             h[iu][iv] = h[iv][iu] = w
-        kept[0] = h, {}
-
-    def pivot(xi):
+        kept[0] = h
+    while kept:
+        xi, h = kept.popitem()
         members = tree.supernodes[xi]
         s, t = members[:2]
-        h, branch = kept.pop(xi)
         nodes, edges = counter.nodes_total, counter.edges_total
         cut = min_cut(g, {s}, {t}, counter, adj=h)
         _record_depth(depth_stats, tree.depth[xi], counter.nodes_total - nodes,
                       counter.edges_total - edges)
-        b_members = cut.members.intersection(members)
         sink = g.indices(cut.members)
-        moved = {j for j, x in branch.items() if x in sink}
-        bi = len(tree.supernodes)  # the index `split` gives the sink side
-        si, ti = g._index[s], g._index[t]
+        moved = {j for j, x in tree.neighbours(xi) if index[x] in sink}
+        si, ti = index[s], index[t]
         if 2 * len(sink) <= len(h):
             h_a, h_b = h, _split_kept(h, sink, ti, si)
         else:
             h_b, h_a = h, _split_kept(h, {x for x in h if x not in sink}, si, ti)
-        for j in moved:  # its tree edge goes from xi to bi
-            if j in kept:
-                nb = kept[j][1]
-                nb[bi] = nb.pop(xi)
-        if len(members) - len(b_members) > 1:
-            kept[xi] = h_a, {j: x for j, x in branch.items() if j not in moved} | {bi: ti}
-        if len(b_members) > 1:
-            kept[bi] = h_b, {j: branch[j] for j in moved} | {xi: si}
-        return [(b_members, cut.cost, moved)]
-
-    return _refine(tree, pivot)
+        tree.split(xi, cut.members.intersection(members), cut.cost, moved)
+        tree.depth[xi] += 1
+        for i, h in ((xi, h_a), (len(tree.supernodes) - 1, h_b)):
+            if len(tree.supernodes[i]) > 1:
+                kept[i] = h
+    return tree.finish()
 
 
 class StrategyError(ValueError):
@@ -318,19 +312,19 @@ def gomory_hu_generalized(g: Graph, strategy, depth_stats: dict | None = None) -
     s-t cut in h for some t in x, not holding s and holding a member of x.
     Every cut splits off its own piece of x.  A family that breaks this
     contract raises StrategyError; the driver does not call the strategy
-    again.
+    again.  The largest supernode is refined first: a randomized strategy
+    draws in refinement order, so this order fixes its trees.
     """
     tree = PartitionTree(g)
-
-    def step(xi):
+    while (xi := tree.pick_supernode()) is not None:
         # Splitting off a disjoint cut changes neither the cost of another
         # nor the branches it holds, so every cut is costed in h.
         x_members = frozenset(tree.supernodes[xi])
         h, reps = auxiliary_graph(g, tree, xi)
         _record_depth(depth_stats, tree.depth[xi], h.num_nodes, h.num_edges)
         s, family = strategy(h, x_members)
-        return [(cut & x_members, cut_cost(h, cut),
-                 {other for other, label in reps.items() if label in cut})
-                for cut in _check_family(family, s, h, x_members)]
-
-    return _refine(tree, step)
+        for cut in _check_family(family, s, h, x_members):
+            tree.split(xi, cut & x_members, cut_cost(h, cut),
+                       {other for other, label in reps.items() if label in cut})
+        tree.depth[xi] += 1
+    return tree.finish()

@@ -144,6 +144,8 @@ def certifying_prefix(tree: OCTree, u) -> tuple:
     that parent, ending at the root.  Returned in root-first order.  The
     down-set of u is a minimum (returned sequence)-u cut.
     """
+    if u not in tree.blocks:
+        raise ValueError(f"{u!r} is not a sequence node")
     if u == tree.root:
         raise ValueError("the root has no certifying prefix")
     chain = []

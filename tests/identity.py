@@ -5,9 +5,10 @@ and weak-oc with `certify="octree"`, each with seeds 0 and 1.  Its line
 holds the SHA-256 of the canonical tree text, the work counter and
 `depth_stats`, the attempt accounting and the SHA-256 of the random
 generator's final state.  An engine case makes one `min_cut`,
-`min_cut_minimal_sink` or grouped `min_cut` call on random sides of the
-same graph and prints the cut and the work; the grouped call cuts a
-contraction of g kept as an adjacency, and prints it in the group labels.
+`min_cut_minimal_sink` or `adj=` `min_cut` call on random sides of the
+same graph and prints the cut and the work; the `adj=` call cuts a
+random contraction of g kept as an adjacency, and prints its cut in the
+contraction's labels (its line keeps the call name "min_cut groups").
 
 The 204 graphs are Erdos-Renyi by edge count and by probability, grids,
 cycles, stars and trees plus noise, with at most 22 nodes and weights

@@ -79,6 +79,21 @@ class TestAuxiliaryGraph:
                 assert sn == sorted_labels(sn)
                 assert all(tree.supernode_of[v] == i for v in sn)
             assert sorted(tree.supernode_of, key=repr) == sorted(g.labels, key=repr)
+            for i, incident in enumerate(tree.incident):
+                assert incident == [k for k, (a, b, _) in enumerate(tree.edges) if i in (a, b)]
+            for k, (a, b, _) in enumerate(tree.edges):
+                # The component of the tree without edge k that holds a.
+                side, stack = {a}, [a]
+                while stack:
+                    x = stack.pop()
+                    for e, (i, j, _) in enumerate(tree.edges):
+                        y = j if i == x else i if j == x else None
+                        if e != k and y is not None and y not in side:
+                            side.add(y)
+                            stack.append(y)
+                assert b not in side
+                assert tree.supernode_of[tree.ends[k][0]] in side
+                assert tree.supernode_of[tree.ends[k][1]] not in side
             keys = [(-len(sn), min(map(label_key, sn))) for sn in tree.supernodes]
             big = [i for i, sn in enumerate(tree.supernodes) if len(sn) > 1]
             assert tree.pick_supernode() == min(big, key=keys.__getitem__, default=None)

@@ -92,6 +92,10 @@ class TestCertifyingPrefix:
         assert certifying_prefix(tree, 2) == (1,)
         assert certifying_prefix(tree, 3) == (1, 2)
 
+    def test_unknown_node(self, tri_tree):
+        with pytest.raises(ValueError, match="9 is not a sequence node"):
+            certifying_prefix(tri_tree, 9)
+
     def test_always_starts_at_root(self):
         rng = random.Random(59)
         for _ in range(20):
