@@ -253,11 +253,8 @@ def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None =
     tree = PartitionTree(g)
     index = g._index
     kept = {}  # splittable supernode index -> its H
-    if g.num_nodes > 1:
-        h = {i: {} for i in range(g.num_nodes)}
-        for iu, iv, w in g.edges:
-            h[iu][iv] = h[iv][iu] = w
-        kept[0] = h
+    if g.num_nodes > 1:  # a copy: _split_kept edits each kept graph in place
+        kept[0] = {i: nbrs.copy() for i, nbrs in g.adjacency.items()}
     while kept:
         xi, h = kept.popitem()
         members = tree.supernodes[xi]

@@ -2,8 +2,11 @@
 
 Weights are plain Python integers, so all cut costs are exact and
 "minimum" is decidable without tolerances.  Graphs are immutable after
-construction; contractions return new graphs, which makes sharing across
-recursion branches safe.
+construction, and so is the adjacency `{index: {index: weight}}` a graph
+caches over its node indices.  Contracting an adjacency
+(`contract_kept`) returns a new one, or the same one when nothing is
+merged, so recursion branches share them safely; `contract` does the
+same for whole graphs.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class Graph:
     construction order and `edges` holds (u_index, v_index, weight) triples.
     """
 
-    __slots__ = ("labels", "_index", "edges", "_node_set", "_label_order")
+    __slots__ = ("labels", "_index", "edges", "_node_set", "_label_order", "_adjacency")
 
     def __init__(self, nodes: Iterable[Label], edges: Iterable[tuple] = ()):
         labels = tuple(nodes)
@@ -92,6 +95,7 @@ class Graph:
         self.edges = _merged_edges(merged, k)
         self._node_set = None
         self._label_order = None
+        self._adjacency = None
 
     # -- basics ---------------------------------------------------------
 
@@ -118,6 +122,18 @@ class Graph:
             self._label_order = tuple(sorted_labels(self.labels))
         return self._label_order
 
+    @property
+    def adjacency(self) -> dict:
+        """{index: {neighbour index: weight}} over every node, built once;
+        weight-0 edges included.  Shared by every reader, so no caller may
+        mutate it."""
+        if self._adjacency is None:
+            adj = {i: {} for i in range(len(self.labels))}
+            for iu, iv, w in self.edges:
+                adj[iu][iv] = adj[iv][iu] = w
+            self._adjacency = adj
+        return self._adjacency
+
     def has_node(self, label) -> bool:
         return label in self._index
 
@@ -143,12 +159,10 @@ class Graph:
 
 def _indices(index: dict, members) -> set:
     """The positions `index` gives `members`; ValueError for a non-member."""
-    out = set()
-    for lab in members:
-        if lab not in index:
-            raise ValueError(f"{lab!r} is not a node of this graph")
-        out.add(index[lab])
-    return out
+    try:
+        return {index[lab] for lab in members}
+    except KeyError as exc:
+        raise ValueError(f"{exc.args[0]!r} is not a node of this graph") from None
 
 
 def cut_cost(g: Graph, members) -> int:
@@ -188,6 +202,7 @@ def _quotient(g: Graph, new_labels, rep_of) -> Graph:
     out.edges = _merged_edges(merged, k)
     out._node_set = None
     out._label_order = None
+    out._adjacency = None
     return out
 
 
@@ -207,6 +222,49 @@ def contract(g: Graph, keep, s) -> Graph:
     rep_of = [g.labels[i] if i in keep_idx else s for i in range(g.num_nodes)]
     new_labels = [lab for lab in g.labels if lab in keep]
     return _quotient(g, new_labels, rep_of)
+
+
+def contract_kept(adj: dict, keep, s) -> dict:
+    """Contract everything of the adjacency `adj` outside `keep` into its
+    node s, as `contract` does for a graph.
+
+    `keep` is a set of adj's nodes holding s.  Returns a new adjacency
+    over keep: parallel edges into s are summed, and an edge exists if any
+    edge it merges does, so weight-0 edges stay.  When keep holds every
+    node, `adj` itself is returned.  Costs O(degree of keep), walking in
+    Python only the part with fewer nodes: keep's rows one edge at a time,
+    or copies of them with the rest's edges then moved onto s.
+    """
+    if len(keep) == len(adj):
+        return adj
+    if 2 * len(keep) > len(adj):
+        out = {x: adj[x].copy() for x in keep}
+        to_s = out[s]
+        for z in adj.keys() - keep:
+            for y, w in adj[z].items():
+                if y in keep:
+                    row = out[y]
+                    del row[z]
+                    if y != s:
+                        row[s] = to_s[y] = row.get(s, 0) + w
+        return out
+    out = {}
+    to_s = {}
+    for x in keep:
+        if x == s:
+            continue
+        own = {}
+        merged = None
+        for y, w in adj[x].items():
+            if y != s and y in keep:
+                own[y] = w
+            else:
+                merged = w if merged is None else merged + w
+        if merged is not None:
+            own[s] = to_s[x] = merged
+        out[x] = own
+    out[s] = to_s
+    return out
 
 
 def contract_set_to_node(g: Graph, members, label) -> Graph:

@@ -9,13 +9,13 @@ three entry points here, each of which records the size of the graph it
 cuts in a WorkCounter once its terminal sides pass validation, and
 returns a `Cut`: the sink side as `members`, the flow value as `cost`.
 
-Every call cuts a graph H: g itself, or, for `min_cut` given `adj`, a
-contracted graph of g its caller keeps as an adjacency
-`{node: {neighbour: weight}}` over g's node indices, each node of H
-named by one node of g inside it.  A plain call builds its flow network
-from g's edges, each terminal side merged into a single super-terminal
-(no infinite-capacity arcs, so all arithmetic stays bounded); a call on
-a kept H copies it.  One max-flow core then runs on either network.
+Every call cuts a graph H: g itself, or, given `adj`, a contracted graph
+of g its caller keeps as an adjacency `{node: {neighbour: weight}}` over
+g's node indices, each node of H named by one node of g inside it.  A
+plain call reads g's own adjacency (`Graph.adjacency`), so both build
+their flow network one way: copy H, merging each terminal side into one
+of its nodes on the way (no infinite-capacity arcs, so all arithmetic
+stays bounded).  One max-flow core then runs on that network.
 Tie-breaking is deterministic: residual reachability decides which side
 is returned, and no randomness is used.
 """
@@ -90,8 +90,9 @@ def _max_flow(res: list, source: int, sink: int, minimal_sink: bool):
     """Push a maximum flow from `source` to `sink` through the residual
     network `res`, in place: res[x][y] is the residual capacity from x to
     y, every arc paired with its reverse, and nodes the flow cannot reach
-    may hold None.  Returns (flow value, sink side), the side as one bool
-    per node.
+    (outside H, or merged into a terminal) may hold None.  Returns (flow
+    value, tree): the predecessor list of the tree finished last, -1 off
+    it (see below).
 
     Each search grows a forward tree from the source along residual arcs
     and a backward tree from the sink along reversed ones (`_grow`), and
@@ -106,7 +107,8 @@ def _max_flow(res: list, source: int, sink: int, minimal_sink: bool):
     complement is the inclusion-maximal sink side; a closed backward tree
     is what can still reach the sink, the inclusion-minimal sink side.
     The side asked for comes from finishing its tree's search from where
-    it stopped.
+    it stopped: the backward tree, the sink side itself, when
+    minimal_sink; else the forward tree, the complement of the sink side.
     """
     flow = 0
     while True:
@@ -160,71 +162,77 @@ def _max_flow(res: list, source: int, sink: int, minimal_sink: bool):
                 if bwd[x] < 0 and res[x][y]:
                     bwd[x] = y
                     back.append(x)
-        return flow, [p >= 0 for p in bwd]
+        return flow, bwd
     for x in front:
         for y, c in res[x].items():
             if c and fwd[y] < 0:
                 fwd[y] = x
                 front.append(y)
-    return flow, [p < 0 for p in fwd]
+    return flow, fwd
+
+
+def _merge(res: list, side) -> int:
+    """Merge the nodes of `side` into one of them in the residual network
+    `res`, in place, and return that node.
+
+    Edges inside the side drop out, and the arcs from one outside node
+    into the side sum into one; each merged-away row becomes None.  Runs
+    before any augmentation, while every arc still equals its reverse.
+    Costs O(degree of the side less that node).
+    """
+    it = iter(side)
+    r = next(it)
+    row = res[r]
+    for x in it:
+        for y, w in res[x].items():
+            ry = res[y]
+            del ry[x]
+            if y not in side:
+                ry[r] = row[y] = row.get(y, 0) + w
+        res[x] = None
+    return r
 
 
 def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
            adj=None) -> Cut:
     """Minimum cut between the terminal sides, as the sink side's Cut.
 
-    Without `adj` the cut is taken in g: each side becomes one network
-    node, every other node of g its own, and every arc sums the edges of
-    g that map to it.  With `adj`, a kept contracted graph H of g (see the module
-    docstring), it is taken in H, whose sides must be single nodes, and
-    the network is a copy of H.  H's size is recorded in `counter` once
-    the sides are valid.
+    The cut is taken in H: the kept contracted graph `adj` of g (see the
+    module docstring), or g's own adjacency when `adj` is None.  The sides
+    are labels of g naming nodes of H, any number each.  The network is a
+    copy of H with each side merged into one node, so a side costs
+    O(its degree) beyond the copy.  H's size before the merge is recorded
+    in `counter` once the sides are valid; on g's own adjacency that is
+    (g.num_nodes, g.num_edges).
     """
-    labels = g.labels
     s_idx = _indices(g._index, s_side)
     t_idx = _indices(g._index, t_side)
     if not s_idx or not t_idx:
         raise ValueError("terminal sides must be non-empty")
     if s_idx & t_idx:
         raise ValueError("terminal sides must be disjoint")
-    if adj is not None:
-        if len(s_idx) > 1 or len(t_idx) > 1:
-            raise ValueError("terminal sides of a kept graph must be single nodes")
-        (s,), (t,) = s_idx, t_idx
-        if s not in adj or t not in adj:
-            raise ValueError("terminal sides must be nodes of the kept graph")
-        res = [None] * len(labels)
-        for x, nbrs in adj.items():
-            res[x] = nbrs.copy()
-        # Single-node sides: each edge of H is one pair of opposite arcs.
-        counter.record(len(adj), sum(map(len, adj.values())) // 2)
-        flow, sink_side = _max_flow(res, s, t, minimal_sink)
-        return Cut(frozenset([labels[x] for x in adj if sink_side[x]]), flow)
-    node_of = [-1] * len(labels)  # source side -> 0, sink side -> 1, free -> 2, 3, ...
-    for i in s_idx:
-        node_of[i] = 0
-    for i in t_idx:
-        node_of[i] = 1
-    n = 2
-    for i, x in enumerate(node_of):
-        if x < 0:
-            node_of[i] = n
-            n += 1
-    # res[x][y]: residual capacity from x to y.  Every arc sums the edges
-    # of g that map to it, both directions alike until the first
-    # augmentation.
-    res = [{} for _ in range(n)]
-    for iu, iv, w in g.edges:
-        x = node_of[iu]
-        y = node_of[iv]
-        if x != y:
-            r = res[x]
-            if y in r:
-                w += r[y]
-            r[y] = res[y][x] = w
-    counter.record(g.num_nodes, g.num_edges)
-    flow, sink_side = _max_flow(res, 0, 1, minimal_sink)
-    return Cut(frozenset([labels[i] for i, x in enumerate(node_of) if sink_side[x]]), flow)
+    if adj is None:
+        adj = g.adjacency
+    elif not (adj.keys() >= s_idx and adj.keys() >= t_idx):
+        raise ValueError("terminal sides must be nodes of the kept graph")
+    labels = g.labels
+    res = [None] * len(labels)
+    for x, nbrs in adj.items():
+        res[x] = nbrs.copy()
+    counter.record(len(adj), sum(map(len, adj.values())) // 2)
+    s = _merge(res, s_idx) if len(s_idx) > 1 else next(iter(s_idx))
+    t = _merge(res, t_idx) if len(t_idx) > 1 else next(iter(t_idx))
+    flow, tree = _max_flow(res, s, t, minimal_sink)
+    # Merged-away nodes are off both trees: each joins the tree of its side.
+    if minimal_sink:
+        for x in t_idx:
+            tree[x] = t
+        sink = [labels[x] for x in adj if tree[x] >= 0]
+    else:
+        for x in s_idx:
+            tree[x] = s
+        sink = [labels[x] for x in adj if tree[x] < 0]
+    return Cut(frozenset(sink), flow)
 
 
 def min_cut(g: Graph, s_side, t_side, counter: WorkCounter, adj=None) -> Cut:
@@ -233,14 +241,17 @@ def min_cut(g: Graph, s_side, t_side, counter: WorkCounter, adj=None) -> Cut:
     The returned sink side is the inclusion-maximal one (complement of the
     residual source component).  With `adj`, the cut is taken in the kept
     contracted graph it gives, and its members are the labels of the
-    g-nodes that name H's sink-side nodes (see `_solve`).
+    g-nodes that name H's sink-side nodes; either side may hold several
+    nodes of H (see `_solve`).
     """
     return _solve(g, s_side, t_side, False, counter, adj)
 
 
-def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter) -> Cut:
-    """Among all minimum S-T cuts, the one with inclusion-minimal sink side."""
-    return _solve(g, s_side, t_side, True, counter)
+def min_cut_minimal_sink(g: Graph, s_side, t_side, counter: WorkCounter,
+                         adj=None) -> Cut:
+    """Among all minimum S-T cuts, the one with inclusion-minimal sink
+    side; `adj` as for `min_cut`."""
+    return _solve(g, s_side, t_side, True, counter, adj)
 
 
 def latest_min_cut(g: Graph, u, v, counter: WorkCounter) -> Cut:

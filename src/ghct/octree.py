@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Cut, Graph, contract, cut_cost, label_key
+from .graph import Cut, Graph, contract_kept, cut_cost, label_key
 from .maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 
 
@@ -215,47 +215,60 @@ def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
     for v in order:
         if not g.has_node(v):
             raise ValueError(f"{v!r} is not a node of the graph")
+    index, labels = g._index, g.labels
     parent: dict = {}
     blocks: dict = {}
     costs: dict = {}
-    _build(order, g, counter, parent, blocks, costs)
-    return OCTree(order, parent, blocks, costs)
+    _build([index[v] for v in order], g.adjacency, g, counter,
+           parent, blocks, costs)
+    return OCTree(order, {labels[u]: labels[p] for u, p in parent.items()},
+                  {labels[v]: [labels[i] for i in b] for v, b in blocks.items()},
+                  {labels[u]: c for u, c in costs.items()})
 
 
-def _build(order, g: Graph, counter: WorkCounter, parent: dict, blocks: dict,
-           costs: dict) -> None:
-    """Write the tree for (order, g) into `parent`, `blocks` and `costs`.
+def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
+           blocks: dict, costs: dict) -> None:
+    """Write the tree for (order, adj) into `parent`, `blocks` and `costs`,
+    all over g's node indices.
 
-    The blocks of order's nodes partition g's nodes; a recursive call on a
-    head node's sink side overwrites that node's block, and the caller
-    adds back the source side it cut off.  A node's down-set is fixed by
-    the one-target step that parents it; g is a contraction that keeps
-    the cost of every set without its source, so the engine's cut value
-    is that down-set's cost in the input graph.
+    adj is a contraction of g kept as an adjacency over g's node indices
+    (see `maxflow`), order a sequence of its nodes.  The blocks of order's
+    nodes partition adj's nodes; a recursive call on a head node's sink
+    side overwrites that node's block, and the caller adds back the source
+    side it cut off.  A head node v cuts `contract_kept(adj, block, v)`,
+    and its recursion runs on that graph with all but the sink side merged
+    into v, each built at O(degree of what it keeps).  A node's down-set is
+    fixed by the one-target step that parents it; adj keeps the cost of
+    every set without its source, so the engine's cut value is that
+    down-set's cost in g.
     """
     if len(order) == 1:
-        blocks[order[0]] = g.node_set
+        blocks[order[0]] = set(adj)
         return
 
     half = min((len(order) + 1 + 1) // 2, len(order) - 1)  # ceil((len + 1) / 2), tail non-empty
     head, tail = order[:half], order[half:]
-    _build(head, g, counter, parent, blocks, costs)
+    _build(head, adj, g, counter, parent, blocks, costs)
+    labels = g.labels
     for v in head:
         block = blocks[v]
-        targets = tuple(b for b in tail if b in block)
+        # Lists, here and in ordered_cuts: tuple(generator) resizes the tuple
+        # it fills, and each one freed grows CPython's free list for its size.
+        targets = [b for b in tail if b in block]
         if not targets:
             continue
-        sub_g = contract(g, block, v)
-        cut = min_cut_minimal_sink(sub_g, {v}, set(targets), counter)
-        sink = cut.members
+        sub = contract_kept(adj, block, v)
+        cut = min_cut_minimal_sink(g, {labels[v]}, {labels[b] for b in targets}, counter,
+                                   adj=sub)
+        sink = g.indices(cut.members)
         if len(targets) == 1:  # the minimal sink side is that target's latest cut
             parent[targets[0]] = v
             blocks[targets[0]] = sink
             costs[targets[0]] = cut.cost
             blocks[v] = block - sink
             continue
-        rec_g = contract(sub_g, sink | {v}, v)
-        _build((v, *targets), rec_g, counter, parent, blocks, costs)
+        _build((v, *targets), contract_kept(sub, sink | {v}, v), g, counter,
+               parent, blocks, costs)
         blocks[v] = (block - sink) | blocks[v]
 
 

@@ -170,8 +170,9 @@ class TestClassic:
         return tree.finish()
 
     def test_equals_auxiliary_graph_reference(self):
-        # Classic reads H through the branch map and builds none; tree,
-        # counter and depth_stats must be those of cutting H itself.
+        # Classic keeps each supernode's H as an adjacency and never
+        # builds it as a graph; tree, counter and depth_stats must be those
+        # of cutting the auxiliary graph H itself.
         rng = random.Random(109)
         for _ in range(120):
             n = rng.randint(1, 16)

@@ -8,11 +8,15 @@ from ghct.graph import (
     Graph,
     GraphFormatError,
     contract,
+    contract_kept,
     contract_set_to_node,
     cut_cost,
     parse_dimacs,
     write_dimacs,
 )
+from ghct.isolating import isolating_cuts
+from ghct.maxflow import WorkCounter, min_cut
+from ghct.octree import ordered_cuts, validate
 
 from conftest import random_graph, scrambled
 
@@ -135,6 +139,76 @@ class TestContract:
                 if a != b:
                     merged[a, b] = merged.get((a, b), 0) + w
             assert got.edges == tuple((a, b, w) for (a, b), w in sorted(merged.items()))
+
+
+def labelled(g, adj):
+    """adj over g's node indices, as {label: {label: weight}}."""
+    lab = g.labels
+    return {lab[x]: {lab[y]: w for y, w in nbrs.items()} for x, nbrs in adj.items()}
+
+
+def fresh_adjacency(g):
+    adj = {v: {} for v in g.labels}
+    for u, v, w in g.edge_labels():
+        adj[u][v] = adj[v][u] = w
+    return adj
+
+
+def sparse_graph(rng):
+    """Two random parts with no edge between them, weights from 0."""
+    n = rng.randint(2, 12)
+    cut = rng.randint(1, n)
+    edges = [(u, v, rng.randint(0, rng.choice((1, 5))))
+             for u in range(1, n + 1) for v in range(u + 1, n + 1)
+             if (u <= cut) == (v <= cut) and rng.random() < rng.random()]
+    return scrambled(rng, Graph(range(1, n + 1), edges))
+
+
+class TestContractKept:
+    def test_equals_contract(self):
+        # Node set, weights and edge count are contract's, weight-0 edges
+        # included, and contracting the result again matches contracting
+        # contract's graph again.
+        rng = random.Random(7)
+        for _ in range(200):
+            g = sparse_graph(rng)
+            adj = g.adjacency
+            keep = set(rng.sample(g.labels, rng.randint(1, g.num_nodes)))
+            s = rng.choice(sorted(keep, key=repr))
+            got = contract_kept(adj, g.indices(keep), g.indices([s]).pop())
+            want = contract(g, keep, s)
+            assert labelled(g, got) == fresh_adjacency(want)
+            assert sum(map(len, got.values())) // 2 == want.num_edges
+            assert labelled(g, adj) == fresh_adjacency(g)
+            again = set(rng.sample(sorted(keep, key=repr), rng.randint(1, len(keep))))
+            t = rng.choice(sorted(again, key=repr))
+            got = contract_kept(got, g.indices(again), g.indices([t]).pop())
+            assert labelled(g, got) == fresh_adjacency(contract(want, again, t))
+
+    def test_whole_keep_returns_the_adjacency(self, tri):
+        adj = tri.adjacency
+        assert contract_kept(adj, {0, 1, 2}, 1) is adj
+        assert tri.adjacency is adj  # built once
+
+
+class TestAdjacencyUnchanged:
+    def test_readers_leave_it_as_built(self):
+        # The engine, ordered_cuts, validate and isolating_cuts read the
+        # cached adjacency and never write to it.
+        rng = random.Random(11)
+        counter = WorkCounter()
+        for _ in range(60):
+            g = sparse_graph(rng)
+            if g.num_nodes < 3:
+                continue
+            labels = sorted(g.labels, key=repr)
+            rng.shuffle(labels)
+            k = rng.randint(1, len(labels) - 1)
+            min_cut(g, set(labels[:k]), set(labels[k:]), counter)
+            tree = ordered_cuts(labels[:rng.randint(1, len(labels))], g, counter)
+            assert validate(tree, g, counter)
+            isolating_cuts(labels[0], set(labels[1:rng.randint(2, len(labels))]), g, counter)
+            assert labelled(g, g.adjacency) == fresh_adjacency(g)
 
 
 class TestContractSetToNode:

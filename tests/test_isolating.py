@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from ghct import isolating
 from ghct.generators import star
 from ghct.graph import Graph
 from ghct.isolating import isolating_cuts, isolating_cuts_with_depth
-from ghct.maxflow import WorkCounter, min_cut
+from ghct.maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 from ghct.oracle import brute_min_cut
 
 from conftest import random_graph
@@ -89,3 +90,28 @@ class TestRandomInstances:
             terminals = set(rng.sample(labels[1:], k))
             _, depth = isolating_cuts_with_depth(labels[0], terminals, g, counter)
             assert depth <= (k - 1).bit_length()
+
+    def test_every_engine_call_goes_through_min_cut_minimal_sink(self, monkeypatch):
+        # Tracers count engine work at the public entry point and size it
+        # by its first argument, so each counted call must pass through
+        # isolating's min_cut_minimal_sink name with g first.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return min_cut_minimal_sink(*args, **kwargs)
+
+        monkeypatch.setattr(isolating, "min_cut_minimal_sink", counting)
+        rng = random.Random(131)
+        total = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(3, 14))
+            labels = sorted(g.labels)
+            k = rng.randint(1, min(8, len(labels) - 1))
+            counter = WorkCounter()
+            isolating_cuts(labels[0], set(rng.sample(labels[1:], k)), g, counter)
+            assert len(calls) == counter.calls
+            assert all(arg is g for arg in calls)
+            total += len(calls)
+            calls.clear()
+        assert total > 60

@@ -4,7 +4,7 @@ import pytest
 
 from ghct import maxflow
 from ghct.generators import grid
-from ghct.graph import Graph, _quotient, cut_cost
+from ghct.graph import Cut, Graph, _quotient, cut_cost
 from ghct.maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
 from ghct.oracle import brute_all_min_cuts, brute_min_cut
 from ghct.pipeline import perturb
@@ -112,12 +112,13 @@ class TestBidirectionalSearch:
     def searches(self, monkeypatch):
         """Every _grow call as (residual distance before it, its meets'
         path lengths, front, back), distance None when the sink is cut off.
-        Each call first checks that no residual capacity is negative."""
+        Each call first checks that no residual capacity is negative; rows
+        of None are nodes merged into a terminal, which _max_flow allows."""
         calls = []
         grow = maxflow._grow
 
         def recording(res, fwd, bwd, source, sink):
-            assert all(c >= 0 for arcs in res for c in arcs.values())
+            assert all(c >= 0 for arcs in res if arcs is not None for c in arcs.values())
             dist = [-1] * len(res)
             dist[source] = 0
             queue = [source]
@@ -332,8 +333,9 @@ class TestMinimalSink:
 
 
 class TestGroups:
-    """min_cut on (g, adj) is min_cut on the contracted graph H that the
-    kept adjacency adj gives, each node of H named by one node of g."""
+    """min_cut and min_cut_minimal_sink on (g, adj) are the same calls on
+    the contracted graph H that the kept adjacency adj gives, each node of
+    H named by one node of g, with sides of one node of H or several."""
 
     @staticmethod
     def kept(g, h):
@@ -379,6 +381,34 @@ class TestGroups:
             checked += 1
         assert checked > 250
 
+    def test_multi_node_sides_match_quotient(self):
+        # Sides of several nodes of H are merged while H is copied; cut
+        # and counter are those of the plain call on H, in both modes.
+        rng = random.Random(71)
+        checked = 0
+        for _ in range(300):
+            n = rng.randint(3, 12)
+            weights = rng.choice((1, 3, 16))
+            g = scrambled(rng, Graph(range(1, n + 1), [
+                (u, v, rng.randint(0, weights)) for u in range(1, n + 1)
+                for v in range(u + 1, n + 1) if rng.random() < rng.random()]))
+            labels, rep_of = self.random_grouping(rng, g)
+            if len(labels) < 3:
+                continue
+            h = _quotient(g, labels, rep_of)
+            adj = self.kept(g, h)
+            picked = rng.sample(labels, len(labels))
+            k = rng.randint(1, len(picked) - 1)
+            s_side = set(picked[:k])
+            t_side = set(picked[k:rng.randint(k + 1, len(picked))])
+            for solve in (min_cut, min_cut_minimal_sink):
+                on_h, on_g = WorkCounter(), WorkCounter()
+                assert solve(g, s_side, t_side, on_g, adj=adj) == solve(h, s_side, t_side, on_h)
+                assert on_g == on_h
+            assert adj == self.kept(g, h)  # the caller's adjacency is only copied
+            checked += max(len(s_side), len(t_side)) > 1
+        assert checked > 150
+
     def test_identity_grouping_is_the_plain_call(self):
         # Where the two counting rules meet they agree: a call on a kept
         # graph records its adjacency entries / 2, a plain one g's edges.
@@ -394,16 +424,30 @@ class TestGroups:
             assert kept == plain
 
     def test_rejects_bad_groups(self, tri, counter):
-        # Unknown, empty, overlapping and multi-node sides are rejected,
-        # and a rejected call is no engine work: the counter stays at zero.
+        # Unknown, empty and overlapping sides, and sides holding a node of
+        # g that is no node of H, are rejected; a rejected call is no
+        # engine work: the counter stays at zero.
         pair = _quotient(tri, (1, 3), (1, 1, 3))  # 2 lies inside node 1
         adj = self.kept(tri, pair)
         for s_side, t_side in (({1}, {4}), ({1}, {2}), ({2}, {3}), (set(), {3}),
-                               ({1}, set()), ({1}, {1}), ({1, 2}, {3})):
-            with pytest.raises(ValueError):
-                min_cut(tri, s_side, t_side, counter, adj=adj)
+                               ({1}, set()), ({1}, {1}), ({1, 2}, {3}), ({3}, {1, 2}),
+                               ({1, 3}, {3})):
+            for solve in (min_cut, min_cut_minimal_sink):
+                with pytest.raises(ValueError):
+                    solve(tri, s_side, t_side, counter, adj=adj)
         assert counter == WorkCounter()
         assert min_cut(tri, {1}, {3}, counter, adj=adj) == min_cut(pair, {1}, {3}, WorkCounter())
+
+    def test_accepts_multi_node_sides(self, counter):
+        # Path 1-2-3-4 with 2 merged into 1: H is 1-3-4, and {1, 4} against
+        # {3} cuts both of 3's edges.
+        p4 = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 2), (3, 4, 7)])
+        h = _quotient(p4, (1, 3, 4), (1, 1, 3, 4))
+        adj = self.kept(p4, h)
+        cut = min_cut_minimal_sink(p4, {1, 4}, {3}, counter, adj=adj)
+        assert cut == min_cut_minimal_sink(h, {1, 4}, {3}, WorkCounter()) == Cut(frozenset({3}), 9)
+        assert min_cut(p4, {3}, {1, 4}, counter, adj=adj) == Cut(frozenset({1, 4}), 9)
+        assert (counter.calls, counter.nodes_total, counter.edges_total) == (2, 6, 4)
 
 
 def test_goldberg_running_minimum_property():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from ghct import octree
 from ghct.generators import star
 from ghct.graph import Cut, Graph, cut_cost
-from ghct.maxflow import WorkCounter, min_cut
+from ghct.maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 from ghct.octree import (
     OCTree,
     certified_source_cuts,
@@ -248,6 +249,30 @@ class TestOrderedCuts:
                 expected = brute_min_cut(g, set(seq[:k]), {v})
                 assert cut_cost(g, tree.down_set(v)) == expected.cost
                 assert tree.down_set(v) == expected.minimal_sink_side
+
+
+    def test_every_engine_call_goes_through_min_cut_minimal_sink(self, monkeypatch):
+        # Tracers count engine work at the public entry point and size it
+        # by its first argument, so each counted call must pass through
+        # octree's min_cut_minimal_sink name with g first.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return min_cut_minimal_sink(*args, **kwargs)
+
+        monkeypatch.setattr(octree, "min_cut_minimal_sink", counting)
+        rng = random.Random(127)
+        total = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(2, 14))
+            counter = WorkCounter()
+            ordered_cuts(random_sequence(rng, g), g, counter)
+            assert len(calls) == counter.calls
+            assert all(arg is g for arg in calls)
+            total += len(calls)
+            calls.clear()
+        assert total > 60
 
 
 class TestFlattenToStar:
