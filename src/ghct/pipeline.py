@@ -16,6 +16,12 @@ cuts of the unperturbed graph, only the number of attempts is random.
 family that breaks its contract raises `ghtree.StrategyError`.  Work is
 tracked in perturbed-weight units within one attempt; the driver re-costs
 the returned cuts in original units.
+
+Within one call of a fixed-source loop, a round that draws a sequence an
+earlier round of that call already solved reuses its result: the source,
+the perturbed graph and the certification mode are fixed there and the
+solvers are deterministic, so only the engine work falls.  Every round
+still draws its sample, so trees and random state do not change.
 """
 
 from __future__ import annotations
@@ -167,9 +173,9 @@ def _weighted_degrees(g: Graph, x) -> dict:
     return {labels[i]: degree[i] for i in g.indices(x)}
 
 
-def _by_estimate(sample, estimates) -> list:
+def _by_estimate(sample, estimates) -> tuple:
     """The sample in decreasing cost estimate, ties in label order."""
-    return sorted(sample, key=lambda v: (-estimates[v], label_key(v)))
+    return tuple(sorted(sample, key=lambda v: (-estimates[v], label_key(v))))
 
 
 def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
@@ -180,19 +186,23 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     sample sorted by decreasing cost estimate, flattens to a star, and
     absorbs the blocks.  A final full-rate round follows; of its star, the
     blocks `certified_source_cuts` keeps (each costs no more than every
-    earlier one) are genuine minimum source cuts of g.
+    earlier one) are genuine minimum source cuts of g.  A round whose
+    sequence an earlier round of this call solved reuses that tree.
     """
     live = set(x)
     if not live:
         return {}
     estimates = _weighted_degrees(g, live)
+    trees = {}  # sequence -> its ordered-cut tree, for this call only
     # Every round keeps its representatives live, so the last sample is
     # not empty and `tree` is the full-rate round's.
     for rate in partition_schedule(len(live)) + (1.0,):
         seq = _by_estimate(random_subset(live, rate, rng), estimates)
         if not seq:
             continue
-        tree = ordered_cuts((s, *seq), g, counter)
+        if seq not in trees:
+            trees[seq] = ordered_cuts((s, *seq), g, counter)
+        tree = trees[seq]
         for v, block in flatten_to_star(tree).items():
             live -= block - {v}
             estimates[v] = min(estimates[v], tree.costs[v])
@@ -207,7 +217,8 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     Accumulates certified cuts over twice the partition schedule, that is
     at most four geometric blocks, keeping per-node running estimates;
     returns [] as soon as the family stops being laminar (the caller
-    re-perturbs and retries).
+    re-perturbs and retries).  A round whose sequence an earlier round of
+    this call solved reuses those estimates and certified cuts.
     """
     x = set(x)
     if not x:
@@ -216,6 +227,7 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     rates = partition_schedule(len(x))
     family: set = set()
     covered: set = set()
+    solved = {}  # sequence -> (estimates, certified cuts), for this call only
     for rate in rates + rates:
         candidates = x - covered
         if not candidates:
@@ -223,7 +235,9 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
         seq = _by_estimate(random_subset(candidates, rate, rng), estimates)
         if not seq:
             continue
-        lam, certified = certified_ordered_cuts(s, seq, g, counter, certify)
+        if seq not in solved:
+            solved[seq] = certified_ordered_cuts(s, seq, g, counter, certify)
+        lam, certified = solved[seq]
         for v in seq:
             estimates[v] = min(estimates[v], lam[v])
         added = [cut.members for cut in certified.values()

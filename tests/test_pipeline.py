@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ghct import pipeline
 from ghct.graph import Cut, Graph, cut_cost
 from ghct.maxflow import WorkCounter, min_cut
 from ghct.oracle import brute_all_min_cuts, is_laminar, verify_gh_tree
@@ -310,6 +311,81 @@ class TestFixedSourceLaminar:
     def test_nested_cuts_are_kept(self, monkeypatch):
         family, _ = self.run_with_certified(monkeypatch, [{1, 2}, {1, 2, 3}])
         assert family == [frozenset({1, 2}), frozenset({1, 2, 3})]
+
+
+class TestRepeatedRounds:
+    """Within one fixed-source call, a round that draws a sequence an
+    earlier round solved reuses that result instead of calling a solver."""
+
+    # Seed 0 on this graph draws at least one repeated sequence in each loop.
+    SEED = 0
+
+    def instance(self):
+        g = connected_random_graph(random.Random(self.SEED), 8)
+        return pipeline.perturb(g, random.Random(self.SEED)), set(g.labels) - {1}
+
+    def run_blocks(self, counter):
+        h, x = self.instance()
+        return pipeline.fixed_source_blocks(1, x, h, random.Random(self.SEED), counter)
+
+    def run_laminar(self, counter, certify):
+        h, x = self.instance()
+        return pipeline.fixed_source_laminar(1, x, 3, h, random.Random(self.SEED),
+                                             counter, certify)
+
+    def record_rounds(self, monkeypatch, solver):
+        """Record every non-empty sequence a round draws, and every sequence
+        handed to `solver`, "ordered_cuts" or "certified_ordered_cuts"."""
+        drawn, solved = [], []
+        by_estimate, solve = pipeline._by_estimate, getattr(pipeline, solver)
+
+        def drawing(sample, estimates):
+            seq = by_estimate(sample, estimates)
+            if seq:
+                drawn.append(seq)
+            return seq
+
+        def ordered_cuts(order, g, counter):
+            solved.append(tuple(order[1:]))
+            return solve(order, g, counter)
+
+        def certified_ordered_cuts(s, seq, g, counter, certify):
+            solved.append(tuple(seq))
+            return solve(s, seq, g, counter, certify)
+
+        wrappers = {"ordered_cuts": ordered_cuts,
+                    "certified_ordered_cuts": certified_ordered_cuts}
+        monkeypatch.setattr(pipeline, "_by_estimate", drawing)
+        monkeypatch.setattr(pipeline, solver, wrappers[solver])
+        return drawn, solved
+
+    def assert_each_sequence_solved_once(self, drawn, solved):
+        assert len(solved) == len(set(solved))
+        assert set(solved) == set(drawn)
+        assert len(drawn) > len(solved)  # some round did repeat a sequence
+
+    def test_blocks_solve_each_sequence_once(self, monkeypatch):
+        drawn, solved = self.record_rounds(monkeypatch, "ordered_cuts")
+        self.run_blocks(WorkCounter())
+        self.assert_each_sequence_solved_once(drawn, solved)
+
+    @pytest.mark.parametrize("certify", ["isolating", "octree"])
+    def test_laminar_solves_each_sequence_once(self, monkeypatch, certify):
+        drawn, solved = self.record_rounds(monkeypatch, "certified_ordered_cuts")
+        self.run_laminar(WorkCounter(), certify)
+        self.assert_each_sequence_solved_once(drawn, solved)
+
+    @pytest.mark.parametrize("loop", ["blocks", "isolating", "octree"])
+    def test_no_result_outlives_its_call(self, loop):
+        def run(counter):
+            if loop == "blocks":
+                return self.run_blocks(counter)
+            return self.run_laminar(counter, loop)
+
+        first, second = WorkCounter(), WorkCounter()
+        assert run(first) == run(second)
+        assert first.calls > 0
+        assert first.snapshot() == second.snapshot()
 
 
 class TestSelectSourceWeak:

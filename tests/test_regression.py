@@ -83,27 +83,27 @@ PINNED = {
           (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "oc1", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         157, 999, 990, 7, 8,
+         107, 668, 659, 7, 8,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "oc1", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         183, 1090, 1074, 7, 9,
+         111, 651, 635, 7, 9,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         222, 1167, 1128, 7, 10,
+         150, 792, 767, 7, 10,
          ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         945, 5547, 5421, 9, 14,
+         767, 4617, 4529, 9, 14,
          ((0, (12, 12)), (1, (16, 16)), (2, (15, 15)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         144, 765, 750, 8, 13,
+         97, 507, 496, 8, 13,
          ((0, (12, 12)), (1, (16, 16)), (2, (14, 14)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         506, 3380, 3344, 9, 14,
+         410, 2748, 2719, 9, 14,
          ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (8, 8)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
@@ -117,27 +117,27 @@ PINNED = {
           (5, (6, 9)), (6, (3, 3)))),
     ("grid3x4", "oc1", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         155, 1118, 1506, 6, 6,
+         98, 703, 940, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "oc1", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         142, 984, 1328, 6, 6,
+         94, 656, 880, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         289, 1476, 1932, 6, 9,
+         211, 1078, 1396, 6, 9,
          ((0, (12, 17)), (1, (13, 16)), (2, (9, 12)))),
     ("grid3x4", "weak-oc", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         163, 896, 1164, 6, 7,
+         123, 658, 848, 6, 7,
          ((0, (12, 17)), (1, (16, 22)), (2, (9, 12)))),
     ("grid3x4", "weak-oc-octree", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         100, 551, 741, 6, 8,
+         69, 376, 497, 6, 8,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)), (3, (6, 9)))),
     ("grid3x4", "weak-oc-octree", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         44, 273, 362, 6, 6,
+         35, 201, 260, 6, 6,
          ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)), (3, (5, 6)))),
     ("er16", "classic", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
@@ -153,27 +153,27 @@ PINNED = {
           (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "oc1", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         268, 2574, 5768, 5, 5,
+         183, 1775, 3983, 5, 5,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "oc1", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         287, 2768, 6229, 5, 6,
+         185, 1833, 4155, 5, 6,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         182, 1598, 3524, 6, 6,
+         160, 1367, 2991, 6, 6,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         708, 5933, 12683, 6, 9,
+         576, 4877, 10497, 6, 9,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         87, 884, 2023, 6, 6,
+         77, 751, 1703, 6, 6,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         338, 3184, 7086, 6, 9,
+         274, 2610, 5836, 6, 9,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
 }
 
