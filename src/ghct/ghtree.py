@@ -2,15 +2,15 @@
 
 Both drivers refine one PartitionTree in place: cut a supernode's
 auxiliary graph H (every tree branch hanging off it contracted to one
-node) and split each cut off the supernode.  The classic driver keeps
-each splittable supernode's H as an adjacency over g's node indices and
-cuts one pivot pair in a copy of it; a cut splits H into the two new
-supernodes' graphs in time linear in the smaller side's degree.  A step
-depends only on its supernode's H, so classic refines its kept graphs in
-any order.  The generalized driver refines the largest supernode first,
-builds H afresh (`auxiliary_graph`, from the map `branch_map` gives from
-g's nodes to H's labels) and asks its caller's strategy for a source and
-a family of pairwise-disjoint minimum source cuts in it; a family that
+node) and split each cut off the supernode.  The tree keeps each
+splittable supernode's H as an adjacency over g's node indices, and a
+split splits H into the two new supernodes' graphs in time linear in the
+smaller side's degree.  The classic driver cuts one pivot pair in a copy
+of a kept H; a step depends only on its supernode's H, so it takes the
+kept graphs in any order.  The generalized driver refines the largest
+supernode first, reads H off the kept graph as a Graph
+(`auxiliary_graph`) and asks its caller's strategy for a source and a
+family of pairwise-disjoint minimum source cuts in it; a family that
 breaks the contract raises StrategyError at once.  Each driver ends with
 a complete partition tree whose singletons form the cut tree.  g's labels
 are sorted once, and that one order breaks the ties and orders the
@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Cut, Graph, _quotient, cut_cost
+from .graph import Cut, Graph, cut_cost
 from .maxflow import WorkCounter, min_cut
 
 
@@ -96,6 +96,13 @@ class PartitionTree:
     `edges[k]`'s ends; the sides of a tree edge never change.  `depth[i]`
     counts the refinement steps that supernode i and the supernodes it
     was split from have taken.
+
+    `kept[i]` is the auxiliary graph H of each supernode i of two or more
+    members: every tree branch hanging off i contracted to one node.  It
+    is an adjacency {node: {neighbour: weight}} over g's node indices;
+    i's members are their own nodes, and the branch behind each of i's
+    edges is the node of g that `neighbours` gives for that edge.  Only
+    `split` edits it.
     """
 
     def __init__(self, g: Graph):
@@ -108,12 +115,14 @@ class PartitionTree:
         self.incident = [[]]
         self.ends = []
         self.depth = [0]
+        self.kept = {}
+        if len(order) > 1:  # a copy: split edits each kept graph in place
+            self.kept[0] = {i: nbrs.copy() for i, nbrs in g.adjacency.items()}
 
     def pick_supernode(self):
-        """Largest splittable supernode; ties by smallest member label."""
+        """Largest supernode with a kept graph; ties by smallest member label."""
         rank, sns = self.rank, self.supernodes
-        return min((i for i, sn in enumerate(sns) if len(sn) > 1),
-                   key=lambda i: (-len(sns[i]), rank[sns[i][0]]), default=None)
+        return min(self.kept, key=lambda i: (-len(sns[i]), rank[sns[i][0]]), default=None)
 
     def neighbours(self, i):
         """Yield (tree neighbour, node of g on its side) per edge of
@@ -126,27 +135,44 @@ class PartitionTree:
         """Replace supernode xi by (xi - b, b).
 
         Each tree edge of xi whose other end is in `moved` goes to b.  The
-        new edge's ends are the smallest members of xi - b and of b.
+        new edge's ends are the smallest members of xi - b and of b.  xi's
+        kept graph splits along b's members and moved branches, walking
+        the smaller side: b's side is contracted into the node of b's
+        smallest member, and the rest into that of xi - b's.  A side of
+        one member keeps no graph.
         """
+        index = self.g._index
         members = self.supernodes[xi]
         bi, k = len(self.supernodes), len(self.edges)
         rest = self.supernodes[xi] = [v for v in members if v not in b_members]
-        self.supernodes.append([v for v in members if v in b_members])
+        b = [v for v in members if v in b_members]
+        self.supernodes.append(b)
         self.supernode_of.update(dict.fromkeys(b_members, bi))
         self.depth.append(self.depth[xi] + 1)
+        side = {index[v] for v in b}
         stay, go = [], []
         for e in self.incident[xi]:
             edge = self.edges[e]
             far = edge[0] == xi
             if edge[far] in moved:
                 edge[not far] = bi
+                side.add(index[self.ends[e][far]])
                 go.append(e)
             else:
                 stay.append(e)
         self.incident[xi] = stay + [k]
         self.incident.append(go + [k])
         self.edges.append([xi, bi, weight])
-        self.ends.append((rest[0], self.supernodes[bi][0]))
+        self.ends.append((rest[0], b[0]))
+        h = self.kept.pop(xi)
+        ib, ir = index[b[0]], index[rest[0]]
+        if 2 * len(side) <= len(h):
+            h_rest, h_b = h, _split_kept(h, side, ib, ir)
+        else:
+            h_b, h_rest = h, _split_kept(h, {x for x in h if x not in side}, ir, ib)
+        for i, sn, kept in ((xi, rest, h_rest), (bi, b, h_b)):
+            if len(sn) > 1:
+                self.kept[i] = kept
 
     def finish(self) -> GHTree:
         if any(len(sn) != 1 for sn in self.supernodes):
@@ -162,46 +188,26 @@ class PartitionTree:
         return GHTree(self.g.label_order, tuple(rows))
 
 
-def branch_map(tree: PartitionTree, xi: int):
-    """Contract every tree branch hanging off supernode xi to one node, as
-    a map over g's node indices.
-
-    Returns (rep_of, reps): rep_of[i] is the label of g's i-th node in
-    the auxiliary graph H (its own label inside xi, else the label of the
-    branch holding it), and reps maps each tree neighbor's supernode index
-    to the label of the branch behind it.  The branches take the labels
-    ("b", k) that are not nodes of g, in order, in xi's edge order.
-    """
-    g = tree.g
-    fresh = (("b", k) for k in itertools.count() if not g.has_node(("b", k)))
-    reps = {}
-    branch = [None] * len(tree.supernodes)  # supernode index -> label of its branch
-    for (start, _), label in zip(tree.neighbours(xi), fresh):
-        reps[start] = label
-        branch[start] = label
-        stack = [start]
-        while stack:
-            for nb, _ in tree.neighbours(stack.pop()):
-                if nb != xi and branch[nb] is None:
-                    branch[nb] = label
-                    stack.append(nb)
-
-    of = tree.supernode_of
-    # Branch labels are non-empty tuples, so `or` keeps xi's own members.
-    return [branch[of[lab]] or lab for lab in g.labels], reps
-
-
 def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
-    """The auxiliary graph H of supernode xi, built from `branch_map`.
+    """The auxiliary graph H of supernode xi, read off `tree.kept[xi]`.
 
-    Returns (H, reps) where H's nodes are xi's members plus one fresh
-    label per tree neighbor, and reps maps each neighbor's supernode index
-    to the label of the branch behind it.
+    Returns (H, reps) where H's nodes are xi's members in g's node order,
+    then one label per tree neighbour in xi's edge order, and reps maps
+    each neighbour's supernode index to the label of the branch behind
+    it.  The branches take the labels ("b", k) that are not nodes of g,
+    in order.  A singleton has no kept graph and raises ValueError.
     """
-    rep_of, reps = branch_map(tree, xi)
-    of = tree.supernode_of
-    nodes = [lab for lab in g.labels if of[lab] == xi] + list(reps.values())
-    return _quotient(g, nodes, rep_of), reps
+    if xi not in tree.kept:
+        raise ValueError(f"supernode {xi} has fewer than two members")
+    index = g._index
+    fresh = (("b", k) for k in itertools.count() if not g.has_node(("b", k)))
+    name = {i: g.labels[i] for i in sorted(index[v] for v in tree.supernodes[xi])}
+    reps = {}
+    for (nb, x), label in zip(tree.neighbours(xi), fresh):
+        reps[nb] = name[index[x]] = label
+    edges = [(name[x], name[y], w) for x, nbrs in tree.kept[xi].items()
+             for y, w in nbrs.items() if x < y]
+    return Graph(name.values(), edges), reps
 
 
 def _record_depth(depth_stats, depth: int, nodes: int, edges: int) -> None:
@@ -241,40 +247,24 @@ def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None =
     """Classic construction: one pivot minimum cut per refinement step.
 
     The pivot pair is the two smallest labels of the supernode, taken by
-    the partition tree's label rank, so the output is deterministic.  Each
-    supernode of two or more members keeps its auxiliary graph H as an
-    adjacency over g's node indices, each branch node named by the node
-    of g that `PartitionTree.neighbours` gives for its tree edge; the
-    engine cuts a copy of H and records H's size, which `depth_stats`
-    reads off the counter.  A cut splits H in two: the smaller side's
-    graph is read off its own adjacency, and the larger side's graph is H
-    with the smaller side contracted in place.
+    the partition tree's label rank, so the output is deterministic.  The
+    engine cuts a copy of the supernode's kept graph H and records H's
+    size, which `depth_stats` reads off the counter; `PartitionTree.split`
+    then splits H along the cut.  A step depends only on its supernode's
+    H, so classic takes the kept graphs in any order: the last one kept.
     """
     tree = PartitionTree(g)
-    index = g._index
-    kept = {}  # splittable supernode index -> its H
-    if g.num_nodes > 1:  # a copy: _split_kept edits each kept graph in place
-        kept[0] = {i: nbrs.copy() for i, nbrs in g.adjacency.items()}
-    while kept:
-        xi, h = kept.popitem()
+    while tree.kept:
+        xi = next(reversed(tree.kept))
         members = tree.supernodes[xi]
         s, t = members[:2]
         nodes, edges = counter.nodes_total, counter.edges_total
-        cut = min_cut(g, {s}, {t}, counter, adj=h)
+        cut = min_cut(g, {s}, {t}, counter, adj=tree.kept[xi])
         _record_depth(depth_stats, tree.depth[xi], counter.nodes_total - nodes,
                       counter.edges_total - edges)
-        sink = g.indices(cut.members)
-        moved = {j for j, x in tree.neighbours(xi) if index[x] in sink}
-        si, ti = index[s], index[t]
-        if 2 * len(sink) <= len(h):
-            h_a, h_b = h, _split_kept(h, sink, ti, si)
-        else:
-            h_b, h_a = h, _split_kept(h, {x for x in h if x not in sink}, si, ti)
+        moved = {j for j, x in tree.neighbours(xi) if x in cut.members}
         tree.split(xi, cut.members.intersection(members), cut.cost, moved)
         tree.depth[xi] += 1
-        for i, h in ((xi, h_a), (len(tree.supernodes) - 1, h_b)):
-            if len(tree.supernodes[i]) > 1:
-                kept[i] = h
     return tree.finish()
 
 
@@ -283,6 +273,8 @@ class StrategyError(ValueError):
 
 
 def _check_family(family, s, h: Graph, x_members) -> list:
+    if s not in x_members:
+        raise StrategyError("source is not a supernode member")
     sets = [frozenset(c) for c in family]
     if not sets:
         raise StrategyError("strategy returned an empty family")

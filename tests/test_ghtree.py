@@ -12,10 +12,64 @@ from ghct.ghtree import (
     gomory_hu_generalized,
 )
 from ghct.graph import Graph, cut_cost, label_key, sorted_labels
-from ghct.maxflow import WorkCounter, min_cut
+from ghct.maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 from ghct.oracle import verify_gh_tree
+from ghct.pipeline import gh_via_oc1, gh_via_weak_oc
 
 from conftest import random_graph, scrambled
+
+
+def branches(tree, xi):
+    """{label of g outside supernode xi: the tree neighbour of xi whose
+    branch holds it}, walked over `tree.edges` alone."""
+    adj = {i: [] for i in range(len(tree.supernodes))}
+    for i, j, _ in tree.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    branch = {}
+    for nb in adj[xi]:
+        stack, seen = [nb], {xi, nb}
+        while stack:
+            k = stack.pop()
+            branch.update((v, nb) for v in tree.supernodes[k])
+            stack += [j for j in adj[k] if j not in seen]
+            seen.update(adj[k])
+    return branch
+
+
+def splittable(tree):
+    return {i for i, sn in enumerate(tree.supernodes) if len(sn) > 1}
+
+
+def check_kept(g, tree, xi):
+    """Assert that the graph the tree keeps for supernode xi is g with
+    every branch off xi contracted to one node, once each kept node is
+    renamed to its own member label or to the branch its node of g lies
+    on.  A contracted edge exists if any edge it merges does, so
+    weight-0 edges count."""
+    branch = branches(tree, xi)
+
+    def name(v):
+        return ("branch", branch[v]) if v in branch else ("member", v)
+
+    expected = {name(v): {} for v in g.labels}
+    for u, v, w in g.edge_labels():
+        a, b = name(u), name(v)
+        if a != b:
+            expected[a][b] = expected[b][a] = expected[a].get(b, 0) + w
+    kept = tree.kept[xi]
+    names = {x: name(g.labels[x]) for x in kept}
+    assert len(set(names.values())) == len(names)
+    assert {names[x]: {names[y]: w for y, w in nbrs.items()}
+            for x, nbrs in kept.items()} == expected
+
+
+def weight_zero_draw(rng, n):
+    """A scrambled graph with weights from 0; sparse draws leave it
+    disconnected."""
+    g = scrambled(rng, random_graph(rng, n, density=rng.random() ** 2,
+                                    max_weight=rng.choice((1, 4))))
+    return Graph(g.labels, [(u, v, w - 1) for u, v, w in g.edge_labels()])
 
 
 class TestAuxiliaryGraph:
@@ -36,16 +90,19 @@ class TestAuxiliaryGraph:
             [(1, 2, 3), (2, label, 2)], key=str)
 
     def test_star_of_branches(self):
-        g = Graph(range(1, 5), [(1, 2, 1), (1, 3, 2), (1, 4, 3)])
+        g = Graph(range(1, 6), [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4)])
         tree = PartitionTree(g)
         for v, w in ((2, 1), (3, 2), (4, 3)):
             tree.split(0, {v}, w, set())
         h, reps = auxiliary_graph(g, tree, 0)
-        assert h.num_nodes == 4
+        assert h.num_nodes == 5
         assert sorted(reps) == [1, 2, 3]
-        assert h.labels == (1, *(reps[k] for k in (1, 2, 3)))
+        assert h.labels == (1, 5, *(reps[k] for k in (1, 2, 3)))
         for k, w in ((1, 1), (2, 2), (3, 3)):
             assert cut_cost(h, {reps[k]}) == w
+        # No driver asks a singleton for its auxiliary graph.
+        with pytest.raises(ValueError, match="fewer than two members"):
+            auxiliary_graph(g, tree, 1)
 
     def test_branches_preserve_cut_costs(self):
         # Contracting the far side of a tree edge keeps costs of cuts
@@ -75,6 +132,7 @@ class TestAuxiliaryGraph:
                 nbrs = [j if i == xi else i for i, j, _ in tree.edges if xi in (i, j)]
                 tree.split(xi, set(rng.sample(members, rng.randint(1, len(members) - 1))), 0,
                            {j for j in nbrs if rng.random() < 0.5})
+                assert set(tree.kept) == splittable(tree)
             for i, sn in enumerate(tree.supernodes):
                 assert sn == sorted_labels(sn)
                 assert all(tree.supernode_of[v] == i for v in sn)
@@ -98,23 +156,19 @@ class TestAuxiliaryGraph:
             big = [i for i, sn in enumerate(tree.supernodes) if len(sn) > 1]
             assert tree.pick_supernode() == min(big, key=keys.__getitem__, default=None)
 
-            xi = rng.randrange(len(tree.supernodes))
+            for xi in set(range(len(tree.supernodes))) - splittable(tree):
+                with pytest.raises(ValueError, match="fewer than two members"):
+                    auxiliary_graph(g, tree, xi)
+            if not big:
+                continue
+            xi = rng.choice(big)
             h, reps = auxiliary_graph(g, tree, xi)
-            adj = {i: [] for i in range(len(tree.supernodes))}
-            for i, j, _ in tree.edges:
-                adj[i].append(j)
-                adj[j].append(i)
-            assert sorted(reps) == sorted(adj[xi])
+            assert sorted(reps) == sorted(j if i == xi else i for i, j, _ in tree.edges
+                                          if xi in (i, j))
             assert len(set(reps.values())) == len(reps)
             assert not any(g.has_node(label) for label in reps.values())
             rep = {v: v for v in tree.supernodes[xi]}
-            for nb, label in reps.items():
-                stack, seen = [nb], {xi, nb}
-                while stack:
-                    k = stack.pop()
-                    rep.update((v, label) for v in tree.supernodes[k])
-                    stack += [j for j in adj[k] if j not in seen]
-                    seen.update(adj[k])
+            rep.update((v, reps[nb]) for v, nb in branches(tree, xi).items())
             nodes = [v for v in g.labels if v in tree.supernodes[xi]] + list(reps.values())
             assert h == Graph(nodes, [(rep[u], rep[v], w) for u, v, w in g.edge_labels()
                                       if rep[u] != rep[v]])
@@ -207,10 +261,10 @@ class TestClassic:
             calls.clear()
 
     def test_kept_graph_is_the_auxiliary_graph(self, monkeypatch):
-        # At every step the graph classic keeps for the supernode it cuts
-        # is auxiliary_graph's H, once each kept node is renamed to the H
-        # label of the g-node that names it; weights from 0 and sparse
-        # draws give weight-0 edges and disconnected graphs.
+        # At every step the graph classic cuts is the one the tree keeps
+        # for the supernode, and it is that supernode's auxiliary graph
+        # (check_kept); weights from 0 and sparse draws give weight-0 edges
+        # and disconnected graphs.
         trees, steps = [], []
 
         class Recording(PartitionTree):
@@ -222,15 +276,9 @@ class TestClassic:
             tree = trees[-1]
             (s,) = s_side
             xi = tree.supernode_of[s]
-            rep_of, _ = ghtree.branch_map(tree, xi)
-            h, _ = auxiliary_graph(g, tree, xi)
-            name = {x: rep_of[x] for x in adj}
-            assert len(set(name.values())) == len(name)
-            expected = {v: {} for v in h.labels}
-            for u, v, w in h.edge_labels():
-                expected[u][v] = expected[v][u] = w
-            assert {name[x]: {name[y]: w for y, w in nbrs.items()}
-                    for x, nbrs in adj.items()} == expected
+            assert adj is tree.kept[xi]
+            assert set(tree.kept) == splittable(tree)
+            check_kept(g, tree, xi)
             steps.append(xi)
             return min_cut(g, s_side, t_side, counter, adj=adj)
 
@@ -239,9 +287,7 @@ class TestClassic:
         rng = random.Random(127)
         for _ in range(150):
             n = rng.randint(1, 16)
-            g = scrambled(rng, random_graph(rng, n, density=rng.random() ** 2,
-                                            max_weight=rng.choice((1, 4))))
-            g = Graph(g.labels, [(u, v, w - 1) for u, v, w in g.edge_labels()])
+            g = weight_zero_draw(rng, n)
             steps.clear()
             assert verify_gh_tree(g, gomory_hu_classic(g, WorkCounter())).ok
             assert len(steps) == n - 1
@@ -370,6 +416,14 @@ BAD_FAMILIES = {
 }
 
 
+# Second-step sources for test_invalid_source_raises, with a family that
+# passes every other check.
+BAD_SOURCES = {
+    "branch-source": (lambda h, x: (next(iter(h.node_set - x)), [x])),
+    "foreign-source": (lambda h, x: ("nowhere", [{3}])),
+}
+
+
 class TestGeneralized:
     def test_single_cut_strategy_matches_classic_step(self, tri):
         # A strategy returning one pivot cut behaves exactly like the
@@ -413,6 +467,64 @@ class TestGeneralized:
         with pytest.raises(StrategyError, match=reason):
             gomory_hu_generalized(g, strategy)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("bad", BAD_SOURCES.values(), ids=list(BAD_SOURCES))
+    def test_invalid_source_raises(self, bad):
+        # Path 1-2-3-4 as above: a second-step source outside the
+        # supernode {2, 3, 4} is rejected without a retry.
+        g = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 4), (3, 4, 3)])
+        calls = []
+
+        def strategy(h, x_members):
+            calls.append(x_members)
+            if 1 in x_members:
+                return 1, [min_cut(h, {1}, {2}, WorkCounter()).members]
+            return bad(h, x_members)
+
+        with pytest.raises(StrategyError, match="source is not a supernode member"):
+            gomory_hu_generalized(g, strategy)
+        assert len(calls) == 2
+
+    @staticmethod
+    def random_family(rng):
+        """A strategy returning a random family of disjoint minimum cuts:
+        the inclusion-minimal sink sides of minimum s-t cuts for a random
+        source s, taken in random order while disjoint from those taken."""
+        def strategy(h, x_members):
+            s, *targets = rng.sample(sorted(x_members, key=label_key), len(x_members))
+            family = []
+            for t in targets[:rng.randint(1, len(targets))]:
+                cut = min_cut_minimal_sink(h, {s}, {t}, WorkCounter()).members
+                if not any(cut & c for c in family):
+                    family.append(cut)
+            return s, family
+
+        return strategy
+
+    def test_kept_graph_is_the_auxiliary_graph(self, monkeypatch):
+        # At every step of the generalized driver, under a random
+        # multi-cut strategy, oc1 and weak-oc, the graph the tree keeps
+        # for the supernode refined is its auxiliary graph (check_kept).
+        steps = []
+
+        def checking(g, tree, xi):
+            assert set(tree.kept) == splittable(tree)
+            check_kept(g, tree, xi)
+            steps.append(xi)
+            return auxiliary_graph(g, tree, xi)
+
+        monkeypatch.setattr(ghtree, "auxiliary_graph", checking)
+        rng = random.Random(131)
+        methods = (
+            lambda g: gomory_hu_generalized(g, self.random_family(rng)),
+            lambda g: gh_via_oc1(g, rng, WorkCounter()),
+            lambda g: gh_via_weak_oc(g, rng, WorkCounter()),
+        )
+        for k in range(60):
+            g = weight_zero_draw(rng, rng.randint(1, 12))
+            steps.clear()
+            assert verify_gh_tree(g, methods[k % 3](g)).ok
+            assert len(steps) >= (g.num_nodes > 1)
 
     def test_supernodes_stay_a_partition(self):
         # Exercised implicitly by finish(); spot-check on random graphs
