@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import Cut, Graph, cut_cost
+from .graph import Cut, Graph
 from .maxflow import WorkCounter, min_cut
 
 
@@ -312,8 +312,34 @@ def gomory_hu_generalized(g: Graph, strategy, depth_stats: dict | None = None) -
         h, reps = auxiliary_graph(g, tree, xi)
         _record_depth(depth_stats, tree.depth[xi], h.num_nodes, h.num_edges)
         s, family = strategy(h, x_members)
-        for cut in _check_family(family, s, h, x_members):
-            tree.split(xi, cut & x_members, cut_cost(h, cut),
-                       {other for other, label in reps.items() if label in cut})
+        cuts = _check_family(family, s, h, x_members)
+        costs, moved = _family_costs(h, reps, cuts)
+        for cut, cost, branches in zip(cuts, costs, moved):
+            tree.split(xi, cut & x_members, cost, branches)
         tree.depth[xi] += 1
     return tree.finish()
+
+
+def _family_costs(h: Graph, reps: dict, cuts: list) -> tuple:
+    """Per cut of a pairwise-disjoint family: its cost in h, and the set of
+    tree neighbours whose branch it holds (`reps` as `auxiliary_graph`
+    returns it).  One pass over h's edges and one over reps."""
+    owner = [None] * h.num_nodes  # h's node index -> the cut holding it
+    for k, cut in enumerate(cuts):
+        for i in h.indices(cut):
+            owner[i] = k
+    costs = [0] * len(cuts)
+    for iu, iv, w in h.edges:
+        a, b = owner[iu], owner[iv]
+        if a != b:
+            if a is not None:
+                costs[a] += w
+            if b is not None:
+                costs[b] += w
+    moved = [set() for _ in cuts]
+    index = h._index
+    for other, label in reps.items():
+        k = owner[index[label]]
+        if k is not None:
+            moved[k].add(other)
+    return costs, moved

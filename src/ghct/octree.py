@@ -7,7 +7,10 @@ union of blocks in v's subtree) is a minimum (prefix before v)-v cut, and
 the tree records its cost as the engine returned it.
 
 The divide-and-conquer solver `ordered_cuts` builds a valid tree with
-max-flow work that stays subquadratic on random node orders.  Its readers
+max-flow work that stays subquadratic on random node orders.  It solves
+the head of the sequence first, so the entries of a head prefix depend
+only on that prefix and the graph: calls that share a `prefixes` memo on
+one graph build each head prefix once.  Its readers
 (`covering_cut_costs`, `certified_source_cuts`, `flatten_to_star`) each
 walk the tree once in sequence order, where parents precede children, and
 read the recorded costs instead of re-costing down-sets.
@@ -199,13 +202,21 @@ def covering_cut_costs(tree: OCTree) -> dict:
     return out
 
 
-def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
+def ordered_cuts(order, g: Graph, counter: WorkCounter, *,
+                 prefixes: dict | None = None) -> OCTree:
     """Divide-and-conquer construction of a valid OC tree for (order, g).
 
     Splits the sequence in half, solves the head prefix, and for each head
     node cuts its block between the node and the tail nodes that landed
     there (minimal sink side), recursing on the sink side only.  A single
     node keeps the whole graph in one block.
+
+    `prefixes`, if given, is a memo of the trees already built on g for
+    head prefixes and whole sequences, shared between calls: the tree of
+    a sequence depends only on that sequence and the graph, so a later
+    call whose head (or whole sequence) is stored makes no engine call
+    for it.  The memo belongs to the first graph it is used with, and
+    passing it with another graph raises ValueError.
     """
     order = tuple(order)
     if not order:
@@ -215,19 +226,21 @@ def ordered_cuts(order, g: Graph, counter: WorkCounter) -> OCTree:
     for v in order:
         if not g.has_node(v):
             raise ValueError(f"{v!r} is not a node of the graph")
+    if prefixes is not None and prefixes.setdefault("graph", g) is not g:
+        raise ValueError("prefix memo belongs to another graph")
     index, labels = g._index, g.labels
     parent: dict = {}
     blocks: dict = {}
     costs: dict = {}
     _build([index[v] for v in order], g.adjacency, g, counter,
-           parent, blocks, costs)
+           parent, blocks, costs, prefixes)
     return OCTree(order, {labels[u]: labels[p] for u, p in parent.items()},
                   {labels[v]: [labels[i] for i in b] for v, b in blocks.items()},
                   {labels[u]: c for u, c in costs.items()})
 
 
 def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
-           blocks: dict, costs: dict) -> None:
+           blocks: dict, costs: dict, prefixes: dict | None = None) -> None:
     """Write the tree for (order, adj) into `parent`, `blocks` and `costs`,
     all over g's node indices.
 
@@ -240,15 +253,34 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
     into v, each built at O(degree of what it keeps).  A node's down-set is
     fixed by the one-target step that parents it; adj keeps the cost of
     every set without its source, so the engine's cut value is that
-    down-set's cost in g.
+    down-set's cost in g.  No block is edited in place: each step writes
+    a new set.
+
+    `prefixes` is given only while adj is g's own adjacency, that is for
+    the sequence `ordered_cuts` was asked for and its chain of heads.
+    Each such call first looks its index tuple up there, and writes the
+    stored entries of its nodes instead of building; otherwise it builds
+    and stores them, the block sets themselves.  The recursions on
+    contracted graphs are not stored: their order alone does not name
+    their graph.
     """
     if len(order) == 1:
         blocks[order[0]] = set(adj)
         return
+    if prefixes is not None:
+        key = tuple(order)
+        stored = prefixes.get(key)
+        if stored is not None:
+            for v, (p, c, b) in zip(order, stored):
+                if p is not None:  # every node but the root, order[0]
+                    parent[v] = p
+                    costs[v] = c
+                blocks[v] = b
+            return
 
     half = min((len(order) + 1 + 1) // 2, len(order) - 1)  # ceil((len + 1) / 2), tail non-empty
     head, tail = order[:half], order[half:]
-    _build(head, adj, g, counter, parent, blocks, costs)
+    _build(head, adj, g, counter, parent, blocks, costs, prefixes)
     labels = g.labels
     for v in head:
         block = blocks[v]
@@ -270,6 +302,8 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
         _build((v, *targets), contract_kept(sub, sink | {v}, v), g, counter,
                parent, blocks, costs)
         blocks[v] = (block - sink) | blocks[v]
+    if prefixes is not None:
+        prefixes[key] = [(parent.get(v), costs.get(v), blocks[v]) for v in order]
 
 
 def flatten_to_star(tree: OCTree) -> dict:

@@ -21,7 +21,10 @@ Within one call of a fixed-source loop, a round that draws a sequence an
 earlier round of that call already solved reuses its result: the source,
 the perturbed graph and the certification mode are fixed there and the
 solvers are deterministic, so only the engine work falls.  Every round
-still draws its sample, so trees and random state do not change.
+still draws its sample, so trees and random state do not change.  For
+the same reason the rounds of one call share `ordered_cuts`' memo of
+head prefixes on that perturbed graph: a head that an earlier round's
+tree already built is not cut again.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, label_key, sorted_labels
+from .graph import Cut, Graph, label_key, sorted_labels
 from .ghtree import GHTree, gomory_hu_generalized
 from .isolating import isolating_cuts
 from .maxflow import WorkCounter
@@ -120,14 +123,17 @@ def source_schedule(size: int, ambient_nodes: int) -> tuple:
 
 
 def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
-                           certify: str = "isolating"):
+                           certify: str = "isolating", *, prefixes: dict | None = None):
     """Cut-cost estimates for a sequence plus certified true source cuts.
 
-    Runs the ordered-cuts solver, keeps the sequence nodes whose estimate
-    is a running minimum, and certifies those whose isolating cut matches
-    the estimate exactly.  With certify="octree" the isolating-cut stage
-    is replaced by certification straight off the tree (inclusion-minimal
-    certified down-sets, which are pairwise disjoint).
+    Runs the ordered-cuts solver (with `ordered_cuts`' head-prefix memo
+    `prefixes`), keeps the sequence nodes whose estimate is a running
+    minimum, and certifies those whose isolating cut matches the estimate
+    exactly.  When only seq[0] is kept, its isolating cut is the tree's
+    own minimal (s, seq[0]) cut, so no flow is run for it.  With
+    certify="octree" the isolating-cut stage is replaced by certification
+    straight off the tree (inclusion-minimal certified down-sets, which
+    are pairwise disjoint).
 
     Returns (estimates over all non-source nodes, {node: Cut}).
     """
@@ -136,7 +142,7 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
     seq = tuple(seq)
     if not seq:
         return {}, {}
-    tree = ordered_cuts((s, *seq), g, counter)
+    tree = ordered_cuts((s, *seq), g, counter, prefixes=prefixes)
     estimates = covering_cut_costs(tree)
 
     if certify == "octree":
@@ -155,7 +161,12 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
         if estimates[v] <= running:
             filtered.append(v)
         running = min(running, estimates[v])
-    cuts = isolating_cuts(s, set(filtered), g, counter)
+    if len(filtered) == 1:
+        # The tree's first step cut g itself between s and seq[0], minimal
+        # sink side, as isolating_cuts would.
+        cuts = {seq[0]: Cut(tree.down_set(seq[0]), tree.costs[seq[0]])}
+    else:
+        cuts = isolating_cuts(s, set(filtered), g, counter)
     certified = {v: cut for v, cut in cuts.items() if cut.cost == estimates[v]}
     return estimates, certified
 
@@ -187,13 +198,15 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     absorbs the blocks.  A final full-rate round follows; of its star, the
     blocks `certified_source_cuts` keeps (each costs no more than every
     earlier one) are genuine minimum source cuts of g.  A round whose
-    sequence an earlier round of this call solved reuses that tree.
+    sequence an earlier round of this call solved reuses that tree, and
+    every round reuses the head prefixes earlier rounds built.
     """
     live = set(x)
     if not live:
         return {}
     estimates = _weighted_degrees(g, live)
     trees = {}  # sequence -> its ordered-cut tree, for this call only
+    prefixes = {}  # ordered_cuts' head-prefix memo on g, for this call only
     # Every round keeps its representatives live, so the last sample is
     # not empty and `tree` is the full-rate round's.
     for rate in partition_schedule(len(live)) + (1.0,):
@@ -201,7 +214,7 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
         if not seq:
             continue
         if seq not in trees:
-            trees[seq] = ordered_cuts((s, *seq), g, counter)
+            trees[seq] = ordered_cuts((s, *seq), g, counter, prefixes=prefixes)
         tree = trees[seq]
         for v, block in flatten_to_star(tree).items():
             live -= block - {v}
@@ -218,7 +231,8 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     at most four geometric blocks, keeping per-node running estimates;
     returns [] as soon as the family stops being laminar (the caller
     re-perturbs and retries).  A round whose sequence an earlier round of
-    this call solved reuses those estimates and certified cuts.
+    this call solved reuses those estimates and certified cuts, and every
+    round reuses the head prefixes earlier rounds built.
     """
     x = set(x)
     if not x:
@@ -228,6 +242,7 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     family: set = set()
     covered: set = set()
     solved = {}  # sequence -> (estimates, certified cuts), for this call only
+    prefixes = {}  # ordered_cuts' head-prefix memo on g, for this call only
     for rate in rates + rates:
         candidates = x - covered
         if not candidates:
@@ -236,7 +251,8 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
         if not seq:
             continue
         if seq not in solved:
-            solved[seq] = certified_ordered_cuts(s, seq, g, counter, certify)
+            solved[seq] = certified_ordered_cuts(s, seq, g, counter, certify,
+                                                 prefixes=prefixes)
         lam, certified = solved[seq]
         for v in seq:
             estimates[v] = min(estimates[v], lam[v])

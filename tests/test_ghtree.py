@@ -526,6 +526,26 @@ class TestGeneralized:
             assert verify_gh_tree(g, methods[k % 3](g)).ok
             assert len(steps) >= (g.num_nodes > 1)
 
+    def test_family_costs_in_one_pass(self):
+        # Per cut of a random disjoint family: its cut_cost in h, and the
+        # neighbours whose branch label it holds, as the driver took them
+        # one cut at a time.
+        rng = random.Random(157)
+        for _ in range(150):
+            h = weight_zero_draw(rng, rng.randint(2, 14))
+            labels = list(h.labels)
+            rng.shuffle(labels)
+            cuts, start = [], 1  # labels[0] is the source, in no cut
+            while start < len(labels) and rng.random() < 0.8:
+                end = rng.randint(start + 1, len(labels))
+                cuts.append(frozenset(labels[start:end]))
+                start = end
+            reps = dict(enumerate(rng.sample(labels, rng.randint(0, min(4, len(labels))))))
+            costs, moved = ghtree._family_costs(h, reps, cuts)
+            assert costs == [cut_cost(h, cut) for cut in cuts]
+            assert moved == [
+                {k for k, label in reps.items() if label in cut} for cut in cuts]
+
     def test_supernodes_stay_a_partition(self):
         # Exercised implicitly by finish(); spot-check on random graphs
         # by confirming every produced tree spans the node set.

@@ -120,11 +120,11 @@ class TestCertifyingPrefix:
                 assert cut_cost(g, tree.down_set(u)) == expected
 
 
-def random_labelled_graph(rng, n):
+def random_labelled_graph(rng, n, density=0.5):
     """Random graph with weights 0-3, labelled by tuples about half the time."""
     labels = [("t", i) for i in range(n)] if rng.random() < 0.5 else list(range(1, n + 1))
     edges = [(labels[i], labels[j], rng.randint(0, 3))
-             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+             for i in range(n) for j in range(i + 1, n) if rng.random() < density]
     return Graph(labels, edges)
 
 
@@ -273,6 +273,98 @@ class TestOrderedCuts:
             total += len(calls)
             calls.clear()
         assert total > 60
+
+
+def head_lengths(length):
+    """The lengths of the chain of heads `_build` solves for a sequence of
+    `length` nodes, longest first, down to 2."""
+    lengths = []
+    while length > 2:
+        length = min((length + 2) // 2, length - 1)
+        lengths.append(length)
+    return lengths
+
+
+class TestPrefixMemo:
+    """`ordered_cuts(..., prefixes=memo)` reuses the trees an earlier call
+    with the same memo built for a head prefix or a whole sequence."""
+
+    @staticmethod
+    def draw(rng):
+        """A graph with weights from 0 that sparse draws leave disconnected."""
+        return random_labelled_graph(rng, rng.randint(2, 14), density=rng.random() ** 2)
+
+    @staticmethod
+    def sharing(rng, seq, labels):
+        """A sequence sharing a random prefix with seq, then going on in
+        its own random order; sometimes from another source."""
+        k = rng.randint(1, len(seq))
+        head = list(seq[:k])
+        if rng.random() < 0.3:
+            others = [v for v in labels if v not in seq[1:]]
+            head[0] = rng.choice(others)
+        rest = [v for v in labels if v not in head]
+        rng.shuffle(rest)
+        return tuple(head + rest[:rng.randint(0, len(rest))])
+
+    def test_shared_memo_equals_fresh_calls(self):
+        rng = random.Random(137)
+        hits = 0
+        for _ in range(150):
+            g = self.draw(rng)
+            labels = list(g.labels)
+            memo = {}
+            seqs = [random_sequence(rng, g)]
+            for _ in range(6):
+                seqs.append(self.sharing(rng, rng.choice(seqs), labels))
+            for seq in seqs:
+                shared, fresh = WorkCounter(), WorkCounter()
+                tree = ordered_cuts(seq, g, shared, prefixes=memo)
+                assert tree == ordered_cuts(seq, g, fresh)
+                assert shared.calls <= fresh.calls
+                hits += shared.calls < fresh.calls
+        assert hits > 100
+
+    def test_repeated_chain_prefix_records_less_work(self):
+        rng = random.Random(139)
+        for _ in range(80):
+            g = self.draw(rng)
+            labels = list(g.labels)
+            if len(labels) < 3:
+                continue
+            rng.shuffle(labels)
+            seq = tuple(labels[:rng.randint(3, len(labels))])
+            k = rng.choice(head_lengths(len(seq)))
+            # Store the prefix alone, or as the head of a sequence that
+            # goes on differently, then solve seq.
+            memo = {}
+            rest = labels[k:]
+            rng.shuffle(rest)
+            first = seq[:k] + (tuple(rest[:len(seq) - k]) if rng.random() < 0.5 else ())
+            ordered_cuts(first, g, WorkCounter(), prefixes=memo)
+            shared, fresh = WorkCounter(), WorkCounter()
+            tree = ordered_cuts(seq, g, shared, prefixes=memo)
+            assert tree == ordered_cuts(seq, g, fresh)
+            assert shared.calls < fresh.calls
+            assert shared.nodes_total < fresh.nodes_total
+
+    def test_whole_sequence_makes_no_engine_call(self):
+        rng = random.Random(149)
+        g = random_graph(rng, 10)
+        memo = {}
+        first = ordered_cuts((3, 1, 7, 2, 9), g, WorkCounter(), prefixes=memo)
+        again = WorkCounter()
+        assert ordered_cuts((3, 1, 7, 2, 9), g, again, prefixes=memo) == first
+        assert again.calls == 0
+
+    def test_memo_of_another_graph_raises(self, tri):
+        memo = {}
+        ordered_cuts((1, 2, 3), tri, WorkCounter(), prefixes=memo)
+        twin = Graph(tri.labels, tri.edge_labels())
+        with pytest.raises(ValueError, match="prefix memo belongs to another graph"):
+            ordered_cuts((1, 2, 3), twin, WorkCounter(), prefixes=memo)
+        with pytest.raises(ValueError, match="another graph"):
+            ordered_cuts((2, 1), star(4, random.Random(0)), WorkCounter(), prefixes=memo)
 
 
 class TestFlattenToStar:

@@ -5,6 +5,7 @@ import pytest
 
 from ghct import pipeline
 from ghct.graph import Cut, Graph, cut_cost
+from ghct.isolating import isolating_cuts
 from ghct.maxflow import WorkCounter, min_cut
 from ghct.oracle import brute_all_min_cuts, is_laminar, verify_gh_tree
 from ghct.pipeline import (
@@ -146,6 +147,36 @@ class TestCertifiedOrderedCuts:
                 assert cut.cost == min_cut(g, {s}, {v}, counter).cost
                 assert not (cut.members & seen)
                 seen |= cut.members
+
+    def test_isolating_certification_matches_isolating_cuts(self):
+        # Against the reference that runs isolating_cuts on every running
+        # minimum.  When only seq[0] is kept, its cut comes off the tree,
+        # so the call records exactly the tree's work.
+        rng = random.Random(19)
+        lone = 0
+        for _ in range(120):
+            g = scrambled(rng, random_graph(rng, rng.randint(2, 11),
+                                            density=rng.random(), max_weight=4))
+            g = Graph(g.labels, [(u, v, w - 1) for u, v, w in g.edge_labels()])
+            labels = list(g.labels)
+            rng.shuffle(labels)
+            s, seq = labels[0], tuple(labels[1:rng.randint(2, len(labels))])
+            counter, tree_work = WorkCounter(), WorkCounter()
+            estimates, certified = certified_ordered_cuts(s, seq, g, counter)
+            pipeline.ordered_cuts((s, *seq), g, tree_work)
+            running, kept = math.inf, []
+            for v in seq:
+                if estimates[v] <= running:
+                    kept.append(v)
+                running = min(running, estimates[v])
+            cuts = isolating_cuts(s, set(kept), g, WorkCounter())
+            assert certified == {v: cut for v, cut in cuts.items()
+                                 if cut.cost == estimates[v]}
+            if kept == [seq[0]]:
+                lone += 1
+                assert certified == cuts
+                assert counter.snapshot() == tree_work.snapshot()
+        assert lone > 30
 
     def test_unknown_mode_rejected(self, g2):
         # Before any flow runs, and also for an empty sequence.
@@ -291,7 +322,7 @@ class TestFixedSourceLaminar:
         pending = iter(rounds)
         calls = []
 
-        def fake(s, seq, g, counter, certify):
+        def fake(s, seq, g, counter, certify, *, prefixes):
             calls.append(seq)
             members = next(pending, None)
             certified = {} if members is None else {seq[0]: Cut(frozenset(members), 1)}
@@ -345,13 +376,13 @@ class TestRepeatedRounds:
                 drawn.append(seq)
             return seq
 
-        def ordered_cuts(order, g, counter):
+        def ordered_cuts(order, g, counter, *, prefixes):
             solved.append(tuple(order[1:]))
-            return solve(order, g, counter)
+            return solve(order, g, counter, prefixes=prefixes)
 
-        def certified_ordered_cuts(s, seq, g, counter, certify):
+        def certified_ordered_cuts(s, seq, g, counter, certify, *, prefixes):
             solved.append(tuple(seq))
-            return solve(s, seq, g, counter, certify)
+            return solve(s, seq, g, counter, certify, prefixes=prefixes)
 
         wrappers = {"ordered_cuts": ordered_cuts,
                     "certified_ordered_cuts": certified_ordered_cuts}

@@ -83,27 +83,27 @@ PINNED = {
           (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "oc1", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         107, 668, 659, 7, 8,
+         86, 481, 472, 7, 8,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "oc1", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         111, 651, 635, 7, 9,
+         93, 501, 485, 7, 9,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         150, 792, 767, 7, 10,
+         120, 582, 557, 7, 10,
          ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         767, 4617, 4529, 9, 14,
+         695, 3939, 3851, 9, 14,
          ((0, (12, 12)), (1, (16, 16)), (2, (15, 15)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         97, 507, 496, 8, 13,
+         76, 361, 350, 8, 13,
          ((0, (12, 12)), (1, (16, 16)), (2, (14, 14)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         410, 2748, 2719, 9, 14,
+         355, 2170, 2140, 9, 14,
          ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (8, 8)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
@@ -117,27 +117,27 @@ PINNED = {
           (5, (6, 9)), (6, (3, 3)))),
     ("grid3x4", "oc1", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         98, 703, 940, 6, 6,
+         80, 525, 691, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "oc1", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         94, 656, 880, 6, 6,
+         75, 473, 624, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         211, 1078, 1396, 6, 9,
+         177, 852, 1077, 6, 9,
          ((0, (12, 17)), (1, (13, 16)), (2, (9, 12)))),
     ("grid3x4", "weak-oc", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         123, 658, 848, 6, 7,
+         101, 502, 627, 6, 7,
          ((0, (12, 17)), (1, (16, 22)), (2, (9, 12)))),
     ("grid3x4", "weak-oc-octree", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         69, 376, 497, 6, 8,
+         52, 265, 338, 6, 8,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)), (3, (6, 9)))),
     ("grid3x4", "weak-oc-octree", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         35, 201, 260, 6, 6,
+         30, 163, 206, 6, 6,
          ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)), (3, (5, 6)))),
     ("er16", "classic", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
@@ -153,27 +153,27 @@ PINNED = {
           (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "oc1", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         183, 1775, 3983, 5, 5,
+         153, 1312, 2835, 5, 5,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "oc1", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         185, 1833, 4155, 5, 6,
+         157, 1396, 3059, 5, 6,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         160, 1367, 2991, 6, 6,
+         141, 1120, 2388, 6, 6,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         576, 4877, 10497, 6, 9,
+         508, 3894, 8065, 6, 9,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         77, 751, 1703, 6, 6,
+         65, 570, 1253, 6, 6,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         274, 2610, 5836, 6, 9,
+         220, 1805, 3837, 6, 9,
          ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
 }
 
