@@ -2,19 +2,20 @@
 
 Both drivers refine one PartitionTree in place: cut a supernode's
 auxiliary graph H (every tree branch hanging off it contracted to one
-node) and split each cut off the supernode.  The tree keeps each
-splittable supernode's H as an adjacency over g's node indices, and a
-split splits H into the two new supernodes' graphs in time linear in the
-smaller side's degree.  The classic driver cuts one pivot pair in a copy
-of a kept H; a step depends only on its supernode's H, so it takes the
-kept graphs in any order.  The generalized driver refines the largest
-supernode first, reads H off the kept graph as a Graph
-(`auxiliary_graph`) and asks its caller's strategy for a source and a
-family of pairwise-disjoint minimum source cuts in it; a family that
-breaks the contract raises StrategyError at once.  Each driver ends with
-a complete partition tree whose singletons form the cut tree.  g's labels
-are sorted once, and that one order breaks the ties and orders the
-finished tree.
+node) and split each cut off the supernode.  The tree works over g's
+node indices.  It keeps each splittable supernode's H as an adjacency
+over them, and a cut is a side of that kept graph: a set of its nodes,
+members and branch nodes alike.  A split splits H into the two new
+supernodes' graphs in time linear in the smaller side's degree.  The
+classic driver cuts one pivot pair in a copy of a kept H; a step depends
+only on its supernode's H, so it takes the kept graphs in any order.
+The generalized driver refines the largest supernode first, reads H off
+the kept graph as a Graph over labels (`auxiliary_graph`) and asks its
+caller's strategy for a source and a family of pairwise-disjoint minimum
+source cuts in it; a family that breaks the contract raises
+StrategyError at once.  Each driver ends with a complete partition tree
+whose singletons form the cut tree.  g's labels are sorted once, and
+that one order breaks the ties and orders the finished tree.
 """
 
 from __future__ import annotations
@@ -86,37 +87,38 @@ class PartitionTree:
     """Spanning tree over disjoint supernodes covering all graph nodes.
 
     Starts as one supernode holding every node of g and is refined in
-    place by `split`.  `rank[v]` is label v's position in `sorted_labels`
-    order; `supernodes[i]` lists supernode i's members in that order, and
-    `supernode_of[v]` is the index of the supernode holding v.  Edges are
-    [i, j, weight] index triples into `supernodes`; each weight equals the
-    cost of the graph cut induced by removing that edge.  `incident[i]`
-    lists the indices of supernode i's edges in ascending order, and
-    `ends[k]` holds a node of g on each side of edge k, in the order of
-    `edges[k]`'s ends; the sides of a tree edge never change.  `depth[i]`
-    counts the refinement steps that supernode i and the supernodes it
-    was split from have taken.
+    place by `split`.  It works over g's node indices: `rank[x]` is node
+    x's position in g's `label_order`, and `supernodes[i]` lists
+    supernode i's members in that order.  Edges are [i, j, weight] index
+    triples into `supernodes`; each weight equals the cost of the graph
+    cut induced by removing that edge.  `incident[i]` lists the indices of
+    supernode i's edges in ascending order, and `ends[k]` holds a node of
+    g on each side of edge k, in the order of `edges[k]`'s ends; the sides
+    of a tree edge never change.  `depth[i]` counts the refinement steps
+    that supernode i and the supernodes it was split from have taken.
+    Labels are read only by `finish`.
 
     `kept[i]` is the auxiliary graph H of each supernode i of two or more
     members: every tree branch hanging off i contracted to one node.  It
     is an adjacency {node: {neighbour: weight}} over g's node indices;
     i's members are their own nodes, and the branch behind each of i's
-    edges is the node of g that `neighbours` gives for that edge.  Only
-    `split` edits it.
+    edges is the node `neighbours` gives for that edge.  Only `split`
+    edits it.
     """
 
     def __init__(self, g: Graph):
         self.g = g
-        order = g.label_order
-        self.rank = {v: r for r, v in enumerate(order)}
-        self.supernodes = [list(order)]
-        self.supernode_of = dict.fromkeys(order, 0)
+        index = g._index
+        self.supernodes = [[index[v] for v in g.label_order]]
+        self.rank = [0] * g.num_nodes
+        for r, x in enumerate(self.supernodes[0]):
+            self.rank[x] = r
         self.edges = []
         self.incident = [[]]
         self.ends = []
         self.depth = [0]
         self.kept = {}
-        if len(order) > 1:  # a copy: split edits each kept graph in place
+        if g.num_nodes > 1:  # a copy: split edits each kept graph in place
             self.kept[0] = {i: nbrs.copy() for i, nbrs in g.adjacency.items()}
 
     def pick_supernode(self):
@@ -125,38 +127,38 @@ class PartitionTree:
         return min(self.kept, key=lambda i: (-len(sns[i]), rank[sns[i][0]]), default=None)
 
     def neighbours(self, i):
-        """Yield (tree neighbour, node of g on its side) per edge of
-        supernode i, in edge order."""
+        """Yield the branch node, the node of g on the far side, of each
+        edge of supernode i, in edge order."""
         for k in self.incident[i]:
-            far = self.edges[k][0] == i  # the position of the other end
-            yield self.edges[k][far], self.ends[k][far]
+            yield self.ends[k][self.edges[k][0] == i]
 
-    def split(self, xi: int, b_members: set, weight: int, moved: set) -> None:
-        """Replace supernode xi by (xi - b, b).
+    def split(self, xi: int, side: set, weight: int) -> None:
+        """Replace supernode xi by (xi - b, b) along `side`, a set of
+        nodes of xi's kept graph.
 
-        Each tree edge of xi whose other end is in `moved` goes to b.  The
-        new edge's ends are the smallest members of xi - b and of b.  xi's
-        kept graph splits along b's members and moved branches, walking
-        the smaller side: b's side is contracted into the node of b's
-        smallest member, and the rest into that of xi - b's.  A side of
-        one member keeps no graph.
+        b is xi's members in side.  A side holding none or all of them, or
+        a node outside the kept graph, raises ValueError and changes
+        nothing.  Each tree edge of xi whose branch node is in side goes
+        to b.  The new edge's ends are the first members of xi - b and of
+        b.  xi's kept graph splits along side, walking the smaller part:
+        side is contracted into the node of b's first member, and the rest
+        into that of xi - b's.  A part of one member keeps no graph.
         """
-        index = self.g._index
         members = self.supernodes[xi]
+        b = [x for x in members if x in side]
+        if not b or len(b) == len(members) or not side <= self.kept[xi].keys():
+            raise ValueError("side must hold some but not all of the supernode's"
+                             " members, and only nodes of its kept graph")
+        rest = self.supernodes[xi] = [x for x in members if x not in side]
         bi, k = len(self.supernodes), len(self.edges)
-        rest = self.supernodes[xi] = [v for v in members if v not in b_members]
-        b = [v for v in members if v in b_members]
         self.supernodes.append(b)
-        self.supernode_of.update(dict.fromkeys(b_members, bi))
         self.depth.append(self.depth[xi] + 1)
-        side = {index[v] for v in b}
         stay, go = [], []
         for e in self.incident[xi]:
             edge = self.edges[e]
             far = edge[0] == xi
-            if edge[far] in moved:
+            if self.ends[e][far] in side:
                 edge[not far] = bi
-                side.add(index[self.ends[e][far]])
                 go.append(e)
             else:
                 stay.append(e)
@@ -165,11 +167,10 @@ class PartitionTree:
         self.edges.append([xi, bi, weight])
         self.ends.append((rest[0], b[0]))
         h = self.kept.pop(xi)
-        ib, ir = index[b[0]], index[rest[0]]
         if 2 * len(side) <= len(h):
-            h_rest, h_b = h, _split_kept(h, side, ib, ir)
+            h_rest, h_b = h, _split_kept(h, side, b[0], rest[0])
         else:
-            h_b, h_rest = h, _split_kept(h, {x for x in h if x not in side}, ir, ib)
+            h_b, h_rest = h, _split_kept(h, {x for x in h if x not in side}, rest[0], b[0])
         for i, sn, kept in ((xi, rest, h_rest), (bi, b, h_b)):
             if len(sn) > 1:
                 self.kept[i] = kept
@@ -177,7 +178,7 @@ class PartitionTree:
     def finish(self) -> GHTree:
         if any(len(sn) != 1 for sn in self.supernodes):
             raise AssertionError("partition tree is not complete")
-        rank = self.rank
+        rank, labels = self.rank, self.g.labels
         rows = []
         for i, j, w in self.edges:
             (u,), (v,) = self.supernodes[i], self.supernodes[j]
@@ -185,29 +186,26 @@ class PartitionTree:
                 u, v = v, u
             rows.append((u, v, w))
         rows.sort(key=lambda e: (rank[e[0]], rank[e[1]]))
-        return GHTree(self.g.label_order, tuple(rows))
+        return GHTree(self.g.label_order, tuple((labels[u], labels[v], w) for u, v, w in rows))
 
 
 def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
     """The auxiliary graph H of supernode xi, read off `tree.kept[xi]`.
 
-    Returns (H, reps) where H's nodes are xi's members in g's node order,
-    then one label per tree neighbour in xi's edge order, and reps maps
-    each neighbour's supernode index to the label of the branch behind
-    it.  The branches take the labels ("b", k) that are not nodes of g,
-    in order.  A singleton has no kept graph and raises ValueError.
+    Returns (H, nodes), nodes[i] being the kept node behind H's node i.
+    H's nodes are xi's members in g's node order, under their own labels,
+    then one node per tree edge of xi in edge order, labelled by the
+    labels ("b", k) that are not nodes of g, in order.  A singleton has
+    no kept graph and raises ValueError.
     """
     if xi not in tree.kept:
         raise ValueError(f"supernode {xi} has fewer than two members")
-    index = g._index
     fresh = (("b", k) for k in itertools.count() if not g.has_node(("b", k)))
-    name = {i: g.labels[i] for i in sorted(index[v] for v in tree.supernodes[xi])}
-    reps = {}
-    for (nb, x), label in zip(tree.neighbours(xi), fresh):
-        reps[nb] = name[index[x]] = label
+    name = {x: g.labels[x] for x in sorted(tree.supernodes[xi])}
+    name.update(zip(tree.neighbours(xi), fresh))
     edges = [(name[x], name[y], w) for x, nbrs in tree.kept[xi].items()
              for y, w in nbrs.items() if x < y]
-    return Graph(name.values(), edges), reps
+    return Graph(name.values(), edges), list(name)
 
 
 def _record_depth(depth_stats, depth: int, nodes: int, edges: int) -> None:
@@ -254,16 +252,15 @@ def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None =
     H, so classic takes the kept graphs in any order: the last one kept.
     """
     tree = PartitionTree(g)
+    labels = g.labels
     while tree.kept:
         xi = next(reversed(tree.kept))
-        members = tree.supernodes[xi]
-        s, t = members[:2]
+        s, t = tree.supernodes[xi][:2]
         nodes, edges = counter.nodes_total, counter.edges_total
-        cut = min_cut(g, {s}, {t}, counter, adj=tree.kept[xi])
+        cut = min_cut(g, {labels[s]}, {labels[t]}, counter, adj=tree.kept[xi])
         _record_depth(depth_stats, tree.depth[xi], counter.nodes_total - nodes,
                       counter.edges_total - edges)
-        moved = {j for j, x in tree.neighbours(xi) if x in cut.members}
-        tree.split(xi, cut.members.intersection(members), cut.cost, moved)
+        tree.split(xi, g.indices(cut.members), cut.cost)
         tree.depth[xi] += 1
     return tree.finish()
 
@@ -305,29 +302,32 @@ def gomory_hu_generalized(g: Graph, strategy, depth_stats: dict | None = None) -
     draws in refinement order, so this order fixes its trees.
     """
     tree = PartitionTree(g)
+    labels = g.labels
     while (xi := tree.pick_supernode()) is not None:
         # Splitting off a disjoint cut changes neither the cost of another
-        # nor the branches it holds, so every cut is costed in h.
-        x_members = frozenset(tree.supernodes[xi])
-        h, reps = auxiliary_graph(g, tree, xi)
+        # nor the kept nodes it holds, so every cut is costed in h.
+        x_members = frozenset(labels[x] for x in tree.supernodes[xi])
+        h, nodes = auxiliary_graph(g, tree, xi)
         _record_depth(depth_stats, tree.depth[xi], h.num_nodes, h.num_edges)
         s, family = strategy(h, x_members)
         cuts = _check_family(family, s, h, x_members)
-        costs, moved = _family_costs(h, reps, cuts)
-        for cut, cost, branches in zip(cuts, costs, moved):
-            tree.split(xi, cut & x_members, cost, branches)
+        for cost, side in zip(*_family_costs(h, nodes, cuts)):
+            tree.split(xi, side, cost)
         tree.depth[xi] += 1
     return tree.finish()
 
 
-def _family_costs(h: Graph, reps: dict, cuts: list) -> tuple:
-    """Per cut of a pairwise-disjoint family: its cost in h, and the set of
-    tree neighbours whose branch it holds (`reps` as `auxiliary_graph`
-    returns it).  One pass over h's edges and one over reps."""
+def _family_costs(h: Graph, nodes: list, cuts: list) -> tuple:
+    """(costs, sides) of a pairwise-disjoint family: per cut, its cost in
+    h and its side, the set of kept nodes behind its nodes (`nodes` as
+    `auxiliary_graph` returns it).  One pass over h's edges."""
     owner = [None] * h.num_nodes  # h's node index -> the cut holding it
+    sides = []
     for k, cut in enumerate(cuts):
-        for i in h.indices(cut):
+        indices = h.indices(cut)
+        for i in indices:
             owner[i] = k
+        sides.append({nodes[i] for i in indices})
     costs = [0] * len(cuts)
     for iu, iv, w in h.edges:
         a, b = owner[iu], owner[iv]
@@ -336,10 +336,4 @@ def _family_costs(h: Graph, reps: dict, cuts: list) -> tuple:
                 costs[a] += w
             if b is not None:
                 costs[b] += w
-    moved = [set() for _ in cuts]
-    index = h._index
-    for other, label in reps.items():
-        k = owner[index[label]]
-        if k is not None:
-            moved[k].add(other)
-    return costs, moved
+    return costs, sides

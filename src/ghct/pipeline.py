@@ -17,14 +17,13 @@ family that breaks its contract raises `ghtree.StrategyError`.  Work is
 tracked in perturbed-weight units within one attempt; the driver re-costs
 the returned cuts in original units.
 
-Within one call of a fixed-source loop, a round that draws a sequence an
-earlier round of that call already solved reuses its result: the source,
-the perturbed graph and the certification mode are fixed there and the
-solvers are deterministic, so only the engine work falls.  Every round
-still draws its sample, so trees and random state do not change.  For
-the same reason the rounds of one call share `ordered_cuts`' memo of
-head prefixes on that perturbed graph: a head that an earlier round's
-tree already built is not cut again.
+Within one call of a fixed-source loop the source, the perturbed graph
+and the certification mode are fixed and the solvers are deterministic,
+so the rounds of that call share one memo, `ordered_cuts`' `prefixes`:
+a head prefix or whole sequence that an earlier round built is not cut
+again, and a round that repeats an earlier sequence makes no engine
+call.  Every round still draws its sample, so trees and random state do
+not change; only the engine work falls.
 """
 
 from __future__ import annotations
@@ -197,25 +196,23 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     sample sorted by decreasing cost estimate, flattens to a star, and
     absorbs the blocks.  A final full-rate round follows; of its star, the
     blocks `certified_source_cuts` keeps (each costs no more than every
-    earlier one) are genuine minimum source cuts of g.  A round whose
-    sequence an earlier round of this call solved reuses that tree, and
-    every round reuses the head prefixes earlier rounds built.
+    earlier one) are genuine minimum source cuts of g.  Every round
+    reuses the head prefixes and sequences earlier rounds of this call
+    built (one `prefixes` memo), so a repeated sequence costs no engine
+    call.
     """
     live = set(x)
     if not live:
         return {}
     estimates = _weighted_degrees(g, live)
-    trees = {}  # sequence -> its ordered-cut tree, for this call only
-    prefixes = {}  # ordered_cuts' head-prefix memo on g, for this call only
+    prefixes = {}  # ordered_cuts' memo of head prefixes and sequences on g, for this call only
     # Every round keeps its representatives live, so the last sample is
     # not empty and `tree` is the full-rate round's.
     for rate in partition_schedule(len(live)) + (1.0,):
         seq = _by_estimate(random_subset(live, rate, rng), estimates)
         if not seq:
             continue
-        if seq not in trees:
-            trees[seq] = ordered_cuts((s, *seq), g, counter, prefixes=prefixes)
-        tree = trees[seq]
+        tree = ordered_cuts((s, *seq), g, counter, prefixes=prefixes)
         for v, block in flatten_to_star(tree).items():
             live -= block - {v}
             estimates[v] = min(estimates[v], tree.costs[v])
@@ -230,9 +227,11 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     Accumulates certified cuts over twice the partition schedule, that is
     at most four geometric blocks, keeping per-node running estimates;
     returns [] as soon as the family stops being laminar (the caller
-    re-perturbs and retries).  A round whose sequence an earlier round of
-    this call solved reuses those estimates and certified cuts, and every
-    round reuses the head prefixes earlier rounds built.
+    re-perturbs and retries).  A round that repeats an earlier round's
+    sequence is skipped after its draw: its estimates are already folded
+    in and its certified cuts already in the family.  Every round reuses
+    the head prefixes earlier rounds of this call built (one `prefixes`
+    memo).
     """
     x = set(x)
     if not x:
@@ -241,19 +240,18 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     rates = partition_schedule(len(x))
     family: set = set()
     covered: set = set()
-    solved = {}  # sequence -> (estimates, certified cuts), for this call only
-    prefixes = {}  # ordered_cuts' head-prefix memo on g, for this call only
+    seen = set()  # the sequences this call has cut
+    prefixes = {}  # ordered_cuts' memo of head prefixes and sequences on g, for this call only
     for rate in rates + rates:
         candidates = x - covered
         if not candidates:
             break
         seq = _by_estimate(random_subset(candidates, rate, rng), estimates)
-        if not seq:
+        if not seq or seq in seen:
             continue
-        if seq not in solved:
-            solved[seq] = certified_ordered_cuts(s, seq, g, counter, certify,
-                                                 prefixes=prefixes)
-        lam, certified = solved[seq]
+        seen.add(seq)
+        lam, certified = certified_ordered_cuts(s, seq, g, counter, certify,
+                                                prefixes=prefixes)
         for v in seq:
             estimates[v] = min(estimates[v], lam[v])
         added = [cut.members for cut in certified.values()

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from conftest import random_graph, scrambled
 
 
 def branches(tree, xi):
-    """{label of g outside supernode xi: the tree neighbour of xi whose
+    """{node of g outside supernode xi: the tree neighbour of xi whose
     branch holds it}, walked over `tree.edges` alone."""
     adj = {i: [] for i in range(len(tree.supernodes))}
     for i, j, _ in tree.edges:
@@ -31,7 +32,7 @@ def branches(tree, xi):
         stack, seen = [nb], {xi, nb}
         while stack:
             k = stack.pop()
-            branch.update((v, nb) for v in tree.supernodes[k])
+            branch.update((x, nb) for x in tree.supernodes[k])
             stack += [j for j in adj[k] if j not in seen]
             seen.update(adj[k])
     return branch
@@ -44,21 +45,20 @@ def splittable(tree):
 def check_kept(g, tree, xi):
     """Assert that the graph the tree keeps for supernode xi is g with
     every branch off xi contracted to one node, once each kept node is
-    renamed to its own member label or to the branch its node of g lies
-    on.  A contracted edge exists if any edge it merges does, so
-    weight-0 edges count."""
+    renamed to its own member or to the branch it lies on.  A contracted
+    edge exists if any edge it merges does, so weight-0 edges count."""
     branch = branches(tree, xi)
 
-    def name(v):
-        return ("branch", branch[v]) if v in branch else ("member", v)
+    def name(x):
+        return ("branch", branch[x]) if x in branch else ("member", x)
 
-    expected = {name(v): {} for v in g.labels}
-    for u, v, w in g.edge_labels():
+    expected = {name(x): {} for x in range(g.num_nodes)}
+    for u, v, w in g.edges:
         a, b = name(u), name(v)
         if a != b:
             expected[a][b] = expected[b][a] = expected[a].get(b, 0) + w
     kept = tree.kept[xi]
-    names = {x: name(g.labels[x]) for x in kept}
+    names = {x: name(x) for x in kept}
     assert len(set(names.values())) == len(names)
     assert {names[x]: {names[y]: w for y, w in nbrs.items()}
             for x, nbrs in kept.items()} == expected
@@ -72,34 +72,65 @@ def weight_zero_draw(rng, n):
     return Graph(g.labels, [(u, v, w - 1) for u, v, w in g.edge_labels()])
 
 
+class TestPartitionTree:
+    def test_works_over_node_indices(self):
+        # Labels scrambled against g's node order: supernodes hold indices
+        # in label order, and rank is each index's place in that order.
+        g = Graph(["c", "a", "b"], [("c", "a", 1), ("a", "b", 2)])
+        tree = PartitionTree(g)
+        assert tree.supernodes == [[1, 2, 0]]
+        assert tree.rank == [2, 0, 1]
+        tree.split(0, {0}, 1)
+        assert tree.supernodes == [[1, 2], [0]]
+        assert tree.ends == [(1, 0)]
+        assert list(tree.neighbours(0)) == [0]
+        assert list(tree.neighbours(1)) == [1]
+
+    @pytest.mark.parametrize("xi, side", [(0, set()), (0, {0, 1, 2}), (0, {2}), (0, {0, 1}),
+                                          (0, {0, 9}), (1, {2})],
+                             ids=["empty", "every-node", "branch-only", "every-member",
+                                  "foreign-node", "singleton"])
+    def test_bad_side_changes_nothing(self, p3, xi, side):
+        # After one split, supernode 0 holds nodes 0 and 1 (labels 1, 2),
+        # node 2 (label 3) is the branch node of its one edge, and
+        # supernode 1 is the singleton of node 2.
+        tree = PartitionTree(p3)
+        tree.split(0, {2}, 2)
+        state = copy.deepcopy({k: v for k, v in vars(tree).items() if k != "g"})
+        with pytest.raises(ValueError, match="side must hold some but not all"):
+            tree.split(xi, side, 0)
+        assert {k: v for k, v in vars(tree).items() if k != "g"} == state
+
+
 class TestAuxiliaryGraph:
     def test_single_supernode_is_identity(self, tri):
-        h, reps = auxiliary_graph(tri, PartitionTree(tri), 0)
+        h, nodes = auxiliary_graph(tri, PartitionTree(tri), 0)
         assert h == tri
-        assert reps == {}
+        assert nodes == [0, 1, 2]
 
     def test_path_one_branch(self, p3):
         tree = PartitionTree(p3)
-        tree.split(0, {3}, 2, set())
-        h, reps = auxiliary_graph(p3, tree, 0)
+        tree.split(0, {2}, 2)
+        h, nodes = auxiliary_graph(p3, tree, 0)
         assert h.num_nodes == 3
-        (other, label), = reps.items()
-        assert other == 1
+        assert nodes == [0, 1, 2]
+        label = h.labels[2]
         assert h.labels == (1, 2, label)
+        assert not p3.has_node(label)
         assert sorted(h.edge_labels(), key=str) == sorted(
             [(1, 2, 3), (2, label, 2)], key=str)
 
     def test_star_of_branches(self):
         g = Graph(range(1, 6), [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4)])
         tree = PartitionTree(g)
-        for v, w in ((2, 1), (3, 2), (4, 3)):
-            tree.split(0, {v}, w, set())
-        h, reps = auxiliary_graph(g, tree, 0)
+        for x, w in ((1, 1), (2, 2), (3, 3)):
+            tree.split(0, {x}, w)
+        h, nodes = auxiliary_graph(g, tree, 0)
         assert h.num_nodes == 5
-        assert sorted(reps) == [1, 2, 3]
-        assert h.labels == (1, 5, *(reps[k] for k in (1, 2, 3)))
-        for k, w in ((1, 1), (2, 2), (3, 3)):
-            assert cut_cost(h, {reps[k]}) == w
+        assert nodes == [0, 4, 1, 2, 3]
+        assert h.labels[:2] == (1, 5)
+        for i, w in ((2, 1), (3, 2), (4, 3)):
+            assert cut_cost(h, {h.labels[i]}) == w
         # No driver asks a singleton for its auxiliary graph.
         with pytest.raises(ValueError, match="fewer than two members"):
             auxiliary_graph(g, tree, 1)
@@ -110,33 +141,51 @@ class TestAuxiliaryGraph:
         g = Graph(range(1, 6),
                   [(1, 2, 2), (2, 3, 1), (3, 4, 4), (4, 5, 1), (2, 5, 3)])
         tree = PartitionTree(g)
-        tree.split(0, {4, 5}, 4, set())
-        h, reps = auxiliary_graph(g, tree, 0)
-        assert cut_cost(h, {reps[1]}) == cut_cost(g, {4, 5})
+        tree.split(0, {3, 4}, 4)
+        h, nodes = auxiliary_graph(g, tree, 0)
+        assert nodes[3] == 3  # the branch node: label 4, b's first member
+        assert cut_cost(h, {h.labels[3]}) == cut_cost(g, {4, 5})
         assert cut_cost(h, {1}) == cut_cost(g, {1})
         assert cut_cost(h, {1, 2}) == cut_cost(g, {1, 2})
 
     def test_equals_reference_on_random_trees(self):
-        # Random splits build the partition tree; the auxiliary graph must be
-        # what the public constructor builds from g's edges with every branch
-        # behind a tree neighbour of xi relabelled to that neighbour's label.
+        # Random splits build the partition tree, each along a random side
+        # of the kept graph: a subset of its nodes, members and branch
+        # nodes alike, holding at least one member and not all.  Exactly
+        # the edges whose branch node is in the side move, every kept graph
+        # is its supernode's auxiliary graph, and the auxiliary graph must
+        # be what the public constructor builds from g's edges with every
+        # branch behind a tree neighbour of xi relabelled to one fresh label.
         rng = random.Random(13)
         for _ in range(60):
             g = scrambled(rng, random_graph(rng, rng.randint(2, 12), density=rng.random()))
             tree = PartitionTree(g)
             for _ in range(rng.randint(0, g.num_nodes - 1)):
                 xi = rng.randrange(len(tree.supernodes))
-                members = sorted(tree.supernodes[xi], key=repr)
+                members = tree.supernodes[xi]
                 if len(members) < 2:
                     continue
-                nbrs = [j if i == xi else i for i, j, _ in tree.edges if xi in (i, j)]
-                tree.split(xi, set(rng.sample(members, rng.randint(1, len(members) - 1))), 0,
-                           {j for j in nbrs if rng.random() < 0.5})
+                side = set(rng.sample(members, rng.randint(1, len(members) - 1)))
+                side.update(x for x in tree.neighbours(xi) if rng.random() < 0.5)
+                assert side <= tree.kept[xi].keys()
+                incident = list(tree.incident[xi])
+                moved = [e for e, y in zip(incident, tree.neighbours(xi)) if y in side]
+                k = len(tree.edges)
+                tree.split(xi, side, 0)
+                assert tree.incident[-1] == moved + [k]
+                assert tree.incident[xi] == [e for e in incident if e not in moved] + [k]
                 assert set(tree.kept) == splittable(tree)
+                for i in tree.kept:
+                    check_kept(g, tree, i)
+            owner = {}
             for i, sn in enumerate(tree.supernodes):
-                assert sn == sorted_labels(sn)
-                assert all(tree.supernode_of[v] == i for v in sn)
-            assert sorted(tree.supernode_of, key=repr) == sorted(g.labels, key=repr)
+                assert [g.labels[x] for x in sn] == sorted_labels(g.labels[x] for x in sn)
+                assert [tree.rank[x] for x in sn] == sorted(tree.rank[x] for x in sn)
+                owner.update(dict.fromkeys(sn, i))
+            assert sorted(owner) == list(range(g.num_nodes))
+            assert sum(map(len, tree.supernodes)) == g.num_nodes
+            assert [g.labels[x] for x in sorted(owner, key=tree.rank.__getitem__)] == list(
+                g.label_order)
             for i, incident in enumerate(tree.incident):
                 assert incident == [k for k, (a, b, _) in enumerate(tree.edges) if i in (a, b)]
             for k, (a, b, _) in enumerate(tree.edges):
@@ -150,9 +199,10 @@ class TestAuxiliaryGraph:
                             side.add(y)
                             stack.append(y)
                 assert b not in side
-                assert tree.supernode_of[tree.ends[k][0]] in side
-                assert tree.supernode_of[tree.ends[k][1]] not in side
-            keys = [(-len(sn), min(map(label_key, sn))) for sn in tree.supernodes]
+                assert owner[tree.ends[k][0]] in side
+                assert owner[tree.ends[k][1]] not in side
+            keys = [(-len(sn), min(label_key(g.labels[x]) for x in sn))
+                    for sn in tree.supernodes]
             big = [i for i, sn in enumerate(tree.supernodes) if len(sn) > 1]
             assert tree.pick_supernode() == min(big, key=keys.__getitem__, default=None)
 
@@ -162,16 +212,21 @@ class TestAuxiliaryGraph:
             if not big:
                 continue
             xi = rng.choice(big)
-            h, reps = auxiliary_graph(g, tree, xi)
-            assert sorted(reps) == sorted(j if i == xi else i for i, j, _ in tree.edges
-                                          if xi in (i, j))
-            assert len(set(reps.values())) == len(reps)
-            assert not any(g.has_node(label) for label in reps.values())
-            rep = {v: v for v in tree.supernodes[xi]}
-            rep.update((v, reps[nb]) for v, nb in branches(tree, xi).items())
-            nodes = [v for v in g.labels if v in tree.supernodes[xi]] + list(reps.values())
-            assert h == Graph(nodes, [(rep[u], rep[v], w) for u, v, w in g.edge_labels()
-                                      if rep[u] != rep[v]])
+            h, nodes = auxiliary_graph(g, tree, xi)
+            m = len(tree.supernodes[xi])
+            assert nodes[:m] == sorted(tree.supernodes[xi])
+            branch = branches(tree, xi)
+            assert [branch[y] for y in nodes[m:]] == [j if i == xi else i for i, j, _ in tree.edges
+                                                      if xi in (i, j)]
+            fresh = h.labels[m:]
+            assert len(set(fresh)) == len(fresh)
+            assert not any(g.has_node(label) for label in fresh)
+            label_of = {branch[y]: label for y, label in zip(nodes[m:], fresh)}
+            rep = [label_of[branch[x]] if x in branch else g.labels[x]
+                   for x in range(g.num_nodes)]
+            labels = [g.labels[x] for x in nodes[:m]] + list(fresh)
+            assert h == Graph(labels, [(rep[u], rep[v], w) for u, v, w in g.edges
+                                       if rep[u] != rep[v]])
 
 
 class TestClassic:
@@ -213,13 +268,13 @@ class TestClassic:
         each step cuts the auxiliary graph H and costs the cut in H."""
         tree = PartitionTree(g)
         while (xi := tree.pick_supernode()) is not None:
-            members = tree.supernodes[xi]
-            h, reps = auxiliary_graph(g, tree, xi)
-            nodes, edges = depth_stats.get(tree.depth[xi], (0, 0))
-            depth_stats[tree.depth[xi]] = [nodes + h.num_nodes, edges + h.num_edges]
-            cut = min_cut(h, {members[0]}, {members[1]}, counter).members
-            moved = {other for other, label in reps.items() if label in cut}
-            tree.split(xi, cut & set(members), cut_cost(h, cut), moved)
+            s, t = (g.labels[x] for x in tree.supernodes[xi][:2])
+            h, nodes = auxiliary_graph(g, tree, xi)
+            total_nodes, total_edges = depth_stats.get(tree.depth[xi], (0, 0))
+            depth_stats[tree.depth[xi]] = [total_nodes + h.num_nodes,
+                                           total_edges + h.num_edges]
+            cut = min_cut(h, {s}, {t}, counter).members
+            tree.split(xi, {nodes[i] for i in h.indices(cut)}, cut_cost(h, cut))
             tree.depth[xi] += 1
         return tree.finish()
 
@@ -274,8 +329,7 @@ class TestClassic:
 
         def checking(g, s_side, t_side, counter, adj):
             tree = trees[-1]
-            (s,) = s_side
-            xi = tree.supernode_of[s]
+            xi, = (i for i, sn in enumerate(tree.supernodes) if g.indices(s_side) <= set(sn))
             assert adj is tree.kept[xi]
             assert set(tree.kept) == splittable(tree)
             check_kept(g, tree, xi)
@@ -528,8 +582,7 @@ class TestGeneralized:
 
     def test_family_costs_in_one_pass(self):
         # Per cut of a random disjoint family: its cut_cost in h, and the
-        # neighbours whose branch label it holds, as the driver took them
-        # one cut at a time.
+        # kept nodes behind its nodes.
         rng = random.Random(157)
         for _ in range(150):
             h = weight_zero_draw(rng, rng.randint(2, 14))
@@ -540,11 +593,11 @@ class TestGeneralized:
                 end = rng.randint(start + 1, len(labels))
                 cuts.append(frozenset(labels[start:end]))
                 start = end
-            reps = dict(enumerate(rng.sample(labels, rng.randint(0, min(4, len(labels))))))
-            costs, moved = ghtree._family_costs(h, reps, cuts)
+            nodes = rng.sample(range(3 * h.num_nodes), h.num_nodes)
+            costs, sides = ghtree._family_costs(h, nodes, cuts)
             assert costs == [cut_cost(h, cut) for cut in cuts]
-            assert moved == [
-                {k for k, label in reps.items() if label in cut} for cut in cuts]
+            assert sides == [{x for x, label in zip(nodes, h.labels) if label in cut}
+                             for cut in cuts]
 
     def test_supernodes_stay_a_partition(self):
         # Exercised implicitly by finish(); spot-check on random graphs

@@ -346,7 +346,9 @@ class TestFixedSourceLaminar:
 
 class TestRepeatedRounds:
     """Within one fixed-source call, a round that draws a sequence an
-    earlier round solved reuses that result instead of calling a solver."""
+    earlier round cut makes no engine call: `fixed_source_blocks` finds
+    it in the call's `prefixes` memo, and `fixed_source_laminar` skips
+    the round."""
 
     # Seed 0 on this graph draws at least one repeated sequence in each loop.
     SEED = 0
@@ -364,11 +366,34 @@ class TestRepeatedRounds:
         return pipeline.fixed_source_laminar(1, x, 3, h, random.Random(self.SEED),
                                              counter, certify)
 
-    def record_rounds(self, monkeypatch, solver):
-        """Record every non-empty sequence a round draws, and every sequence
-        handed to `solver`, "ordered_cuts" or "certified_ordered_cuts"."""
+    def test_blocks_repeat_makes_no_engine_call(self, monkeypatch):
+        # Every (sequence, engine work) pair `ordered_cuts` is asked for.
+        rounds = []
+        solve = pipeline.ordered_cuts
+
+        def ordered_cuts(order, g, counter, *, prefixes=None):
+            before = counter.snapshot()
+            tree = solve(order, g, counter, prefixes=prefixes)
+            after = counter.snapshot()
+            rounds.append((tuple(order[1:]), {k: after[k] - before[k] for k in after}))
+            return tree
+
+        monkeypatch.setattr(pipeline, "ordered_cuts", ordered_cuts)
+        self.run_blocks(WorkCounter())
+        seen, repeats = set(), 0
+        for seq, work in rounds:
+            if seq in seen:
+                assert set(work.values()) == {0}
+                repeats += 1
+            seen.add(seq)
+        assert repeats  # some round did repeat a sequence
+
+    @pytest.mark.parametrize("certify", ["isolating", "octree"])
+    def test_laminar_solves_each_sequence_once(self, monkeypatch, certify):
+        # Every non-empty sequence a round draws, and every sequence
+        # handed to `certified_ordered_cuts`.
         drawn, solved = [], []
-        by_estimate, solve = pipeline._by_estimate, getattr(pipeline, solver)
+        by_estimate, solve = pipeline._by_estimate, pipeline.certified_ordered_cuts
 
         def drawing(sample, estimates):
             seq = by_estimate(sample, estimates)
@@ -376,35 +401,16 @@ class TestRepeatedRounds:
                 drawn.append(seq)
             return seq
 
-        def ordered_cuts(order, g, counter, *, prefixes):
-            solved.append(tuple(order[1:]))
-            return solve(order, g, counter, prefixes=prefixes)
-
         def certified_ordered_cuts(s, seq, g, counter, certify, *, prefixes):
             solved.append(tuple(seq))
             return solve(s, seq, g, counter, certify, prefixes=prefixes)
 
-        wrappers = {"ordered_cuts": ordered_cuts,
-                    "certified_ordered_cuts": certified_ordered_cuts}
         monkeypatch.setattr(pipeline, "_by_estimate", drawing)
-        monkeypatch.setattr(pipeline, solver, wrappers[solver])
-        return drawn, solved
-
-    def assert_each_sequence_solved_once(self, drawn, solved):
+        monkeypatch.setattr(pipeline, "certified_ordered_cuts", certified_ordered_cuts)
+        self.run_laminar(WorkCounter(), certify)
         assert len(solved) == len(set(solved))
         assert set(solved) == set(drawn)
         assert len(drawn) > len(solved)  # some round did repeat a sequence
-
-    def test_blocks_solve_each_sequence_once(self, monkeypatch):
-        drawn, solved = self.record_rounds(monkeypatch, "ordered_cuts")
-        self.run_blocks(WorkCounter())
-        self.assert_each_sequence_solved_once(drawn, solved)
-
-    @pytest.mark.parametrize("certify", ["isolating", "octree"])
-    def test_laminar_solves_each_sequence_once(self, monkeypatch, certify):
-        drawn, solved = self.record_rounds(monkeypatch, "certified_ordered_cuts")
-        self.run_laminar(WorkCounter(), certify)
-        self.assert_each_sequence_solved_once(drawn, solved)
 
     @pytest.mark.parametrize("loop", ["blocks", "isolating", "octree"])
     def test_no_result_outlives_its_call(self, loop):
