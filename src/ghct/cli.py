@@ -118,6 +118,7 @@ def run_method(g: Graph, method: str, seed: int,
     payload = counter.snapshot()
     payload.update({
         "attempts": stats.attempts_max,
+        "invocations": stats.invocations,
         "attempts_total": stats.attempts_total,
         "wall_ms": round(wall_ms, 3),
         "seed": seed,

@@ -7,7 +7,9 @@ pairwise-disjoint minimum source cuts that the driver splits off:
   loop that walks toward a node none of whose cuts dwarf their complement;
 * the weak route: certified ordered cuts (running-minimum filter plus
   isolating cuts) accumulated into a laminar family for a random source,
-  of which the maximal members are returned.
+  of which the maximal members are returned.  The first attempt draws
+  the source from x's members of at least the lower median weighted
+  degree, every retry from all of x.
 
 Both perturb edge weights first so minimum cuts are unique with high
 probability, and both are Las-Vegas: outputs are always genuine minimum
@@ -29,6 +31,7 @@ not change; only the engine work falls.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 from .graph import Cut, Graph, label_key, sorted_labels
@@ -332,11 +335,28 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
                        stats: PipelineStats | None = None,
                        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                        certify: str = "isolating"):
-    """Pick a uniformly random source; accept once the laminar family of
-    small-side cuts covers all but half of x."""
+    """Pick a random source; accept once the laminar family of small-side
+    cuts covers all but half of x.
+
+    The first attempt draws s uniformly from x's heavy members, those
+    whose weighted degree in h is at least x's lower median (in label
+    order); a light source's minimum cuts tend to hold most of h and
+    exceed the limit.  Every later attempt draws s uniformly from all of
+    x, as the paper analyses, so the expected number of attempts grows by
+    at most one.  With all degrees equal the heavy members are all of x.
+    """
+    retry = False  # whether an earlier attempt of this call was rejected
+
     def attempt(xs, x_set):
+        nonlocal retry
         limit = math.ceil(len(xs) / 2)
-        s = rng.choice(xs)
+        if retry:
+            s = rng.choice(xs)
+        else:
+            degree = _weighted_degrees(h, xs)
+            median = statistics.median_low(degree.values())
+            s = rng.choice([v for v in xs if degree[v] >= median])
+            retry = True
         perturbed = perturb(h, rng)
         family = fixed_source_laminar(s, x_set - {s}, limit, perturbed, rng,
                                       counter, certify)

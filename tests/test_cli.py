@@ -58,6 +58,17 @@ class TestCompute:
         assert payload["maxflow_calls"] >= 2
         assert payload["seed"] == 0
         assert payload["attempts"] == 0
+        assert payload["invocations"] == payload["attempts_total"] == 0
+
+    def test_weak_oc_stats_count_invocations(self, tri_file, tmp_path):
+        stats = tmp_path / "stats.json"
+        assert main(["compute", str(tri_file), "--method", "weak-oc",
+                     "--out", str(tmp_path / "tree.dimacs"),
+                     "--stats-out", str(stats)]) == 0
+        payload = json.loads(stats.read_text())
+        # One source selection per split supernode, each at least one attempt.
+        assert 1 <= payload["invocations"] <= payload["attempts_total"]
+        assert payload["attempts"] <= payload["attempts_total"]
 
     @pytest.mark.parametrize("method", ["classic", "oc1", "weak-oc"])
     def test_same_seed_byte_identical(self, tri_file, tmp_path, method):
@@ -479,6 +490,7 @@ class TestBench:
                      "--seeds", "0,1", "--report", str(report)]) == 0
         lines = report.read_text().strip().splitlines()
         assert len(lines) == 3  # header + 1 instance x 1 method x 2 seeds
+        assert "invocations" in lines[0].split(",")
 
     def test_verify_flag_marks_rows(self, tmp_path):
         corpus = tmp_path / "corpus"
@@ -490,6 +502,11 @@ class TestBench:
                      "--seeds", "0", "--verify", "--report", str(report)]) == 0
         rows = json.loads(report.read_text())["rows"]
         assert rows and all(row["verified"] for row in rows)
+        for row in rows:
+            if row["method"] == "classic":
+                assert row["invocations"] == row["attempts_total"] == 0
+            else:
+                assert 1 <= row["invocations"] <= row["attempts_total"]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         corpus = tmp_path / "corpus"

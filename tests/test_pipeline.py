@@ -1,9 +1,11 @@
 import math
 import random
+import statistics
 
 import pytest
 
 from ghct import pipeline
+from ghct.generators import cycle, erdos_renyi_m, star
 from ghct.graph import Cut, Graph, cut_cost
 from ghct.isolating import isolating_cuts
 from ghct.maxflow import WorkCounter, min_cut
@@ -449,6 +451,53 @@ class TestSelectSourceWeak:
         with pytest.raises(AttemptLimitError):
             select_source_weak(tri, {1, 2, 3}, random.Random(0), WorkCounter(),
                                max_attempts=0)
+
+    @staticmethod
+    def _record_sources(monkeypatch, reject: int) -> list:
+        """Patch fixed_source_laminar to append each attempt's source to the
+        returned list, and to reject while the list holds at most `reject`
+        sources; the caller clears the list between calls."""
+        sources = []
+        real = pipeline.fixed_source_laminar
+
+        def recording(s, *args):
+            sources.append(s)
+            return [] if len(sources) <= reject else real(s, *args)
+
+        monkeypatch.setattr(pipeline, "fixed_source_laminar", recording)
+        return sources
+
+    def test_first_source_is_heavy_later_sources_uniform(self, monkeypatch):
+        sources = self._record_sources(monkeypatch, reject=3)
+        g = erdos_renyi_m(16, 40, random.Random(0))
+        x = set(g.labels)
+        degree = _weighted_degrees(g, x)
+        median = statistics.median_low(degree.values())
+        assert min(degree.values()) < median  # x has light members
+        later = []
+        for seed in range(40):
+            sources.clear()
+            stats = PipelineStats()
+            select_source_weak(g, x, random.Random(seed), WorkCounter(), stats=stats)
+            assert stats.attempts_total == len(sources) >= 4
+            assert degree[sources[0]] >= median
+            later.extend(sources[1:])
+        # The uniform fallback is live: later attempts also start light.
+        assert any(degree[s] < median for s in later)
+        assert any(degree[s] >= median for s in later)
+
+    @pytest.mark.parametrize("g", [cycle(12, random.Random(0), weights=(1, 1)),
+                                   star(9, random.Random(0), weights=(5, 5))],
+                             ids=["unit-cycle", "equal-star"])
+    def test_equal_degrees_draw_from_all_of_x(self, g, monkeypatch):
+        # The lower median is the smallest degree, so every member is heavy
+        # and the first draw is the uniform draw.
+        sources = self._record_sources(monkeypatch, reject=0)
+        for seed in range(10):
+            sources.clear()
+            tree = gh_via_weak_oc(g, random.Random(seed), WorkCounter())
+            assert sources[0] == random.Random(seed).choice(sorted(g.labels))
+            assert verify_gh_tree(g, tree).ok
 
 
 class TestEndToEnd:

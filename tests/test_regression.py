@@ -91,20 +91,20 @@ PINNED = {
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         120, 582, 557, 7, 10,
-         ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)))),
+         61, 306, 295, 8, 8,
+         ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)), (3, (4, 4)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         695, 3939, 3851, 9, 14,
-         ((0, (12, 12)), (1, (16, 16)), (2, (15, 15)), (3, (4, 4)))),
+         378, 2136, 2082, 8, 10,
+         ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         76, 361, 350, 8, 13,
-         ((0, (12, 12)), (1, (16, 16)), (2, (14, 14)))),
+         53, 231, 215, 8, 9,
+         ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         355, 2170, 2140, 9, 14,
-         ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (8, 8)))),
+         199, 1134, 1097, 9, 13,
+         ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (7, 7)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
          11, 74, 105, 0, 0,
@@ -129,16 +129,16 @@ PINNED = {
          ((0, (12, 17)), (1, (13, 16)), (2, (9, 12)))),
     ("grid3x4", "weak-oc", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         101, 502, 627, 6, 7,
-         ((0, (12, 17)), (1, (16, 22)), (2, (9, 12)))),
+         62, 335, 421, 6, 6,
+         ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)), (3, (5, 6)))),
     ("grid3x4", "weak-oc-octree", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         52, 265, 338, 6, 8,
-         ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)), (3, (6, 9)))),
+         27, 136, 166, 5, 5,
+         ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)))),
     ("grid3x4", "weak-oc-octree", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         30, 163, 206, 6, 6,
-         ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)), (3, (5, 6)))),
+         29, 158, 200, 5, 5,
+         ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)))),
     ("er16", "classic", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
          15, 185, 459, 0, 0,
@@ -161,20 +161,20 @@ PINNED = {
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         141, 1120, 2388, 6, 6,
-         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
+         139, 1075, 2265, 5, 5,
+         ((0, (16, 40)), (1, (22, 42)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         508, 3894, 8065, 6, 9,
-         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
+         515, 3979, 8278, 7, 10,
+         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         65, 570, 1253, 6, 6,
-         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
+         63, 546, 1191, 5, 5,
+         ((0, (16, 40)), (1, (22, 42)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         220, 1805, 3837, 6, 9,
-         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)))),
+         223, 1841, 3930, 7, 10,
+         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
 }
 
 
