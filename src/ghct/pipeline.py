@@ -6,10 +6,11 @@ pairwise-disjoint minimum source cuts that the driver splits off:
 * the star-tree route: depth-1 ordered-cut trees plus a source-selection
   loop that walks toward a node none of whose cuts dwarf their complement;
 * the weak route: certified ordered cuts (running-minimum filter plus
-  isolating cuts) accumulated into a laminar family for a random source,
-  of which the maximal members are returned.  The first attempt draws
-  the source from x's members of at least the lower median weighted
-  degree, every retry from all of x.
+  isolating cuts) accumulated into a laminar family for a random source
+  until the family is first accepted (it leaves at most half of x
+  uncovered), of which the maximal members are returned.  The first
+  attempt draws the source from x's members of at least the lower
+  median weighted degree, every retry from all of x.
 
 Both perturb edge weights first so minimum cuts are unique with high
 probability, and both are Las-Vegas: outputs are always genuine minimum
@@ -223,22 +224,31 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
             if tree.parent[v] == s}
 
 
+def _covers_enough(x, covered, limit: int) -> bool:
+    """Whether a family whose cuts' union is `covered` leaves at most
+    `limit` members of x (source included) uncovered: weak-oc's
+    acceptance test."""
+    return len(x - covered) <= limit
+
+
 def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
                          certify: str = "isolating") -> list:
     """Laminar family of minimum source cuts touching at most `limit` of x.
 
-    Accumulates certified cuts over twice the partition schedule, that is
-    at most four geometric blocks, keeping per-node running estimates;
-    returns [] as soon as the family stops being laminar (the caller
-    re-perturbs and retries).  A round that repeats an earlier round's
-    sequence is skipped after its draw: its estimates are already folded
-    in and its certified cuts already in the family.  Every round reuses
-    the head prefixes earlier rounds of this call built (one `prefixes`
-    memo).
+    Accumulates certified cuts over twice the partition schedule until
+    the family is first accepted (`_covers_enough` of x and s), keeping
+    per-node running estimates; returns [] as soon as the family stops
+    being laminar (the caller re-perturbs and retries).  Later rounds
+    could only add cuts to an accepted family, so they are not run.  A
+    round that repeats an earlier round's sequence is skipped after its
+    draw: its estimates are already folded in and its certified cuts
+    already in the family.  Every round reuses the head prefixes earlier
+    rounds of this call built (one `prefixes` memo).
     """
     x = set(x)
     if not x:
         return []
+    with_source = x | {s}
     estimates = _weighted_degrees(g, x)
     rates = partition_schedule(len(x))
     family: set = set()
@@ -266,6 +276,8 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
         for a in added:
             if any(a & b and not (a <= b or b <= a) for b in family):
                 return []
+        if _covers_enough(with_source, covered, limit):
+            break
     return sorted(family, key=lambda c: (len(c), sorted(label_key(v) for v in c)))
 
 
@@ -336,7 +348,10 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
                        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                        certify: str = "isolating"):
     """Pick a random source; accept once the laminar family of small-side
-    cuts covers all but half of x.
+    cuts covers all but half of x (`_covers_enough`).
+
+    `fixed_source_laminar` accumulates the family until it is first
+    accepted, so an attempt runs no round past the one that accepts it.
 
     The first attempt draws s uniformly from x's heavy members, those
     whose weighted degree in h is at least x's lower median (in label
@@ -363,7 +378,7 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
         family = [c for c in family
                   if not any(c < other for other in family)]
         covered = set().union(*family) if family else set()
-        if len((h.node_set - covered) & x_set) <= limit and family:
+        if family and _covers_enough(x_set, covered, limit):
             return s, family
         return None
 

@@ -319,31 +319,85 @@ class TestFixedSourceLaminar:
             return 0.0
 
     def run_with_certified(self, monkeypatch, rounds):
-        """Run on a path with the certified cut of each round given by
-        `rounds`; returns the family and the number of rounds run."""
+        """Run on a path 0-8 with source 0, x = {1..8} and limit 4, the
+        certified cuts of each round given by `rounds` (one list of member
+        sets per round, none once they run out); returns the family, the
+        number of rounds that cut and the rates every round drew at."""
         pending = iter(rounds)
-        calls = []
+        calls, rates = [], []
 
         def fake(s, seq, g, counter, certify, *, prefixes):
             calls.append(seq)
-            members = next(pending, None)
-            certified = {} if members is None else {seq[0]: Cut(frozenset(members), 1)}
+            cuts = next(pending, [])
+            certified = {v: Cut(frozenset(members), 1) for v, members in zip(seq, cuts)}
             return {v: 1 for v in seq}, certified
 
+        def drawing(members, rate, rng):
+            rates.append(rate)
+            return random_subset(members, rate, rng)
+
         monkeypatch.setattr("ghct.pipeline.certified_ordered_cuts", fake)
-        path = Graph(range(5), [(i, i + 1, 1) for i in range(4)])
-        family = fixed_source_laminar(0, {1, 2, 3, 4}, 4, path, self.TakeAll(),
+        monkeypatch.setattr("ghct.pipeline.random_subset", drawing)
+        path = Graph(range(9), [(i, i + 1, 1) for i in range(8)])
+        family = fixed_source_laminar(0, set(range(1, 9)), 4, path, self.TakeAll(),
                                       WorkCounter())
-        return family, len(calls)
+        return family, len(calls), rates
 
     def test_crossing_cut_rejects_in_its_round(self, monkeypatch):
-        family, calls = self.run_with_certified(monkeypatch, [{1, 2}, {2, 3}])
+        family, calls, _ = self.run_with_certified(monkeypatch, [[{1, 2}], [{2, 3}]])
         assert family == []
         assert calls == 2
 
     def test_nested_cuts_are_kept(self, monkeypatch):
-        family, _ = self.run_with_certified(monkeypatch, [{1, 2}, {1, 2, 3}])
+        family, _, _ = self.run_with_certified(monkeypatch, [[{1, 2}], [{1, 2, 3}]])
         assert family == [frozenset({1, 2}), frozenset({1, 2, 3})]
+
+    def test_first_accepted_round_ends_the_loop(self, monkeypatch):
+        # {0, 7, 8} stay uncovered: 3 <= limit.
+        family, calls, rates = self.run_with_certified(
+            monkeypatch, [[{1, 2, 3, 4}, {5, 6}], [{7}]])
+        assert family == [frozenset({5, 6}), frozenset({1, 2, 3, 4})]
+        assert calls == 1
+        assert rates == [1.0]
+
+    def test_family_short_of_the_limit_runs_the_whole_schedule(self, monkeypatch):
+        # {0, 4, ..., 8} stay uncovered: 6 > limit.
+        family, calls, rates = self.run_with_certified(
+            monkeypatch, [[{1, 2}], [{1, 2, 3}]])
+        assert family == [frozenset({1, 2}), frozenset({1, 2, 3})]
+        assert calls == 3  # x - covered stays {4..8} from the third round on
+        assert rates == list(partition_schedule(8) * 2)
+
+    def test_crossing_cut_in_the_accepting_round_rejects(self, monkeypatch):
+        # The second round alone would leave only {0, 8} uncovered.
+        family, calls, _ = self.run_with_certified(
+            monkeypatch, [[{1, 2}], [{2, 3}, {4, 5, 6, 7}]])
+        assert family == []
+        assert calls == 2
+
+    def test_accepted_families_on_random_graphs(self):
+        # Whatever round accepts, the family select_source_weak returns
+        # is its maximal members: pairwise disjoint minimum source cuts,
+        # each with at most `limit` of x, leaving at most `limit` of x
+        # (the source included) uncovered.
+        rng = random.Random(53)
+        for trial in range(24):
+            g = connected_random_graph(rng, rng.randint(2, 12))
+            x = set(rng.sample(sorted(g.labels), rng.randint(2, g.num_nodes)))
+            limit = math.ceil(len(x) / 2)
+            certify = ("isolating", "octree")[trial % 2]
+            counter = WorkCounter()
+            s, family = select_source_weak(g, x, rng, counter, certify=certify)
+            assert s in x and family
+            for i, a in enumerate(family):
+                assert s not in a
+                assert len(a & x) <= limit
+                assert all(not a & b for b in family[i + 1:])
+                costs = [min_cut(g, {s}, {v}, counter).cost for v in a & x]
+                assert cut_cost(g, a) in costs
+            assert len(x - set().union(*family)) <= limit
+            tree = gh_via_weak_oc(g, random.Random(trial), counter, certify=certify)
+            assert verify_gh_tree(g, tree).ok
 
 
 class TestRepeatedRounds:

@@ -91,20 +91,20 @@ PINNED = {
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         61, 306, 295, 8, 8,
-         ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)), (3, (4, 4)))),
+         60, 295, 283, 8, 8,
+         ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (4, 4)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         378, 2136, 2082, 8, 10,
-         ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)), (3, (4, 4)))),
+         374, 2123, 2073, 8, 10,
+         ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         53, 231, 215, 8, 9,
-         ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (4, 4)))),
+         33, 147, 137, 8, 8,
+         ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         199, 1134, 1097, 9, 13,
-         ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (7, 7)))),
+         164, 973, 953, 8, 11,
+         ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)), (3, (4, 4)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
          11, 74, 105, 0, 0,
@@ -125,20 +125,20 @@ PINNED = {
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         177, 852, 1077, 6, 9,
-         ((0, (12, 17)), (1, (13, 16)), (2, (9, 12)))),
+         177, 853, 1076, 5, 8,
+         ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)))),
     ("grid3x4", "weak-oc", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         62, 335, 421, 6, 6,
-         ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)), (3, (5, 6)))),
+         245, 1117, 1424, 7, 12,
+         ((0, (12, 17)), (1, (14, 20)), (2, (13, 19)), (3, (9, 12)))),
     ("grid3x4", "weak-oc-octree", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         27, 136, 166, 5, 5,
-         ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)))),
+         36, 156, 185, 5, 6,
+         ((0, (12, 17)), (1, (14, 20)), (2, (10, 13)))),
     ("grid3x4", "weak-oc-octree", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         29, 158, 200, 5, 5,
-         ((0, (12, 17)), (1, (16, 22)), (2, (7, 10)))),
+         27, 112, 129, 6, 6,
+         ((0, (12, 17)), (1, (14, 20)), (2, (10, 13)), (3, (6, 9)))),
     ("er16", "classic", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
          15, 185, 459, 0, 0,
@@ -161,20 +161,20 @@ PINNED = {
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         139, 1075, 2265, 5, 5,
+         95, 596, 1154, 5, 5,
          ((0, (16, 40)), (1, (22, 42)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         515, 3979, 8278, 7, 10,
-         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
+         471, 3581, 7408, 6, 9,
+         ((0, (16, 40)), (1, (20, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         63, 546, 1191, 5, 5,
+         47, 346, 718, 5, 5,
          ((0, (16, 40)), (1, (22, 42)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         223, 1841, 3930, 7, 10,
-         ((0, (16, 40)), (1, (22, 42)), (2, (12, 31)), (3, (12, 31)))),
+         208, 1691, 3595, 6, 9,
+         ((0, (16, 40)), (1, (20, 42)), (2, (12, 31)), (3, (12, 31)))),
 }
 
 
