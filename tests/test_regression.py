@@ -2,7 +2,10 @@
 
 Each GH case fixes the SHA-256 of the canonical tree file, the three
 WorkCounter fields, the Las-Vegas attempt accounting and the auxiliary
-graph sizes summed per refinement depth.  Each OC-tree
+graph sizes summed per refinement depth.  One GH instance, scrambled12,
+is built in an order that is not its label order and has tuple labels,
+so a change that orders draws or ties by node index instead of label
+rank shows up there.  Each OC-tree
 case fixes, for one seeded random full permutation, the ordered-cut tree
 text, its depth-1 flattening, the keys of both certified-cut modes and
 the work of `ordered_cuts`.  Each isolating case fixes, for a seeded
@@ -35,15 +38,27 @@ from ghct.octree import flatten_to_star, format_oc_tree, ordered_cuts
 from ghct.pipeline import PipelineStats, certified_ordered_cuts, gh_via_oc1, \
     gh_via_weak_oc
 
+from conftest import connected_random_graph, scrambled
+
 INSTANCES = {
     "cycle12": lambda: cycle(12, random.Random(0)),
     "grid3x4": lambda: grid(3, 4, random.Random(0)),
     "er16": lambda: erdos_renyi_m(16, 40, random.Random(0)),
+    "scrambled12": lambda: scrambled(
+        random.Random(0), connected_random_graph(random.Random(0), 12, density=0.5)),
 }
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def tree_text(tree) -> str:
+    """The tree's canonical DIMACS text, or the repr of its edges when its
+    labels are not the integers 1..n."""
+    if set(tree.nodes) == set(range(1, len(tree.nodes) + 1)):
+        return write_dimacs(tree.to_graph())
+    return repr(tree.edges)
 
 
 def fingerprint(instance: str, method: str, seed: int) -> tuple:
@@ -65,7 +80,7 @@ def fingerprint(instance: str, method: str, seed: int) -> tuple:
                               depth_stats=depth_stats)
     else:
         raise ValueError(method)
-    return (sha256(write_dimacs(tree.to_graph())), counter.calls, counter.nodes_total, counter.edges_total,
+    return (sha256(tree_text(tree)), counter.calls, counter.nodes_total, counter.edges_total,
             stats.invocations, stats.attempts_total,
             tuple((depth, tuple(sizes)) for depth, sizes in sorted(depth_stats.items())))
 
@@ -175,6 +190,30 @@ PINNED = {
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
          208, 1691, 3595, 6, 9,
          ((0, (16, 40)), (1, (20, 42)), (2, (12, 31)), (3, (12, 31)))),
+    ("scrambled12", "oc1", 0):
+        ("80178cc4fbbe82112357dc21e2b6110999529caf113b8dea68dba30d9118e93c",
+         70, 511, 1042, 2, 2,
+         ((0, (12, 30)), (1, (3, 3)))),
+    ("scrambled12", "oc1", 1):
+        ("80178cc4fbbe82112357dc21e2b6110999529caf113b8dea68dba30d9118e93c",
+         114, 844, 1736, 2, 3,
+         ((0, (12, 30)), (1, (3, 3)))),
+    ("scrambled12", "weak-oc", 0):
+        ("c46c72172eb180451d830061a8ff4b695e4c2c36128d339c91d2b8a24af50775",
+         176, 1149, 2304, 3, 5,
+         ((0, (12, 30)), (1, (12, 30)), (2, (11, 28)))),
+    ("scrambled12", "weak-oc", 1):
+        ("074f46265d03ae0d75d781fae029655a9461e58f4d7e716c7bf15506385d4f9b",
+         182, 1198, 2415, 3, 5,
+         ((0, (12, 30)), (1, (12, 30)), (2, (12, 30)))),
+    ("scrambled12", "weak-oc-octree", 0):
+        ("c46c72172eb180451d830061a8ff4b695e4c2c36128d339c91d2b8a24af50775",
+         74, 544, 1131, 3, 5,
+         ((0, (12, 30)), (1, (12, 30)), (2, (11, 28)))),
+    ("scrambled12", "weak-oc-octree", 1):
+        ("074f46265d03ae0d75d781fae029655a9461e58f4d7e716c7bf15506385d4f9b",
+         80, 629, 1333, 3, 5,
+         ((0, (12, 30)), (1, (12, 30)), (2, (12, 30)))),
 }
 
 
