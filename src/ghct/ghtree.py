@@ -9,18 +9,18 @@ members and branch nodes alike.  A split splits H into the two new
 supernodes' graphs in time linear in the smaller side's degree.  The
 classic driver cuts one pivot pair in a copy of a kept H; a step depends
 only on its supernode's H, so it takes the kept graphs in any order.
-The generalized driver refines the largest supernode first, reads H off
-the kept graph as a Graph over labels (`auxiliary_graph`) and asks its
-caller's strategy for a source and a family of pairwise-disjoint minimum
-source cuts in it; a family that breaks the contract raises
-StrategyError at once.  Each driver ends with a complete partition tree
-whose singletons form the cut tree.  g's labels are sorted once, and
-that one order breaks the ties and orders the finished tree.
+The generalized driver refines the largest supernode first, hands its
+caller's strategy the kept H itself with H's node order
+(`auxiliary_graph`), and asks it for a source and a family of
+pairwise-disjoint minimum source cuts in H; a family that breaks the
+contract raises StrategyError at once.  Each driver ends with a complete
+partition tree whose singletons form the cut tree.  g's labels are
+sorted once (`Graph.rank`), and that one order breaks the ties and
+orders the finished tree.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,15 +88,15 @@ class PartitionTree:
 
     Starts as one supernode holding every node of g and is refined in
     place by `split`.  It works over g's node indices: `rank[x]` is node
-    x's position in g's `label_order`, and `supernodes[i]` lists
-    supernode i's members in that order.  Edges are [i, j, weight] index
-    triples into `supernodes`; each weight equals the cost of the graph
-    cut induced by removing that edge.  `incident[i]` lists the indices of
-    supernode i's edges in ascending order, and `ends[k]` holds a node of
-    g on each side of edge k, in the order of `edges[k]`'s ends; the sides
-    of a tree edge never change.  `depth[i]` counts the refinement steps
-    that supernode i and the supernodes it was split from have taken.
-    Labels are read only by `finish`.
+    x's position in g's `label_order` (`Graph.rank`), and `supernodes[i]`
+    lists supernode i's members in that order.  Edges are [i, j, weight]
+    index triples into `supernodes`; each weight equals the cost of the
+    graph cut induced by removing that edge.  `incident[i]` lists the
+    indices of supernode i's edges in ascending order, and `ends[k]` holds
+    a node of g on each side of edge k, in the order of `edges[k]`'s ends;
+    the sides of a tree edge never change.  `depth[i]` counts the
+    refinement steps that supernode i and the supernodes it was split from
+    have taken.  Labels are read only by `finish`.
 
     `kept[i]` is the auxiliary graph H of each supernode i of two or more
     members: every tree branch hanging off i contracted to one node.  It
@@ -108,11 +108,8 @@ class PartitionTree:
 
     def __init__(self, g: Graph):
         self.g = g
-        index = g._index
-        self.supernodes = [[index[v] for v in g.label_order]]
-        self.rank = [0] * g.num_nodes
-        for r, x in enumerate(self.supernodes[0]):
-            self.rank[x] = r
+        self.supernodes = [[g._index[v] for v in g.label_order]]
+        self.rank = g.rank
         self.edges = []
         self.incident = [[]]
         self.ends = []
@@ -189,23 +186,18 @@ class PartitionTree:
         return GHTree(self.g.label_order, tuple((labels[u], labels[v], w) for u, v, w in rows))
 
 
-def auxiliary_graph(g: Graph, tree: PartitionTree, xi: int):
-    """The auxiliary graph H of supernode xi, read off `tree.kept[xi]`.
+def auxiliary_graph(tree: PartitionTree, xi: int):
+    """The auxiliary graph H of supernode xi, with H's node order.
 
-    Returns (H, nodes), nodes[i] being the kept node behind H's node i.
-    H's nodes are xi's members in g's node order, under their own labels,
-    then one node per tree edge of xi in edge order, labelled by the
-    labels ("b", k) that are not nodes of g, in order.  A singleton has
+    Returns (h, nodes): h is `tree.kept[xi]` itself, which no caller may
+    edit, and nodes lists its nodes: xi's members by node index, then the
+    branch node of each of xi's edges, in edge order.  A randomized
+    strategy draws its edge weight offsets in this order.  A singleton has
     no kept graph and raises ValueError.
     """
     if xi not in tree.kept:
         raise ValueError(f"supernode {xi} has fewer than two members")
-    fresh = (("b", k) for k in itertools.count() if not g.has_node(("b", k)))
-    name = {x: g.labels[x] for x in sorted(tree.supernodes[xi])}
-    name.update(zip(tree.neighbours(xi), fresh))
-    edges = [(name[x], name[y], w) for x, nbrs in tree.kept[xi].items()
-             for y, w in nbrs.items() if x < y]
-    return Graph(name.values(), edges), list(name)
+    return tree.kept[xi], sorted(tree.supernodes[xi]) + list(tree.neighbours(xi))
 
 
 def _record_depth(depth_stats, depth: int, nodes: int, edges: int) -> None:
@@ -252,15 +244,14 @@ def gomory_hu_classic(g: Graph, counter: WorkCounter, depth_stats: dict | None =
     H, so classic takes the kept graphs in any order: the last one kept.
     """
     tree = PartitionTree(g)
-    labels = g.labels
     while tree.kept:
         xi = next(reversed(tree.kept))
         s, t = tree.supernodes[xi][:2]
         nodes, edges = counter.nodes_total, counter.edges_total
-        cut = min_cut(g, {labels[s]}, {labels[t]}, counter, adj=tree.kept[xi])
+        cut = min_cut(g, {s}, {t}, counter, adj=tree.kept[xi])
         _record_depth(depth_stats, tree.depth[xi], counter.nodes_total - nodes,
                       counter.edges_total - edges)
-        tree.split(xi, g.indices(cut.members), cut.cost)
+        tree.split(xi, cut.members, cut.cost)
         tree.depth[xi] += 1
     return tree.finish()
 
@@ -269,13 +260,13 @@ class StrategyError(ValueError):
     """A line-4 strategy returned an unusable cut family."""
 
 
-def _check_family(family, s, h: Graph, x_members) -> list:
+def _check_family(family, s, h: dict, x_members: set) -> list:
     if s not in x_members:
         raise StrategyError("source is not a supernode member")
     sets = [frozenset(c) for c in family]
     if not sets:
         raise StrategyError("strategy returned an empty family")
-    universe = h.node_set
+    universe = h.keys()
     seen = set()
     for c in sets:
         if not c:
@@ -293,47 +284,38 @@ def _check_family(family, s, h: Graph, x_members) -> list:
 def gomory_hu_generalized(g: Graph, strategy, depth_stats: dict | None = None) -> GHTree:
     """Generalized driver: split each supernode by a family of disjoint cuts.
 
-    `strategy(h, x_members)` must return (s, family): a source s in x and
-    a non-empty family of pairwise-disjoint node sets of h, each a minimum
-    s-t cut in h for some t in x, not holding s and holding a member of x.
-    Every cut splits off its own piece of x.  A family that breaks this
-    contract raises StrategyError; the driver does not call the strategy
-    again.  The largest supernode is refined first: a randomized strategy
-    draws in refinement order, so this order fixes its trees.
+    `strategy(h, nodes, x)` gets what `auxiliary_graph` returns for a
+    supernode and x, its members in g's label order, all g's node indices.
+    It must return (s, family): a source s in x and a non-empty family of
+    pairwise-disjoint sets of h's nodes, each a minimum s-t cut in h for
+    some t in x, not holding s and holding a member of x.  Every cut
+    splits off its own piece of x.  A family that breaks this contract
+    raises StrategyError; the driver does not call the strategy again.
+    The largest supernode is refined first: a randomized strategy draws
+    in refinement order, so this order fixes its trees.
     """
     tree = PartitionTree(g)
-    labels = g.labels
     while (xi := tree.pick_supernode()) is not None:
+        x = tree.supernodes[xi]
+        h, nodes = auxiliary_graph(tree, xi)
+        _record_depth(depth_stats, tree.depth[xi], len(h), sum(map(len, h.values())) // 2)
+        s, family = strategy(h, nodes, x)
+        cuts = _check_family(family, s, h, set(x))
         # Splitting off a disjoint cut changes neither the cost of another
-        # nor the kept nodes it holds, so every cut is costed in h.
-        x_members = frozenset(labels[x] for x in tree.supernodes[xi])
-        h, nodes = auxiliary_graph(g, tree, xi)
-        _record_depth(depth_stats, tree.depth[xi], h.num_nodes, h.num_edges)
-        s, family = strategy(h, x_members)
-        cuts = _check_family(family, s, h, x_members)
-        for cost, side in zip(*_family_costs(h, nodes, cuts)):
-            tree.split(xi, side, cost)
+        # nor the kept nodes it holds, so every cut is costed in h first.
+        for cut, cost in zip(cuts, _family_costs(h, cuts)):
+            tree.split(xi, cut, cost)
         tree.depth[xi] += 1
     return tree.finish()
 
 
-def _family_costs(h: Graph, nodes: list, cuts: list) -> tuple:
-    """(costs, sides) of a pairwise-disjoint family: per cut, its cost in
-    h and its side, the set of kept nodes behind its nodes (`nodes` as
-    `auxiliary_graph` returns it).  One pass over h's edges."""
-    owner = [None] * h.num_nodes  # h's node index -> the cut holding it
-    sides = []
-    for k, cut in enumerate(cuts):
-        indices = h.indices(cut)
-        for i in indices:
-            owner[i] = k
-        sides.append({nodes[i] for i in indices})
+def _family_costs(h: dict, cuts: list) -> list:
+    """The cost in h of each cut of a pairwise-disjoint family, from one
+    pass over the rows of the cuts' nodes."""
+    owner = {x: k for k, cut in enumerate(cuts) for x in cut}
     costs = [0] * len(cuts)
-    for iu, iv, w in h.edges:
-        a, b = owner[iu], owner[iv]
-        if a != b:
-            if a is not None:
-                costs[a] += w
-            if b is not None:
-                costs[b] += w
-    return costs, sides
+    for x, k in owner.items():
+        for y, w in h[x].items():
+            if owner.get(y) != k:
+                costs[k] += w
+    return costs

@@ -62,7 +62,7 @@ class Graph:
     construction order and `edges` holds (u_index, v_index, weight) triples.
     """
 
-    __slots__ = ("labels", "_index", "edges", "_node_set", "_label_order", "_adjacency")
+    __slots__ = ("labels", "_index", "edges", "_label_order", "_rank", "_adjacency")
 
     def __init__(self, nodes: Iterable[Label], edges: Iterable[tuple] = ()):
         labels = tuple(nodes)
@@ -93,8 +93,8 @@ class Graph:
         self.labels = labels
         self._index = index
         self.edges = _merged_edges(merged, k)
-        self._node_set = None
         self._label_order = None
+        self._rank = None
         self._adjacency = None
 
     # -- basics ---------------------------------------------------------
@@ -109,10 +109,8 @@ class Graph:
 
     @property
     def node_set(self) -> frozenset:
-        """All labels as a frozenset, built lazily."""
-        if self._node_set is None:
-            self._node_set = frozenset(self.labels)
-        return self._node_set
+        """All labels as a frozenset."""
+        return frozenset(self.labels)
 
     @property
     def label_order(self) -> tuple:
@@ -121,6 +119,16 @@ class Graph:
         if self._label_order is None:
             self._label_order = tuple(sorted_labels(self.labels))
         return self._label_order
+
+    @property
+    def rank(self) -> list:
+        """rank[i] is node i's position in `label_order`, computed once.
+        Whatever works over node indices orders and breaks ties by it."""
+        if self._rank is None:
+            self._rank = [0] * len(self.labels)
+            for r, lab in enumerate(self.label_order):
+                self._rank[self._index[lab]] = r
+        return self._rank
 
     @property
     def adjacency(self) -> dict:
@@ -200,8 +208,8 @@ def _quotient(g: Graph, new_labels, rep_of) -> Graph:
     out.labels = labels
     out._index = pos
     out.edges = _merged_edges(merged, k)
-    out._node_set = None
     out._label_order = None
+    out._rank = None
     out._adjacency = None
     return out
 

@@ -12,8 +12,10 @@ returns a `Cut`: the sink side as `members`, the flow value as `cost`.
 Every call cuts a graph H: g itself, or, given `adj`, a contracted graph
 of g its caller keeps as an adjacency `{node: {neighbour: weight}}` over
 g's node indices, each node of H named by one node of g inside it.  A
-plain call reads g's own adjacency (`Graph.adjacency`), so both build
-their flow network one way: copy H, merging each terminal side into one
+plain call takes and returns g's labels; a call with `adj` takes and
+returns nodes of H, that is node indices of g.  A plain call reads g's
+own adjacency (`Graph.adjacency`), so both build their flow network one
+way: copy H, merging each terminal side into one
 of its nodes on the way (no infinite-capacity arcs, so all arithmetic
 stays bounded).  One max-flow core then runs on that network.
 Tie-breaking is deterministic: residual reachability decides which side
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Cut, Graph, _indices
+from .graph import Cut, Graph
 
 
 @dataclass
@@ -199,27 +201,25 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
 
     The cut is taken in H: the kept contracted graph `adj` of g (see the
     module docstring), or g's own adjacency when `adj` is None.  The sides
-    are labels of g naming nodes of H, any number each.  The network is a
-    copy of H with each side merged into one node, so a side costs
-    O(its degree) beyond the copy.  H's size before the merge is recorded
-    in `counter` once the sides are valid; on g's own adjacency that is
-    (g.num_nodes, g.num_edges).
+    and the returned members are nodes of H (labels of g when `adj` is
+    None), any number each.  The network is a copy of H with each side
+    merged into one node, so a side costs O(its degree) beyond the copy.
+    H's size before the merge is recorded in `counter` once the sides are
+    valid; on g's own adjacency that is (g.num_nodes, g.num_edges).
     """
-    s_idx = _indices(g._index, s_side)
-    t_idx = _indices(g._index, t_side)
+    h = g.adjacency if adj is None else adj
+    s_idx = g.indices(s_side) if adj is None else set(s_side)
+    t_idx = g.indices(t_side) if adj is None else set(t_side)
     if not s_idx or not t_idx:
         raise ValueError("terminal sides must be non-empty")
     if s_idx & t_idx:
         raise ValueError("terminal sides must be disjoint")
-    if adj is None:
-        adj = g.adjacency
-    elif not (adj.keys() >= s_idx and adj.keys() >= t_idx):
+    if not (h.keys() >= s_idx and h.keys() >= t_idx):
         raise ValueError("terminal sides must be nodes of the kept graph")
-    labels = g.labels
-    res = [None] * len(labels)
-    for x, nbrs in adj.items():
+    res = [None] * g.num_nodes
+    for x, nbrs in h.items():
         res[x] = nbrs.copy()
-    counter.record(len(adj), sum(map(len, adj.values())) // 2)
+    counter.record(len(h), sum(map(len, h.values())) // 2)
     s = _merge(res, s_idx) if len(s_idx) > 1 else next(iter(s_idx))
     t = _merge(res, t_idx) if len(t_idx) > 1 else next(iter(t_idx))
     flow, tree = _max_flow(res, s, t, minimal_sink)
@@ -227,11 +227,13 @@ def _solve(g: Graph, s_side, t_side, minimal_sink: bool, counter: WorkCounter,
     if minimal_sink:
         for x in t_idx:
             tree[x] = t
-        sink = [labels[x] for x in adj if tree[x] >= 0]
+        sink = [x for x in h if tree[x] >= 0]
     else:
         for x in s_idx:
             tree[x] = s
-        sink = [labels[x] for x in adj if tree[x] < 0]
+        sink = [x for x in h if tree[x] < 0]
+    if adj is None:
+        sink = map(g.labels.__getitem__, sink)
     return Cut(frozenset(sink), flow)
 
 
@@ -240,9 +242,9 @@ def min_cut(g: Graph, s_side, t_side, counter: WorkCounter, adj=None) -> Cut:
 
     The returned sink side is the inclusion-maximal one (complement of the
     residual source component).  With `adj`, the cut is taken in the kept
-    contracted graph it gives, and its members are the labels of the
-    g-nodes that name H's sink-side nodes; either side may hold several
-    nodes of H (see `_solve`).
+    contracted graph it gives: the sides and the members are its nodes,
+    node indices of g, and either side may hold several of them (see
+    `_solve`).
     """
     return _solve(g, s_side, t_side, False, counter, adj)
 

@@ -202,7 +202,7 @@ def covering_cut_costs(tree: OCTree) -> dict:
     return out
 
 
-def ordered_cuts(order, g: Graph, counter: WorkCounter, *,
+def ordered_cuts(order, g: Graph, counter: WorkCounter, *, adj: dict | None = None,
                  prefixes: dict | None = None) -> OCTree:
     """Divide-and-conquer construction of a valid OC tree for (order, g).
 
@@ -211,29 +211,36 @@ def ordered_cuts(order, g: Graph, counter: WorkCounter, *,
     there (minimal sink side), recursing on the sink side only.  A single
     node keeps the whole graph in one block.
 
-    `prefixes`, if given, is a memo of the trees already built on g for
-    head prefixes and whole sequences, shared between calls: the tree of
-    a sequence depends only on that sequence and the graph, so a later
-    call whose head (or whole sequence) is stored makes no engine call
-    for it.  The memo belongs to the first graph it is used with, and
-    passing it with another graph raises ValueError.
+    With `adj`, the tree is built for a contracted graph of g kept as an
+    adjacency over g's node indices (see `maxflow`): `order` and the
+    returned tree hold its nodes.  Without it, they hold g's labels.
+
+    `prefixes`, if given, is a memo of the trees already built on the
+    graph for head prefixes and whole sequences, shared between calls: the
+    tree of a sequence depends only on that sequence and the graph, so a
+    later call whose head (or whole sequence) is stored makes no engine
+    call for it.  The memo belongs to the first graph (g, or `adj`) it is
+    used with, and passing it with another graph raises ValueError.
     """
     order = tuple(order)
     if not order:
         raise ValueError("node sequence must be non-empty")
     if len(set(order)) != len(order):
         raise ValueError("sequence nodes must be distinct")
-    for v in order:
-        if not g.has_node(v):
+    h = g.adjacency if adj is None else adj
+    seq = list(order) if adj is not None else [g._index.get(v) for v in order]
+    for v, x in zip(order, seq):
+        if x not in h:
             raise ValueError(f"{v!r} is not a node of the graph")
-    if prefixes is not None and prefixes.setdefault("graph", g) is not g:
+    if prefixes is not None and prefixes.setdefault("graph", h) is not h:
         raise ValueError("prefix memo belongs to another graph")
-    index, labels = g._index, g.labels
     parent: dict = {}
     blocks: dict = {}
     costs: dict = {}
-    _build([index[v] for v in order], g.adjacency, g, counter,
-           parent, blocks, costs, prefixes)
+    _build(seq, h, g, counter, parent, blocks, costs, prefixes)
+    if adj is not None:
+        return OCTree(order, parent, blocks, costs)
+    labels = g.labels
     return OCTree(order, {labels[u]: labels[p] for u, p in parent.items()},
                   {labels[v]: [labels[i] for i in b] for v, b in blocks.items()},
                   {labels[u]: c for u, c in costs.items()})
@@ -256,9 +263,9 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
     down-set's cost in g.  No block is edited in place: each step writes
     a new set.
 
-    `prefixes` is given only while adj is g's own adjacency, that is for
-    the sequence `ordered_cuts` was asked for and its chain of heads.
-    Each such call first looks its index tuple up there, and writes the
+    `prefixes` is given only while adj is the graph `ordered_cuts` was
+    called on, that is for the sequence it was asked for and its chain of
+    heads.  Each such call first looks its tuple up there, and writes the
     stored entries of its nodes instead of building; otherwise it builds
     and stores them, the block sets themselves.  The recursions on
     contracted graphs are not stored: their order alone does not name
@@ -281,7 +288,6 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
     half = min((len(order) + 1 + 1) // 2, len(order) - 1)  # ceil((len + 1) / 2), tail non-empty
     head, tail = order[:half], order[half:]
     _build(head, adj, g, counter, parent, blocks, costs, prefixes)
-    labels = g.labels
     for v in head:
         block = blocks[v]
         # Lists, here and in ordered_cuts: tuple(generator) resizes the tuple
@@ -290,9 +296,8 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
         if not targets:
             continue
         sub = contract_kept(adj, block, v)
-        cut = min_cut_minimal_sink(g, {labels[v]}, {labels[b] for b in targets}, counter,
-                                   adj=sub)
-        sink = g.indices(cut.members)
+        cut = min_cut_minimal_sink(g, {v}, set(targets), counter, adj=sub)
+        sink = cut.members
         if len(targets) == 1:  # the minimal sink side is that target's latest cut
             parent[targets[0]] = v
             blocks[targets[0]] = sink

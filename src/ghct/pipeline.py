@@ -12,6 +12,8 @@ pairwise-disjoint minimum source cuts that the driver splits off:
   attempt draws the source from x's members of at least the lower
   median weighted degree, every retry from all of x.
 
+Both cut the auxiliary graph H the driver keeps over g's node indices
+(`adj=`, see `maxflow`) and draw in g's label order (`Graph.rank`).
 Both perturb edge weights first so minimum cuts are unique with high
 probability, and both are Las-Vegas: outputs are always genuine minimum
 cuts of the unperturbed graph, only the number of attempts is random.
@@ -35,7 +37,7 @@ import math
 import statistics
 from dataclasses import dataclass
 
-from .graph import Cut, Graph, label_key, sorted_labels
+from .graph import Cut, Graph, label_key
 from .ghtree import GHTree, gomory_hu_generalized
 from .isolating import isolating_cuts
 from .maxflow import WorkCounter
@@ -66,32 +68,39 @@ class PipelineStats:
 # -- randomness ----------------------------------------------------------
 
 
-def random_subset(members, rate: float, rng) -> set:
+def random_subset(members, rate: float, rng, key=label_key) -> set:
     """Independent inclusion of each element with the given probability.
 
-    Iterates in deterministic label order, so a fixed seed reproduces the
-    same subset.
+    Iterates in the deterministic order `key` sorts members in (label
+    order by default), so a fixed seed reproduces the same subset.
     """
     if not 0 < rate <= 1:
         raise ValueError("sampling rate must be in (0, 1]")
-    return {v for v in sorted_labels(members) if rng.random() < rate}
+    return {v for v in sorted(members, key=key) if rng.random() < rate}
 
 
-def perturb(g: Graph, rng) -> Graph:
-    """Scale weights by M = m * n^2 and add a random offset below n^2.
+def perturb(h: dict, nodes, rng) -> dict:
+    """A copy of the kept graph h with every weight scaled by M = m * n^2
+    plus a random offset below n^2.
 
     Any minimum s-t cut of the result is a minimum s-t cut of the input
     (the offsets over a cut sum to less than M), and with high probability
-    all minimum cuts of the result are unique.
+    all minimum cuts of the result are unique.  `nodes` lists h's nodes;
+    the offsets are drawn edge by edge in the order of their ends'
+    positions there, earlier end first.  Without edges, h itself is
+    returned.
     """
-    spread = g.num_nodes ** 2
-    scale = g.num_edges * spread
+    spread = len(h) ** 2
+    scale = sum(map(len, h.values())) // 2 * spread
     if scale == 0:
-        return g
-    labels = g.labels
-    edges = [(labels[iu], labels[iv], scale * w + rng.randrange(spread))
-             for iu, iv, w in g.edges]
-    return Graph(labels, edges)
+        return h
+    pos = {x: i for i, x in enumerate(nodes)}
+    out = {x: {} for x in nodes}
+    for x in nodes:
+        row = h[x]
+        for y in sorted([y for y in row if pos[y] > pos[x]], key=pos.__getitem__):
+            out[x][y] = out[y][x] = scale * row[y] + rng.randrange(spread)
+    return out
 
 
 # -- schedules -----------------------------------------------------------
@@ -126,17 +135,18 @@ def source_schedule(size: int, ambient_nodes: int) -> tuple:
 
 
 def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
-                           certify: str = "isolating", *, prefixes: dict | None = None):
+                           certify: str = "isolating", *, adj: dict | None = None,
+                           prefixes: dict | None = None):
     """Cut-cost estimates for a sequence plus certified true source cuts.
 
-    Runs the ordered-cuts solver (with `ordered_cuts`' head-prefix memo
-    `prefixes`), keeps the sequence nodes whose estimate is a running
-    minimum, and certifies those whose isolating cut matches the estimate
-    exactly.  When only seq[0] is kept, its isolating cut is the tree's
-    own minimal (s, seq[0]) cut, so no flow is run for it.  With
-    certify="octree" the isolating-cut stage is replaced by certification
-    straight off the tree (inclusion-minimal certified down-sets, which
-    are pairwise disjoint).
+    Runs the ordered-cuts solver (with `adj` as `ordered_cuts` takes it,
+    and its head-prefix memo `prefixes`), keeps the sequence nodes whose
+    estimate is a running minimum, and certifies those whose isolating cut
+    matches the estimate exactly.  When only seq[0] is kept, its isolating
+    cut is the tree's own minimal (s, seq[0]) cut, so no flow is run for
+    it.  With certify="octree" the isolating-cut stage is replaced by
+    certification straight off the tree (inclusion-minimal certified
+    down-sets, which are pairwise disjoint).
 
     Returns (estimates over all non-source nodes, {node: Cut}).
     """
@@ -145,7 +155,7 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
     seq = tuple(seq)
     if not seq:
         return {}, {}
-    tree = ordered_cuts((s, *seq), g, counter, prefixes=prefixes)
+    tree = ordered_cuts((s, *seq), g, counter, adj=adj, prefixes=prefixes)
     estimates = covering_cut_costs(tree)
 
     if certify == "octree":
@@ -165,11 +175,11 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
             filtered.append(v)
         running = min(running, estimates[v])
     if len(filtered) == 1:
-        # The tree's first step cut g itself between s and seq[0], minimal
+        # The tree's first step cut the graph between s and seq[0], minimal
         # sink side, as isolating_cuts would.
         cuts = {seq[0]: Cut(tree.down_set(seq[0]), tree.costs[seq[0]])}
     else:
-        cuts = isolating_cuts(s, set(filtered), g, counter)
+        cuts = isolating_cuts(s, filtered, g, counter, adj=adj)
     certified = {v: cut for v, cut in cuts.items() if cut.cost == estimates[v]}
     return estimates, certified
 
@@ -177,22 +187,17 @@ def certified_ordered_cuts(s, seq, g: Graph, counter: WorkCounter,
 # -- fixed-source partitions ---------------------------------------------
 
 
-def _weighted_degrees(g: Graph, x) -> dict:
-    """{v: cut_cost(g, {v})} for every v in x, from one pass over g's edges."""
-    degree = [0] * g.num_nodes
-    for iu, iv, w in g.edges:
-        degree[iu] += w
-        degree[iv] += w
-    labels = g.labels
-    return {labels[i]: degree[i] for i in g.indices(x)}
+def _weighted_degrees(h: dict, x) -> dict:
+    """{v: cost of the cut {v} in h} for every v in x: its row's sum."""
+    return {v: sum(h[v].values()) for v in x}
 
 
-def _by_estimate(sample, estimates) -> tuple:
-    """The sample in decreasing cost estimate, ties in label order."""
-    return tuple(sorted(sample, key=lambda v: (-estimates[v], label_key(v))))
+def _by_estimate(sample, estimates, rank) -> tuple:
+    """The sample in decreasing cost estimate, ties by `rank`."""
+    return tuple(sorted(sample, key=lambda v: (-estimates[v], rank[v])))
 
 
-def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
+def fixed_source_blocks(s, x, g: Graph, h: dict, rng, counter: WorkCounter) -> dict:
     """Pairwise-disjoint minimum source cuts covering most of x, as
     {rep: block} in sequence order.
 
@@ -200,7 +205,7 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     sample sorted by decreasing cost estimate, flattens to a star, and
     absorbs the blocks.  A final full-rate round follows; of its star, the
     blocks `certified_source_cuts` keeps (each costs no more than every
-    earlier one) are genuine minimum source cuts of g.  Every round
+    earlier one) are genuine minimum source cuts of h.  Every round
     reuses the head prefixes and sequences earlier rounds of this call
     built (one `prefixes` memo), so a repeated sequence costs no engine
     call.
@@ -208,15 +213,16 @@ def fixed_source_blocks(s, x, g: Graph, rng, counter: WorkCounter) -> dict:
     live = set(x)
     if not live:
         return {}
-    estimates = _weighted_degrees(g, live)
-    prefixes = {}  # ordered_cuts' memo of head prefixes and sequences on g, for this call only
+    rank = g.rank
+    estimates = _weighted_degrees(h, live)
+    prefixes = {}  # ordered_cuts' memo of head prefixes and sequences on h, for this call only
     # Every round keeps its representatives live, so the last sample is
     # not empty and `tree` is the full-rate round's.
     for rate in partition_schedule(len(live)) + (1.0,):
-        seq = _by_estimate(random_subset(live, rate, rng), estimates)
+        seq = _by_estimate(random_subset(live, rate, rng, rank.__getitem__), estimates, rank)
         if not seq:
             continue
-        tree = ordered_cuts((s, *seq), g, counter, prefixes=prefixes)
+        tree = ordered_cuts((s, *seq), g, counter, adj=h, prefixes=prefixes)
         for v, block in flatten_to_star(tree).items():
             live -= block - {v}
             estimates[v] = min(estimates[v], tree.costs[v])
@@ -231,7 +237,7 @@ def _covers_enough(x, covered, limit: int) -> bool:
     return len(x - covered) <= limit
 
 
-def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
+def fixed_source_laminar(s, x, limit: int, g: Graph, h: dict, rng, counter: WorkCounter,
                          certify: str = "isolating") -> list:
     """Laminar family of minimum source cuts touching at most `limit` of x.
 
@@ -243,27 +249,30 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
     round that repeats an earlier round's sequence is skipped after its
     draw: its estimates are already folded in and its certified cuts
     already in the family.  Every round reuses the head prefixes earlier
-    rounds of this call built (one `prefixes` memo).
+    rounds of this call built (one `prefixes` memo).  The family comes
+    sorted by size, then by the least label rank of each cut's members of x.
     """
     x = set(x)
     if not x:
         return []
+    rank = g.rank
     with_source = x | {s}
-    estimates = _weighted_degrees(g, x)
+    estimates = _weighted_degrees(h, x)
     rates = partition_schedule(len(x))
     family: set = set()
     covered: set = set()
     seen = set()  # the sequences this call has cut
-    prefixes = {}  # ordered_cuts' memo of head prefixes and sequences on g, for this call only
+    prefixes = {}  # ordered_cuts' memo of head prefixes and sequences on h, for this call only
     for rate in rates + rates:
         candidates = x - covered
         if not candidates:
             break
-        seq = _by_estimate(random_subset(candidates, rate, rng), estimates)
+        seq = _by_estimate(random_subset(candidates, rate, rng, rank.__getitem__),
+                           estimates, rank)
         if not seq or seq in seen:
             continue
         seen.add(seq)
-        lam, certified = certified_ordered_cuts(s, seq, g, counter, certify,
+        lam, certified = certified_ordered_cuts(s, seq, g, counter, certify, adj=h,
                                                 prefixes=prefixes)
         for v in seq:
             estimates[v] = min(estimates[v], lam[v])
@@ -278,23 +287,23 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, rng, counter: WorkCounter,
                 return []
         if _covers_enough(with_source, covered, limit):
             break
-    return sorted(family, key=lambda c: (len(c), sorted(label_key(v) for v in c)))
+    return sorted(family, key=lambda c: (len(c), min(rank[v] for v in c & x)))
 
 
 # -- source selection (the driver's line-4 strategies) --------------------
 
 
-def _las_vegas(h: Graph, x, stats: PipelineStats | None, max_attempts: int,
+def _las_vegas(g: Graph, h: dict, x, stats: PipelineStats | None, max_attempts: int,
                attempt):
     """Run `attempt(xs, x_set)` until it returns a result other than None,
     at most `max_attempts` times.
 
-    `xs` is x in label order.  Owns the PipelineStats record of accepted
-    invocations and the AttemptLimitError.  The environment is not read:
-    the public callers default the cap to DEFAULT_MAX_ATTEMPTS (10,000),
-    and only the CLI consults OC_MAX_ATTEMPTS.
+    `xs` is x in g's label order.  Owns the PipelineStats record of
+    accepted invocations and the AttemptLimitError.  The environment is
+    not read: the public callers default the cap to DEFAULT_MAX_ATTEMPTS
+    (10,000), and only the CLI consults OC_MAX_ATTEMPTS.
     """
-    xs = sorted_labels(x)
+    xs = sorted(x, key=g.rank.__getitem__)
     if len(xs) < 2:
         raise ValueError("need at least two supernode members")
     if max_attempts < 0:
@@ -309,15 +318,16 @@ def _las_vegas(h: Graph, x, stats: PipelineStats | None, max_attempts: int,
             return result
     raise AttemptLimitError(
         f"source selection exceeded {max_attempts} attempts"
-        f" on a {h.num_nodes}-node graph")
+        f" on a {len(h)}-node graph")
 
 
-def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
+def select_source_oc1(g: Graph, h: dict, nodes, x, rng, counter: WorkCounter,
                       stats: PipelineStats | None = None,
                       max_attempts: int = DEFAULT_MAX_ATTEMPTS):
     """Pick a source and disjoint minimum source cuts covering x via
     star-shaped ordered-cut trees.
 
+    h, nodes and x are what `gomory_hu_generalized` hands a strategy.
     Follows the source toward locally-heaviest nodes: whenever some block
     holds more than half of x, or exactly half without x's smallest
     label, the source jumps to that block's representative.  Terminates
@@ -326,10 +336,10 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
     """
     def attempt(xs, x_set):
         s = xs[0]
-        perturbed = perturb(h, rng)
-        for rate in source_schedule(len(xs), h.num_nodes):
-            sample = random_subset(x_set - {s}, rate, rng)
-            blocks = fixed_source_blocks(s, sample, perturbed, rng, counter)
+        perturbed = perturb(h, nodes, rng)
+        for rate in source_schedule(len(xs), len(h)):
+            sample = random_subset(x_set - {s}, rate, rng, g.rank.__getitem__)
+            blocks = fixed_source_blocks(s, sample, g, perturbed, rng, counter)
             for v, block in blocks.items():
                 inside = 2 * len(block & x_set)
                 if inside > len(xs) or inside == len(xs) and xs[0] not in block:
@@ -340,15 +350,16 @@ def select_source_oc1(h: Graph, x, rng, counter: WorkCounter,
                     return s, list(blocks.values())
         return None
 
-    return _las_vegas(h, x, stats, max_attempts, attempt)
+    return _las_vegas(g, h, x, stats, max_attempts, attempt)
 
 
-def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
+def select_source_weak(g: Graph, h: dict, nodes, x, rng, counter: WorkCounter,
                        stats: PipelineStats | None = None,
                        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                        certify: str = "isolating"):
     """Pick a random source; accept once the laminar family of small-side
-    cuts covers all but half of x (`_covers_enough`).
+    cuts covers all but half of x (`_covers_enough`); h, nodes and x as
+    for `select_source_oc1`.
 
     `fixed_source_laminar` accumulates the family until it is first
     accepted, so an attempt runs no round past the one that accepts it.
@@ -372,8 +383,8 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
             median = statistics.median_low(degree.values())
             s = rng.choice([v for v in xs if degree[v] >= median])
             retry = True
-        perturbed = perturb(h, rng)
-        family = fixed_source_laminar(s, x_set - {s}, limit, perturbed, rng,
+        perturbed = perturb(h, nodes, rng)
+        family = fixed_source_laminar(s, x_set - {s}, limit, g, perturbed, rng,
                                       counter, certify)
         family = [c for c in family
                   if not any(c < other for other in family)]
@@ -382,7 +393,7 @@ def select_source_weak(h: Graph, x, rng, counter: WorkCounter,
             return s, family
         return None
 
-    return _las_vegas(h, x, stats, max_attempts, attempt)
+    return _las_vegas(g, h, x, stats, max_attempts, attempt)
 
 
 # -- end-to-end constructions ---------------------------------------------
@@ -396,8 +407,8 @@ def gh_via_oc1(g: Graph, rng, counter: WorkCounter,
     makes at most `max_attempts` attempts (default 10,000, whatever the
     environment says)."""
 
-    def strategy(h, x_members):
-        return select_source_oc1(h, x_members, rng, counter, stats=stats,
+    def strategy(h, nodes, x):
+        return select_source_oc1(g, h, nodes, x, rng, counter, stats=stats,
                                  max_attempts=max_attempts)
 
     return gomory_hu_generalized(g, strategy, depth_stats=depth_stats)
@@ -412,8 +423,8 @@ def gh_via_weak_oc(g: Graph, rng, counter: WorkCounter,
     makes at most `max_attempts` attempts (default 10,000, whatever the
     environment says)."""
 
-    def strategy(h, x_members):
-        return select_source_weak(h, x_members, rng, counter, stats=stats,
+    def strategy(h, nodes, x):
+        return select_source_weak(g, h, nodes, x, rng, counter, stats=stats,
                                   max_attempts=max_attempts, certify=certify)
 
     return gomory_hu_generalized(g, strategy, depth_stats=depth_stats)

@@ -1,8 +1,26 @@
 import random
+import sys
 
 import pytest
 
+import ghct.cli  # noqa: F401  (loads every module of the package for the snapshot below)
 from ghct.graph import Graph
+from ghct.pipeline import perturb
+
+# The ghct modules the test modules import, as they were when collected.
+GHCT_MODULES = {name: module for name, module in sys.modules.items()
+                if name == "ghct" or name.startswith("ghct.")}
+
+
+@pytest.fixture(autouse=True)
+def ghct_modules():
+    """Put the collected ghct modules back into sys.modules before each test.
+
+    The benchmark's tests re-import the package from its source tree.  A
+    monkeypatch by dotted name, or a pickled function, looks its module up
+    in sys.modules, and must find the module these tests hold.
+    """
+    sys.modules.update(GHCT_MODULES)
 
 
 @pytest.fixture
@@ -59,3 +77,23 @@ def scrambled(rng: random.Random, g: Graph) -> Graph:
     labels = [names[v] for v in g.labels]
     rng.shuffle(labels)
     return Graph(labels, [(names[u], names[v], w) for u, v, w in g.edge_labels()])
+
+
+def perturbed(g: Graph, rng: random.Random) -> Graph:
+    """g with the weights `pipeline.perturb` gives its adjacency, the
+    offsets drawn in g's edge order."""
+    h = perturb(g.adjacency, range(g.num_nodes), rng)
+    labels = g.labels
+    return Graph(labels, [(labels[x], labels[y], w) for x, row in h.items()
+                          for y, w in row.items() if x < y])
+
+
+def whole(g: Graph) -> tuple:
+    """(h, nodes) that a strategy gets for g's one supernode before any
+    split: g's adjacency over its node indices, in index order."""
+    return g.adjacency, range(g.num_nodes)
+
+
+def kept_cost(h: dict, side) -> int:
+    """The cost of the cut `side` in the kept graph h."""
+    return sum(w for x in side for y, w in h[x].items() if y not in side)

@@ -7,8 +7,9 @@ holds the SHA-256 of the canonical tree text, the work counter and
 generator's final state.  An engine case makes one `min_cut`,
 `min_cut_minimal_sink` or `adj=` `min_cut` call on random sides of the
 same graph and prints the cut and the work; the `adj=` call cuts a
-random contraction of g kept as an adjacency, and prints its cut in the
-contraction's labels (its line keeps the call name "min_cut groups").
+random contraction of g kept as an adjacency over g's node indices,
+takes and returns those indices, and prints its cut in the contraction's
+labels (its line keeps the call name "min_cut groups").
 
 The 204 graphs are Erdos-Renyi by edge count and by probability, grids,
 cycles, stars and trees plus noise, with at most 22 nodes and weights
@@ -101,10 +102,9 @@ def engine_cases(g, rng):
             if a != b:
                 adj[a][b] = adj[b][a] = adj[a].get(b, 0) + w
         counter = WorkCounter()
-        cut = min_cut(g, {g.labels[name[s]]}, {g.labels[name[t]]}, counter, adj=adj)
-        index = {lab: i for i, lab in enumerate(g.labels)}
+        cut = min_cut(g, {name[s]}, {name[t]}, counter, adj=adj)
         yield {"call": "min_cut groups", "s": [s], "t": [t],
-               "members": members(rep_of[index[lab]] for lab in cut.members),
+               "members": members(rep_of[x] for x in cut.members),
                "cost": cut.cost, "work": counter.snapshot()}
 
 

@@ -20,9 +20,9 @@ from ghct.maxflow import WorkCounter, min_cut
 from ghct.octree import certified_source_cuts, certifying_prefix, ordered_cuts, \
     validate
 from ghct.oracle import brute_all_min_cuts, brute_min_cut, verify_gh_tree
-from ghct.pipeline import certified_ordered_cuts, perturb
+from ghct.pipeline import certified_ordered_cuts
 
-from conftest import connected_random_graph, random_graph
+from conftest import connected_random_graph, perturbed, random_graph
 
 METHODS = ("classic", "oc1", "weak-oc")
 
@@ -224,11 +224,11 @@ def test_criterion_08_perturbation_safety():
         rng = random.Random(600_000 + i)
         n = rng.randint(2, 10)
         g = connected_random_graph(rng, n, density=rng.uniform(0.2, 0.8))
-        perturbed = perturb(g, rng)
+        h = perturbed(g, rng)
         all_unique = True
         for s, t in combinations(sorted(g.labels), 2):
             original = set(brute_all_min_cuts(g, {s}, {t}))
-            perturbed_sides = brute_all_min_cuts(perturbed, {s}, {t})
+            perturbed_sides = brute_all_min_cuts(h, {s}, {t})
             if any(side not in original for side in perturbed_sides):
                 unsafe += 1
             if len(perturbed_sides) != 1:

@@ -17,7 +17,7 @@ from ghct.maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 from ghct.oracle import verify_gh_tree
 from ghct.pipeline import gh_via_oc1, gh_via_weak_oc
 
-from conftest import random_graph, scrambled
+from conftest import kept_cost, random_graph, scrambled
 
 
 def branches(tree, xi):
@@ -104,36 +104,34 @@ class TestPartitionTree:
 
 class TestAuxiliaryGraph:
     def test_single_supernode_is_identity(self, tri):
-        h, nodes = auxiliary_graph(tri, PartitionTree(tri), 0)
-        assert h == tri
+        tree = PartitionTree(tri)
+        h, nodes = auxiliary_graph(tree, 0)
+        assert h is tree.kept[0]
+        assert h == tri.adjacency
         assert nodes == [0, 1, 2]
 
     def test_path_one_branch(self, p3):
         tree = PartitionTree(p3)
         tree.split(0, {2}, 2)
-        h, nodes = auxiliary_graph(p3, tree, 0)
-        assert h.num_nodes == 3
-        assert nodes == [0, 1, 2]
-        label = h.labels[2]
-        assert h.labels == (1, 2, label)
-        assert not p3.has_node(label)
-        assert sorted(h.edge_labels(), key=str) == sorted(
-            [(1, 2, 3), (2, label, 2)], key=str)
+        h, nodes = auxiliary_graph(tree, 0)
+        assert len(h) == 3
+        assert nodes == [0, 1, 2]  # labels 1 and 2, then the branch node of label 3
+        assert h == {0: {1: 3}, 1: {0: 3, 2: 2}, 2: {1: 2}}
 
     def test_star_of_branches(self):
         g = Graph(range(1, 6), [(1, 2, 1), (1, 3, 2), (1, 4, 3), (1, 5, 4)])
         tree = PartitionTree(g)
         for x, w in ((1, 1), (2, 2), (3, 3)):
             tree.split(0, {x}, w)
-        h, nodes = auxiliary_graph(g, tree, 0)
-        assert h.num_nodes == 5
+        h, nodes = auxiliary_graph(tree, 0)
+        assert len(h) == 5
         assert nodes == [0, 4, 1, 2, 3]
-        assert h.labels[:2] == (1, 5)
+        assert [g.labels[x] for x in nodes[:2]] == [1, 5]
         for i, w in ((2, 1), (3, 2), (4, 3)):
-            assert cut_cost(h, {h.labels[i]}) == w
+            assert kept_cost(h, {nodes[i]}) == w
         # No driver asks a singleton for its auxiliary graph.
         with pytest.raises(ValueError, match="fewer than two members"):
-            auxiliary_graph(g, tree, 1)
+            auxiliary_graph(tree, 1)
 
     def test_branches_preserve_cut_costs(self):
         # Contracting the far side of a tree edge keeps costs of cuts
@@ -142,11 +140,11 @@ class TestAuxiliaryGraph:
                   [(1, 2, 2), (2, 3, 1), (3, 4, 4), (4, 5, 1), (2, 5, 3)])
         tree = PartitionTree(g)
         tree.split(0, {3, 4}, 4)
-        h, nodes = auxiliary_graph(g, tree, 0)
+        h, nodes = auxiliary_graph(tree, 0)
         assert nodes[3] == 3  # the branch node: label 4, b's first member
-        assert cut_cost(h, {h.labels[3]}) == cut_cost(g, {4, 5})
-        assert cut_cost(h, {1}) == cut_cost(g, {1})
-        assert cut_cost(h, {1, 2}) == cut_cost(g, {1, 2})
+        assert kept_cost(h, {nodes[3]}) == cut_cost(g, {4, 5})
+        assert kept_cost(h, {0}) == cut_cost(g, {1})
+        assert kept_cost(h, {0, 1}) == cut_cost(g, {1, 2})
 
     def test_equals_reference_on_random_trees(self):
         # Random splits build the partition tree, each along a random side
@@ -154,8 +152,8 @@ class TestAuxiliaryGraph:
         # nodes alike, holding at least one member and not all.  Exactly
         # the edges whose branch node is in the side move, every kept graph
         # is its supernode's auxiliary graph, and the auxiliary graph must
-        # be what the public constructor builds from g's edges with every
-        # branch behind a tree neighbour of xi relabelled to one fresh label.
+        # be g's edges with every branch behind a tree neighbour of xi
+        # merged into its branch node.
         rng = random.Random(13)
         for _ in range(60):
             g = scrambled(rng, random_graph(rng, rng.randint(2, 12), density=rng.random()))
@@ -208,25 +206,26 @@ class TestAuxiliaryGraph:
 
             for xi in set(range(len(tree.supernodes))) - splittable(tree):
                 with pytest.raises(ValueError, match="fewer than two members"):
-                    auxiliary_graph(g, tree, xi)
+                    auxiliary_graph(tree, xi)
             if not big:
                 continue
             xi = rng.choice(big)
-            h, nodes = auxiliary_graph(g, tree, xi)
+            h, nodes = auxiliary_graph(tree, xi)
+            assert h is tree.kept[xi]
             m = len(tree.supernodes[xi])
             assert nodes[:m] == sorted(tree.supernodes[xi])
             branch = branches(tree, xi)
             assert [branch[y] for y in nodes[m:]] == [j if i == xi else i for i, j, _ in tree.edges
                                                       if xi in (i, j)]
-            fresh = h.labels[m:]
-            assert len(set(fresh)) == len(fresh)
-            assert not any(g.has_node(label) for label in fresh)
-            label_of = {branch[y]: label for y, label in zip(nodes[m:], fresh)}
-            rep = [label_of[branch[x]] if x in branch else g.labels[x]
-                   for x in range(g.num_nodes)]
-            labels = [g.labels[x] for x in nodes[:m]] + list(fresh)
-            assert h == Graph(labels, [(rep[u], rep[v], w) for u, v, w in g.edges
-                                       if rep[u] != rep[v]])
+            assert len(set(nodes)) == len(nodes)
+            node_of = {branch[y]: y for y in nodes[m:]}
+            rep = [node_of[branch[x]] if x in branch else x for x in range(g.num_nodes)]
+            expected = {x: {} for x in nodes}
+            for u, v, w in g.edges:
+                a, b = rep[u], rep[v]
+                if a != b:
+                    expected[a][b] = expected[b][a] = expected[a].get(b, 0) + w
+            assert h == expected
 
 
 class TestClassic:
@@ -264,17 +263,20 @@ class TestClassic:
 
     @staticmethod
     def reference(g, counter, depth_stats):
-        """Classic built the way the generalized driver builds its graphs:
-        each step cuts the auxiliary graph H and costs the cut in H."""
+        """Classic built on graphs: each step cuts the auxiliary graph H,
+        built as a Graph whose labels are its kept nodes, and costs the cut
+        in H."""
         tree = PartitionTree(g)
         while (xi := tree.pick_supernode()) is not None:
-            s, t = (g.labels[x] for x in tree.supernodes[xi][:2])
-            h, nodes = auxiliary_graph(g, tree, xi)
+            s, t = tree.supernodes[xi][:2]
+            kept, _ = auxiliary_graph(tree, xi)
+            h = Graph(kept, [(x, y, w) for x, nbrs in kept.items()
+                             for y, w in nbrs.items() if x < y])
             total_nodes, total_edges = depth_stats.get(tree.depth[xi], (0, 0))
             depth_stats[tree.depth[xi]] = [total_nodes + h.num_nodes,
                                            total_edges + h.num_edges]
             cut = min_cut(h, {s}, {t}, counter).members
-            tree.split(xi, {nodes[i] for i in h.indices(cut)}, cut_cost(h, cut))
+            tree.split(xi, cut, cut_cost(h, cut))
             tree.depth[xi] += 1
         return tree.finish()
 
@@ -329,7 +331,7 @@ class TestClassic:
 
         def checking(g, s_side, t_side, counter, adj):
             tree = trees[-1]
-            xi, = (i for i, sn in enumerate(tree.supernodes) if g.indices(s_side) <= set(sn))
+            xi, = (i for i, sn in enumerate(tree.supernodes) if s_side <= set(sn))
             assert adj is tree.kept[xi]
             assert set(tree.kept) == splittable(tree)
             check_kept(g, tree, xi)
@@ -458,23 +460,24 @@ class TestTreeQuery:
                 tree.query(u, v)
 
 
-# Second-step families for test_invalid_family_raises: source 2, supernode
-# {2, 3, 4}, and one branch node (the side holding 1).
+# Second-step families for test_invalid_family_raises on the path 1-2-3-4,
+# whose labels are node indices 0-3: source 2 (node 1), supernode {2, 3, 4}
+# (nodes {1, 2, 3}), and one branch node (the side holding 1, node 0).
 BAD_FAMILIES = {
     "empty-family": (lambda h, x: [], "empty family"),
-    "cut-holds-source": (lambda h, x: [{2, 3}], "minus the source"),
+    "cut-holds-source": (lambda h, x: [{1, 2}], "minus the source"),
     "empty-cut": (lambda h, x: [set()], "empty cut"),
-    "no-supernode-member": (lambda h, x: [h.node_set - x], "supernode member"),
-    "crossing-pair": (lambda h, x: [{3, 4}, {4} | (h.node_set - x)], "disjoint"),
-    "nested-pair": (lambda h, x: [{4}, {3, 4}], "disjoint"),
+    "no-supernode-member": (lambda h, x: [h.keys() - x], "supernode member"),
+    "crossing-pair": (lambda h, x: [{2, 3}, {3} | (h.keys() - x)], "disjoint"),
+    "nested-pair": (lambda h, x: [{3}, {2, 3}], "disjoint"),
 }
 
 
 # Second-step sources for test_invalid_source_raises, with a family that
 # passes every other check.
 BAD_SOURCES = {
-    "branch-source": (lambda h, x: (next(iter(h.node_set - x)), [x])),
-    "foreign-source": (lambda h, x: ("nowhere", [{3}])),
+    "branch-source": (lambda h, x: (next(iter(h.keys() - x)), [x])),
+    "foreign-source": (lambda h, x: ("nowhere", [{2}])),
 }
 
 
@@ -484,22 +487,20 @@ class TestGeneralized:
         # classic algorithm.
         counter = WorkCounter()
 
-        def strategy(h, x_members):
-            members = sorted(x_members)
-            s, t = members[0], members[1]
-            res = min_cut(h, {s}, {t}, counter)
+        def strategy(h, nodes, x):
+            s, t = x[0], x[1]
+            res = min_cut(tri, {s}, {t}, counter, adj=h)
             return s, [res.members]
 
         tree = gomory_hu_generalized(tri, strategy)
         assert tree.edges == gomory_hu_classic(tri, WorkCounter()).edges
 
     def test_triangle_explicit_family(self, tri):
-        def strategy(h, x_members):
-            if x_members == frozenset({1, 2, 3}):
-                return 1, [frozenset({2, 3})]
-            members = sorted(x_members)
-            res = min_cut(h, {members[0]}, {members[1]}, WorkCounter())
-            return members[0], [res.members]
+        def strategy(h, nodes, x):
+            if x == [0, 1, 2]:  # labels 1, 2, 3
+                return 0, [frozenset({1, 2})]
+            res = min_cut(tri, {x[0]}, {x[1]}, WorkCounter(), adj=h)
+            return x[0], [res.members]
 
         tree = gomory_hu_generalized(tri, strategy)
         assert verify_gh_tree(tri, tree).ok
@@ -512,11 +513,11 @@ class TestGeneralized:
         g = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 4), (3, 4, 3)])
         calls = []
 
-        def strategy(h, x_members):
-            calls.append(x_members)
-            if 1 in x_members:
-                return 1, [min_cut(h, {1}, {2}, WorkCounter()).members]
-            return 2, bad(h, x_members)
+        def strategy(h, nodes, x):
+            calls.append(x)
+            if 0 in x:
+                return 0, [min_cut(g, {0}, {1}, WorkCounter(), adj=h).members]
+            return 1, bad(h, set(x))
 
         with pytest.raises(StrategyError, match=reason):
             gomory_hu_generalized(g, strategy)
@@ -529,26 +530,26 @@ class TestGeneralized:
         g = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 4), (3, 4, 3)])
         calls = []
 
-        def strategy(h, x_members):
-            calls.append(x_members)
-            if 1 in x_members:
-                return 1, [min_cut(h, {1}, {2}, WorkCounter()).members]
-            return bad(h, x_members)
+        def strategy(h, nodes, x):
+            calls.append(x)
+            if 0 in x:
+                return 0, [min_cut(g, {0}, {1}, WorkCounter(), adj=h).members]
+            return bad(h, set(x))
 
         with pytest.raises(StrategyError, match="source is not a supernode member"):
             gomory_hu_generalized(g, strategy)
         assert len(calls) == 2
 
     @staticmethod
-    def random_family(rng):
+    def random_family(rng, g):
         """A strategy returning a random family of disjoint minimum cuts:
         the inclusion-minimal sink sides of minimum s-t cuts for a random
         source s, taken in random order while disjoint from those taken."""
-        def strategy(h, x_members):
-            s, *targets = rng.sample(sorted(x_members, key=label_key), len(x_members))
+        def strategy(h, nodes, x):
+            s, *targets = rng.sample(x, len(x))
             family = []
             for t in targets[:rng.randint(1, len(targets))]:
-                cut = min_cut_minimal_sink(h, {s}, {t}, WorkCounter()).members
+                cut = min_cut_minimal_sink(g, {s}, {t}, WorkCounter(), adj=h).members
                 if not any(cut & c for c in family):
                     family.append(cut)
             return s, family
@@ -561,16 +562,16 @@ class TestGeneralized:
         # for the supernode refined is its auxiliary graph (check_kept).
         steps = []
 
-        def checking(g, tree, xi):
+        def checking(tree, xi):
             assert set(tree.kept) == splittable(tree)
-            check_kept(g, tree, xi)
+            check_kept(tree.g, tree, xi)
             steps.append(xi)
-            return auxiliary_graph(g, tree, xi)
+            return auxiliary_graph(tree, xi)
 
         monkeypatch.setattr(ghtree, "auxiliary_graph", checking)
         rng = random.Random(131)
         methods = (
-            lambda g: gomory_hu_generalized(g, self.random_family(rng)),
+            lambda g: gomory_hu_generalized(g, self.random_family(rng, g)),
             lambda g: gh_via_oc1(g, rng, WorkCounter()),
             lambda g: gh_via_weak_oc(g, rng, WorkCounter()),
         )
@@ -581,23 +582,20 @@ class TestGeneralized:
             assert len(steps) >= (g.num_nodes > 1)
 
     def test_family_costs_in_one_pass(self):
-        # Per cut of a random disjoint family: its cut_cost in h, and the
-        # kept nodes behind its nodes.
+        # Per cut of a random disjoint family of kept nodes: its cut_cost
+        # in the graph.
         rng = random.Random(157)
         for _ in range(150):
-            h = weight_zero_draw(rng, rng.randint(2, 14))
-            labels = list(h.labels)
-            rng.shuffle(labels)
-            cuts, start = [], 1  # labels[0] is the source, in no cut
-            while start < len(labels) and rng.random() < 0.8:
-                end = rng.randint(start + 1, len(labels))
-                cuts.append(frozenset(labels[start:end]))
+            g = weight_zero_draw(rng, rng.randint(2, 14))
+            nodes = list(range(g.num_nodes))
+            rng.shuffle(nodes)
+            cuts, start = [], 1  # nodes[0] is the source, in no cut
+            while start < len(nodes) and rng.random() < 0.8:
+                end = rng.randint(start + 1, len(nodes))
+                cuts.append(frozenset(nodes[start:end]))
                 start = end
-            nodes = rng.sample(range(3 * h.num_nodes), h.num_nodes)
-            costs, sides = ghtree._family_costs(h, nodes, cuts)
-            assert costs == [cut_cost(h, cut) for cut in cuts]
-            assert sides == [{x for x, label in zip(nodes, h.labels) if label in cut}
-                             for cut in cuts]
+            costs = ghtree._family_costs(g.adjacency, cuts)
+            assert costs == [cut_cost(g, {g.labels[x] for x in cut}) for cut in cuts]
 
     def test_supernodes_stay_a_partition(self):
         # Exercised implicitly by finish(); spot-check on random graphs
@@ -605,15 +603,16 @@ class TestGeneralized:
         rng = random.Random(113)
         counter = WorkCounter()
 
-        def strategy(h, x_members):
-            members = sorted(x_members)
-            s, t = rng.sample(members, 2)
-            res = min_cut(h, {s}, {t}, counter)
-            return s, [res.members]
+        def strategy(g):
+            def pivot(h, nodes, x):
+                s, t = rng.sample(x, 2)
+                res = min_cut(g, {s}, {t}, counter, adj=h)
+                return s, [res.members]
+            return pivot
 
         for _ in range(15):
             g = random_graph(rng, rng.randint(2, 12))
-            tree = gomory_hu_generalized(g, strategy)
+            tree = gomory_hu_generalized(g, strategy(g))
             assert set(tree.nodes) == set(g.labels)
             assert len(tree.edges) == g.num_nodes - 1
             assert verify_gh_tree(g, tree).ok

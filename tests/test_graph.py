@@ -14,8 +14,8 @@ from ghct.graph import (
     parse_dimacs,
     write_dimacs,
 )
-from ghct.isolating import isolating_cuts
-from ghct.maxflow import WorkCounter, min_cut
+from ghct.isolating import isolating_cuts, isolating_cuts_with_depth
+from ghct.maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 from ghct.octree import ordered_cuts, validate
 
 from conftest import random_graph, scrambled
@@ -209,6 +209,41 @@ class TestAdjacencyUnchanged:
             assert validate(tree, g, counter)
             isolating_cuts(labels[0], set(labels[1:rng.randint(2, len(labels))]), g, counter)
             assert labelled(g, g.adjacency) == fresh_adjacency(g)
+
+
+# Every public entry point that names nodes, called with one node its graph
+# lacks, x, beside two nodes it has, a and b.
+MISSING_NODE_CALLS = {
+    "min_cut-source": lambda g, a, b, x, c, adj: min_cut(g, {x}, {b}, c, adj=adj),
+    "min_cut-sink": lambda g, a, b, x, c, adj: min_cut(g, {a}, {x}, c, adj=adj),
+    "minimal_sink-source": lambda g, a, b, x, c, adj: min_cut_minimal_sink(g, {x}, {b}, c, adj=adj),
+    "minimal_sink-sink": lambda g, a, b, x, c, adj: min_cut_minimal_sink(g, {a}, {x}, c, adj=adj),
+    "ordered_cuts": lambda g, a, b, x, c, adj: ordered_cuts((a, x), g, c, adj=adj),
+    "isolating-source": lambda g, a, b, x, c, adj: isolating_cuts(x, {b}, g, c, adj=adj),
+    "isolating-terminal": lambda g, a, b, x, c, adj: isolating_cuts(a, {b, x}, g, c, adj=adj),
+    "with_depth-source": lambda g, a, b, x, c, adj: isolating_cuts_with_depth(x, {b}, g, c, adj),
+    "with_depth-terminal":
+        lambda g, a, b, x, c, adj: isolating_cuts_with_depth(a, {b, x}, g, c, adj),
+}
+
+
+@pytest.mark.parametrize("call", MISSING_NODE_CALLS.values(), ids=list(MISSING_NODE_CALLS))
+@pytest.mark.parametrize("form", ["labels", "adj-merged", "adj-foreign"])
+def test_a_missing_node_raises_value_error(form, call):
+    # On the path 1-2-3-4, a label call names label 9, which is no node of
+    # g.  An adj= call names node 3 (label 4), which the kept graph merges
+    # into node 2 (label 3), or 9, which is no node index of g.  No call
+    # records any work.
+    g = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 4), (3, 4, 3)])
+    counter = WorkCounter()
+    kept = {0: {1: 5}, 1: {0: 5, 2: 4}, 2: {1: 4}}
+    if form == "labels":
+        args = (1, 2, 9, counter, None)
+    else:
+        args = (0, 1, 3 if form == "adj-merged" else 9, counter, kept)
+    with pytest.raises(ValueError):
+        call(g, *args)
+    assert counter == WorkCounter()
 
 
 class TestContractSetToNode:

@@ -7,9 +7,8 @@ from ghct.generators import grid
 from ghct.graph import Cut, Graph, _quotient, cut_cost
 from ghct.maxflow import WorkCounter, latest_min_cut, min_cut, min_cut_minimal_sink
 from ghct.oracle import brute_all_min_cuts, brute_min_cut
-from ghct.pipeline import perturb
 
-from conftest import random_graph, scrambled
+from conftest import perturbed, random_graph, scrambled
 
 
 @pytest.fixture
@@ -67,7 +66,7 @@ def shared_arc_cases(rng):
                (grid(3, 4, rng, (1, 1)), 1, 12), (chain, 1, hub), (chain, hub, 1)]
     for g, s, t in graphs:
         weighted = Graph(g.labels, [(u, v, rng.randint(1, 3)) for u, v, _ in g.edge_labels()])
-        for h in (g, weighted, perturb(g, rng)):
+        for h in (g, weighted, perturbed(g, rng)):
             yield h, {s}, {t}
             yield (h, *random_sides(rng, h))
 
@@ -171,7 +170,7 @@ class TestBidirectionalSearch:
         cases += list(shared_arc_cases(rng))
         for _ in range(40):
             g = random_graph(rng, rng.randint(3, 10))
-            cases.append((perturb(g, rng), *random_sides(rng, g)))
+            cases.append((perturbed(g, rng), *random_sides(rng, g)))
         for h, s_side, t_side in cases:
             searches.clear()
             self.check_both_modes(h, s_side, t_side, counter)
@@ -233,7 +232,7 @@ class TestMinCut:
         for _ in range(60):
             g = random_graph(rng, rng.randint(3, 10))
             s_side, t_side = random_sides(rng, g)
-            for h in (g, perturb(g, rng)):  # perturbed: weights about m * n^2 larger
+            for h in (g, perturbed(g, rng)):  # perturbed: weights about m * n^2 larger
                 res = min_cut(h, s_side, t_side, counter)
                 ref = brute_min_cut(h, s_side, t_side)
                 assert res.cost == ref.cost
@@ -304,7 +303,7 @@ class TestMinimalSink:
         for _ in range(40):
             g = random_graph(rng, rng.randint(3, 9))
             s_side, t_side = random_sides(rng, g)
-            for h in (g, perturb(g, rng)):
+            for h in (g, perturbed(g, rng)):
                 res = min_cut_minimal_sink(h, s_side, t_side, counter)
                 sides = brute_all_min_cuts(h, s_side, t_side)
                 assert res.members == frozenset.intersection(*sides)
@@ -335,7 +334,13 @@ class TestMinimalSink:
 class TestGroups:
     """min_cut and min_cut_minimal_sink on (g, adj) are the same calls on
     the contracted graph H that the kept adjacency adj gives, each node of
-    H named by one node of g, with sides of one node of H or several."""
+    H named by one node of g, with sides of one node of H or several.  A
+    call with adj takes and returns node indices of g; `labelled` reads
+    its cut in g's labels, which are H's."""
+
+    @staticmethod
+    def labelled(g, cut):
+        return Cut(frozenset(g.labels[x] for x in cut.members), cut.cost)
 
     @staticmethod
     def kept(g, h):
@@ -376,7 +381,8 @@ class TestGroups:
             h = _quotient(g, labels, rep_of)
             s, t = rng.sample(labels, 2)
             on_h, on_g = WorkCounter(), WorkCounter()
-            assert min_cut(g, {s}, {t}, on_g, adj=self.kept(g, h)) == min_cut(h, {s}, {t}, on_h)
+            cut = min_cut(g, g.indices({s}), g.indices({t}), on_g, adj=self.kept(g, h))
+            assert self.labelled(g, cut) == min_cut(h, {s}, {t}, on_h)
             assert on_g == on_h
             checked += 1
         assert checked > 250
@@ -403,7 +409,8 @@ class TestGroups:
             t_side = set(picked[k:rng.randint(k + 1, len(picked))])
             for solve in (min_cut, min_cut_minimal_sink):
                 on_h, on_g = WorkCounter(), WorkCounter()
-                assert solve(g, s_side, t_side, on_g, adj=adj) == solve(h, s_side, t_side, on_h)
+                cut = solve(g, g.indices(s_side), g.indices(t_side), on_g, adj=adj)
+                assert self.labelled(g, cut) == solve(h, s_side, t_side, on_h)
                 assert on_g == on_h
             assert adj == self.kept(g, h)  # the caller's adjacency is only copied
             checked += max(len(s_side), len(t_side)) > 1
@@ -420,33 +427,36 @@ class TestGroups:
                 for v in range(u + 1, n + 1) if rng.random() < rng.random()]))
             s, t = rng.sample(g.labels, 2)
             plain, kept = WorkCounter(), WorkCounter()
-            assert min_cut(g, {s}, {t}, kept, adj=self.kept(g, g)) == min_cut(g, {s}, {t}, plain)
+            cut = min_cut(g, g.indices({s}), g.indices({t}), kept, adj=self.kept(g, g))
+            assert self.labelled(g, cut) == min_cut(g, {s}, {t}, plain)
             assert kept == plain
 
     def test_rejects_bad_groups(self, tri, counter):
         # Unknown, empty and overlapping sides, and sides holding a node of
         # g that is no node of H, are rejected; a rejected call is no
-        # engine work: the counter stays at zero.
+        # engine work: the counter stays at zero.  Labels 1, 2, 3 are node
+        # indices 0, 1, 2, and index 3 is no node of tri.
         pair = _quotient(tri, (1, 3), (1, 1, 3))  # 2 lies inside node 1
         adj = self.kept(tri, pair)
-        for s_side, t_side in (({1}, {4}), ({1}, {2}), ({2}, {3}), (set(), {3}),
-                               ({1}, set()), ({1}, {1}), ({1, 2}, {3}), ({3}, {1, 2}),
-                               ({1, 3}, {3})):
+        for s_side, t_side in (({0}, {3}), ({0}, {1}), ({1}, {2}), (set(), {2}),
+                               ({0}, set()), ({0}, {0}), ({0, 1}, {2}), ({2}, {0, 1}),
+                               ({0, 2}, {2})):
             for solve in (min_cut, min_cut_minimal_sink):
                 with pytest.raises(ValueError):
                     solve(tri, s_side, t_side, counter, adj=adj)
         assert counter == WorkCounter()
-        assert min_cut(tri, {1}, {3}, counter, adj=adj) == min_cut(pair, {1}, {3}, WorkCounter())
+        assert self.labelled(tri, min_cut(tri, {0}, {2}, counter, adj=adj)) == min_cut(
+            pair, {1}, {3}, WorkCounter())
 
     def test_accepts_multi_node_sides(self, counter):
         # Path 1-2-3-4 with 2 merged into 1: H is 1-3-4, and {1, 4} against
-        # {3} cuts both of 3's edges.
+        # {3} cuts both of 3's edges.  Labels 1-4 are node indices 0-3.
         p4 = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 2), (3, 4, 7)])
         h = _quotient(p4, (1, 3, 4), (1, 1, 3, 4))
         adj = self.kept(p4, h)
-        cut = min_cut_minimal_sink(p4, {1, 4}, {3}, counter, adj=adj)
+        cut = self.labelled(p4, min_cut_minimal_sink(p4, {0, 3}, {2}, counter, adj=adj))
         assert cut == min_cut_minimal_sink(h, {1, 4}, {3}, WorkCounter()) == Cut(frozenset({3}), 9)
-        assert min_cut(p4, {3}, {1, 4}, counter, adj=adj) == Cut(frozenset({1, 4}), 9)
+        assert min_cut(p4, {2}, {0, 3}, counter, adj=adj) == Cut(frozenset({0, 3}), 9)
         assert (counter.calls, counter.nodes_total, counter.edges_total) == (2, 6, 4)
 
 

@@ -27,30 +27,31 @@ from ghct.pipeline import (
     source_schedule,
 )
 
-from conftest import connected_random_graph, random_graph, scrambled
+from conftest import connected_random_graph, kept_cost, perturbed, random_graph, scrambled, \
+    whole
 
 
 class TestPerturb:
     def test_scale_formula(self, g2):
         # n=2, m=1: offsets below 4, scale 4, so the weight lands in [20, 24).
         for seed in range(10):
-            got = perturb(g2, random.Random(seed))
-            (_, _, w), = got.edge_labels()
+            got = perturb(g2.adjacency, [0, 1], random.Random(seed))
+            w = got[0][1]
             assert 20 <= w < 24
 
     def test_original_weight_recoverable(self):
         rng = random.Random(5)
         g = random_graph(rng, 8)
         scale = g.num_edges * g.num_nodes ** 2
-        got = perturb(g, rng)
-        for (u, v, w), (_, _, w2) in zip(g.edge_labels(), got.edge_labels()):
-            assert w2 // scale == w
+        got = perturb(g.adjacency, range(g.num_nodes), rng)
+        for u, v, w in g.edges:
+            assert got[u][v] // scale == w
 
     def test_minimum_cuts_stay_minimum(self):
         rng = random.Random(7)
         for _ in range(25):
             g = random_graph(rng, rng.randint(2, 8))
-            got = perturb(g, rng)
+            got = perturbed(g, rng)
             labels = sorted(g.labels)
             s, t = rng.sample(labels, 2)
             original = set(brute_all_min_cuts(g, {s}, {t}))
@@ -58,8 +59,8 @@ class TestPerturb:
                 assert side in original
 
     def test_edgeless_graph_passthrough(self):
-        g = Graph([1, 2])
-        assert perturb(g, random.Random(0)) == g
+        h = Graph([1, 2]).adjacency
+        assert perturb(h, [0, 1], random.Random(0)) is h
 
 
 class TestRandomSubset:
@@ -197,24 +198,25 @@ def test_weighted_degrees_are_singleton_cut_costs():
         g = scrambled(rng, Graph(range(1, n + 1), [
             (u, v, rng.randint(0, 16)) for u in range(1, n + 1)
             for v in range(u + 1, n + 1) if rng.random() < 0.5]))
-        x = set(rng.sample(g.labels, rng.randint(1, n)))
-        assert _weighted_degrees(g, x) == {v: cut_cost(g, {v}) for v in x}
-    with pytest.raises(ValueError):
-        _weighted_degrees(g, {"missing"})
+        x = g.indices(rng.sample(g.labels, rng.randint(1, n)))
+        assert _weighted_degrees(g.adjacency, x) == {v: cut_cost(g, {g.labels[v]}) for v in x}
+    with pytest.raises(KeyError):
+        _weighted_degrees(g.adjacency, {"missing"})
 
 
 class TestFixedSourceBlocks:
     def test_singleton_ground_set(self, tri):
-        # The block is the latest minimum 1-3 cut: {2,3} at cost 3.
-        blocks = fixed_source_blocks(1, {3}, tri, random.Random(0), WorkCounter())
-        assert blocks == {3: {2, 3}}
-        assert cut_cost(tri, blocks[3]) == 3
+        # The block is the latest minimum 1-3 cut: {2,3} at cost 3, that is
+        # node indices {1, 2}.
+        blocks = fixed_source_blocks(0, {2}, tri, tri.adjacency, random.Random(0), WorkCounter())
+        assert blocks == {2: {1, 2}}
+        assert kept_cost(tri.adjacency, blocks[2]) == 3
 
     def test_triangle_covers_both(self, tri):
         # f(1,2) = f(1,3) = 3 via {2,3}; one representative owns the block.
-        blocks = fixed_source_blocks(1, {2, 3}, perturb(tri, random.Random(1)),
+        blocks = fixed_source_blocks(0, {1, 2}, tri, perturb(*whole(tri), random.Random(1)),
                                      random.Random(2), WorkCounter())
-        assert list(blocks.values()) == [{2, 3}]
+        assert list(blocks.values()) == [{1, 2}]
 
     def test_blocks_are_minimum_source_cuts(self):
         rng = random.Random(19)
@@ -222,38 +224,40 @@ class TestFixedSourceBlocks:
         for _ in range(20):
             g = connected_random_graph(rng, rng.randint(3, 12))
             labels = sorted(g.labels)
-            s = labels[0]
-            ground = set(rng.sample(labels[1:], rng.randint(1, len(labels) - 1)))
-            perturbed = perturb(g, rng)
-            blocks = fixed_source_blocks(s, ground, perturbed, rng, counter)
+            s = labels[0] - 1  # labels 1..n are node indices 0..n-1
+            ground = g.indices(rng.sample(labels[1:], rng.randint(1, len(labels) - 1)))
+            h = perturb(*whole(g), rng)
+            blocks = fixed_source_blocks(s, ground, g, h, rng, counter)
             assert set(blocks) <= ground
             assert sum(map(len, blocks.values())) == len(set().union(*blocks.values()))
             for v, block in blocks.items():
                 assert v in block
-                assert cut_cost(perturbed, block) == min_cut(
-                    perturbed, {s}, {v}, counter).cost
+                assert kept_cost(h, block) == min_cut(g, {s}, {v}, counter, adj=h).cost
                 # Prop-4.1 carryover: also minimum in the unperturbed graph.
-                assert cut_cost(g, block) == min_cut(g, {s}, {v}, counter).cost
+                assert kept_cost(g.adjacency, block) == min_cut(
+                    g, {s}, {v}, counter, adj=g.adjacency).cost
 
     def test_empty_ground_set(self, tri):
-        assert fixed_source_blocks(1, set(), tri, random.Random(0), WorkCounter()) == {}
+        assert fixed_source_blocks(0, set(), tri, tri.adjacency, random.Random(0),
+                                   WorkCounter()) == {}
 
 
 class TestSelectSourceOc1:
     def test_two_member_supernode(self, g2):
-        s, family = select_source_oc1(g2, {1, 2}, random.Random(3), WorkCounter())
-        assert s in {1, 2}
+        s, family = select_source_oc1(g2, *whole(g2), {0, 1}, random.Random(3), WorkCounter())
+        assert s in {0, 1}
         (block,) = family
-        assert block == {1, 2} - {s}
+        assert block == {0, 1} - {s}
 
     def test_family_disjoint_and_minimum(self):
         rng = random.Random(23)
         counter = WorkCounter()
         for _ in range(15):
             g = connected_random_graph(rng, rng.randint(3, 10))
-            x = set(g.labels)
+            h, nodes = whole(g)
+            x = set(nodes)
             stats = PipelineStats()
-            s, family = select_source_oc1(g, x, rng, counter, stats=stats)
+            s, family = select_source_oc1(g, h, nodes, x, rng, counter, stats=stats)
             assert s in x
             assert is_laminar(family)
             seen = set()
@@ -265,25 +269,25 @@ class TestSelectSourceOc1:
                 assert reps
                 # Every block is a true minimum source cut of the
                 # unperturbed graph for some member.
-                costs = [min_cut(g, {s}, {v}, counter).cost for v in reps]
-                assert cut_cost(g, block) in costs
+                costs = [min_cut(g, {s}, {v}, counter, adj=h).cost for v in reps]
+                assert kept_cost(h, block) in costs
             assert x - {s} <= seen
             assert stats.attempts_max >= 1
 
     def test_attempt_cap_raises(self, tri):
         with pytest.raises(AttemptLimitError):
-            select_source_oc1(tri, {1, 2, 3}, random.Random(0), WorkCounter(),
+            select_source_oc1(tri, *whole(tri), {0, 1, 2}, random.Random(0), WorkCounter(),
                               max_attempts=0)
 
     def test_negative_cap_rejected(self, tri):
         with pytest.raises(ValueError, match="max_attempts"):
-            select_source_oc1(tri, {1, 2, 3}, random.Random(0), WorkCounter(),
+            select_source_oc1(tri, *whole(tri), {0, 1, 2}, random.Random(0), WorkCounter(),
                               max_attempts=-1)
 
     @pytest.mark.parametrize("tag", ["v", "x"])
     def test_walk_settles_on_tuple_labels(self, tag):
-        # The auxiliary graph's branch labels ("b", k) sort before these
-        # members, so the walk's tie rule must not read h's smallest label.
+        # The walk's tie rule reads the label rank of x's members; the
+        # branch nodes of h are node indices and carry no label of their own.
         g = Graph([(tag, k) for k in range(6)], [((tag, 4), (tag, 5), 1)])
         for seed in range(4):
             tree = gh_via_oc1(g, random.Random(seed), WorkCounter(), max_attempts=50)
@@ -292,8 +296,9 @@ class TestSelectSourceOc1:
 
 class TestFixedSourceLaminar:
     def test_two_node_graph_full_limit(self, g2):
-        family = fixed_source_laminar(1, {2}, 1, g2, random.Random(0), WorkCounter())
-        assert family == [frozenset({2})]
+        family = fixed_source_laminar(0, {1}, 1, g2, g2.adjacency, random.Random(0),
+                                      WorkCounter())
+        assert family == [frozenset({1})]
 
     def test_members_pass_cut_oracle(self):
         rng = random.Random(29)
@@ -301,16 +306,17 @@ class TestFixedSourceLaminar:
         for _ in range(15):
             g = connected_random_graph(rng, rng.randint(3, 10))
             labels = sorted(g.labels)
-            s = labels[0]
-            ground = set(labels[1:])
+            s = labels[0] - 1  # labels 1..n are node indices 0..n-1
+            ground = g.indices(labels[1:])
             limit = max(1, len(ground) // 2)
-            perturbed = perturb(g, rng)
-            family = fixed_source_laminar(s, ground, limit, perturbed, rng, counter)
+            h = perturb(*whole(g), rng)
+            family = fixed_source_laminar(s, ground, limit, g, h, rng, counter)
             assert is_laminar(family)
             for block in family:
                 assert len(block & ground) <= limit
-                costs = [min_cut(g, {s}, {v}, counter).cost for v in block & ground]
-                assert cut_cost(g, block) in costs
+                costs = [min_cut(g, {s}, {v}, counter, adj=g.adjacency).cost
+                         for v in block & ground]
+                assert kept_cost(g.adjacency, block) in costs
 
     class TakeAll:
         """Stands in for the rng: every sample takes every candidate."""
@@ -326,21 +332,21 @@ class TestFixedSourceLaminar:
         pending = iter(rounds)
         calls, rates = [], []
 
-        def fake(s, seq, g, counter, certify, *, prefixes):
+        def fake(s, seq, g, counter, certify, *, adj, prefixes):
             calls.append(seq)
             cuts = next(pending, [])
             certified = {v: Cut(frozenset(members), 1) for v, members in zip(seq, cuts)}
             return {v: 1 for v in seq}, certified
 
-        def drawing(members, rate, rng):
+        def drawing(members, rate, rng, key):
             rates.append(rate)
-            return random_subset(members, rate, rng)
+            return random_subset(members, rate, rng, key)
 
         monkeypatch.setattr("ghct.pipeline.certified_ordered_cuts", fake)
         monkeypatch.setattr("ghct.pipeline.random_subset", drawing)
         path = Graph(range(9), [(i, i + 1, 1) for i in range(8)])
-        family = fixed_source_laminar(0, set(range(1, 9)), 4, path, self.TakeAll(),
-                                      WorkCounter())
+        family = fixed_source_laminar(0, set(range(1, 9)), 4, path, path.adjacency,
+                                      self.TakeAll(), WorkCounter())
         return family, len(calls), rates
 
     def test_crossing_cut_rejects_in_its_round(self, monkeypatch):
@@ -383,18 +389,19 @@ class TestFixedSourceLaminar:
         rng = random.Random(53)
         for trial in range(24):
             g = connected_random_graph(rng, rng.randint(2, 12))
-            x = set(rng.sample(sorted(g.labels), rng.randint(2, g.num_nodes)))
+            h, nodes = whole(g)
+            x = g.indices(rng.sample(sorted(g.labels), rng.randint(2, g.num_nodes)))
             limit = math.ceil(len(x) / 2)
             certify = ("isolating", "octree")[trial % 2]
             counter = WorkCounter()
-            s, family = select_source_weak(g, x, rng, counter, certify=certify)
+            s, family = select_source_weak(g, h, nodes, x, rng, counter, certify=certify)
             assert s in x and family
             for i, a in enumerate(family):
                 assert s not in a
                 assert len(a & x) <= limit
                 assert all(not a & b for b in family[i + 1:])
-                costs = [min_cut(g, {s}, {v}, counter).cost for v in a & x]
-                assert cut_cost(g, a) in costs
+                costs = [min_cut(g, {s}, {v}, counter, adj=h).cost for v in a & x]
+                assert kept_cost(h, a) in costs
             assert len(x - set().union(*family)) <= limit
             tree = gh_via_weak_oc(g, random.Random(trial), counter, certify=certify)
             assert verify_gh_tree(g, tree).ok
@@ -410,16 +417,17 @@ class TestRepeatedRounds:
     SEED = 0
 
     def instance(self):
+        """(g, h, x): label 1 is node 0, the source."""
         g = connected_random_graph(random.Random(self.SEED), 8)
-        return pipeline.perturb(g, random.Random(self.SEED)), set(g.labels) - {1}
+        return g, pipeline.perturb(*whole(g), random.Random(self.SEED)), set(range(1, 8))
 
     def run_blocks(self, counter):
-        h, x = self.instance()
-        return pipeline.fixed_source_blocks(1, x, h, random.Random(self.SEED), counter)
+        g, h, x = self.instance()
+        return pipeline.fixed_source_blocks(0, x, g, h, random.Random(self.SEED), counter)
 
     def run_laminar(self, counter, certify):
-        h, x = self.instance()
-        return pipeline.fixed_source_laminar(1, x, 3, h, random.Random(self.SEED),
+        g, h, x = self.instance()
+        return pipeline.fixed_source_laminar(0, x, 3, g, h, random.Random(self.SEED),
                                              counter, certify)
 
     def test_blocks_repeat_makes_no_engine_call(self, monkeypatch):
@@ -427,9 +435,9 @@ class TestRepeatedRounds:
         rounds = []
         solve = pipeline.ordered_cuts
 
-        def ordered_cuts(order, g, counter, *, prefixes=None):
+        def ordered_cuts(order, g, counter, *, adj=None, prefixes=None):
             before = counter.snapshot()
-            tree = solve(order, g, counter, prefixes=prefixes)
+            tree = solve(order, g, counter, adj=adj, prefixes=prefixes)
             after = counter.snapshot()
             rounds.append((tuple(order[1:]), {k: after[k] - before[k] for k in after}))
             return tree
@@ -451,15 +459,15 @@ class TestRepeatedRounds:
         drawn, solved = [], []
         by_estimate, solve = pipeline._by_estimate, pipeline.certified_ordered_cuts
 
-        def drawing(sample, estimates):
-            seq = by_estimate(sample, estimates)
+        def drawing(sample, estimates, rank):
+            seq = by_estimate(sample, estimates, rank)
             if seq:
                 drawn.append(seq)
             return seq
 
-        def certified_ordered_cuts(s, seq, g, counter, certify, *, prefixes):
+        def certified_ordered_cuts(s, seq, g, counter, certify, *, adj, prefixes):
             solved.append(tuple(seq))
-            return solve(s, seq, g, counter, certify, prefixes=prefixes)
+            return solve(s, seq, g, counter, certify, adj=adj, prefixes=prefixes)
 
         monkeypatch.setattr(pipeline, "_by_estimate", drawing)
         monkeypatch.setattr(pipeline, "certified_ordered_cuts", certified_ordered_cuts)
@@ -483,8 +491,8 @@ class TestRepeatedRounds:
 
 class TestSelectSourceWeak:
     def test_two_member_supernode(self, g2):
-        s, family = select_source_weak(g2, {1, 2}, random.Random(7), WorkCounter())
-        other = ({1, 2} - {s}).pop()
+        s, family = select_source_weak(g2, *whole(g2), {0, 1}, random.Random(7), WorkCounter())
+        other = ({0, 1} - {s}).pop()
         assert any(other in block for block in family)
 
     def test_accepted_families_are_antichains(self):
@@ -492,18 +500,19 @@ class TestSelectSourceWeak:
         counter = WorkCounter()
         for _ in range(10):
             g = connected_random_graph(rng, rng.randint(3, 10))
-            x = set(g.labels)
-            s, family = select_source_weak(g, x, rng, counter)
+            h, nodes = whole(g)
+            x = set(nodes)
+            s, family = select_source_weak(g, h, nodes, x, rng, counter)
             for a in family:
                 for b in family:
                     if a != b:
                         assert not (a <= b)
-            uncovered = (g.node_set - set().union(*family)) & x
+            uncovered = (h.keys() - set().union(*family)) & x
             assert len(uncovered) <= math.ceil(len(x) / 2)
 
     def test_attempt_cap_raises(self, tri):
         with pytest.raises(AttemptLimitError):
-            select_source_weak(tri, {1, 2, 3}, random.Random(0), WorkCounter(),
+            select_source_weak(tri, *whole(tri), {0, 1, 2}, random.Random(0), WorkCounter(),
                                max_attempts=0)
 
     @staticmethod
@@ -524,15 +533,16 @@ class TestSelectSourceWeak:
     def test_first_source_is_heavy_later_sources_uniform(self, monkeypatch):
         sources = self._record_sources(monkeypatch, reject=3)
         g = erdos_renyi_m(16, 40, random.Random(0))
-        x = set(g.labels)
-        degree = _weighted_degrees(g, x)
+        h, nodes = whole(g)
+        x = set(nodes)
+        degree = _weighted_degrees(h, x)
         median = statistics.median_low(degree.values())
         assert min(degree.values()) < median  # x has light members
         later = []
         for seed in range(40):
             sources.clear()
             stats = PipelineStats()
-            select_source_weak(g, x, random.Random(seed), WorkCounter(), stats=stats)
+            select_source_weak(g, h, nodes, x, random.Random(seed), WorkCounter(), stats=stats)
             assert stats.attempts_total == len(sources) >= 4
             assert degree[sources[0]] >= median
             later.extend(sources[1:])
@@ -550,7 +560,7 @@ class TestSelectSourceWeak:
         for seed in range(10):
             sources.clear()
             tree = gh_via_weak_oc(g, random.Random(seed), WorkCounter())
-            assert sources[0] == random.Random(seed).choice(sorted(g.labels))
+            assert g.labels[sources[0]] == random.Random(seed).choice(sorted(g.labels))
             assert verify_gh_tree(g, tree).ok
 
 
