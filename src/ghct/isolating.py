@@ -54,9 +54,10 @@ def isolating_cuts_with_depth(s, terminals, g: Graph, counter: WorkCounter, adj=
         labels = g.labels
         return {labels[v]: Cut(frozenset(labels[x] for x in cut.members), cut.cost)
                 for v, cut in cuts.items()}, depth
-    if any(v not in adj for v in (s, *terminals)):
+    terms = list(terminals)
+    if any(v not in adj for v in (s, *terms)):
         raise ValueError("the source and terminals must be nodes of the kept graph")
-    terms = sorted(terminals, key=g.rank.__getitem__)
+    terms.sort(key=g.rank.__getitem__)
     if not terms:
         raise ValueError("terminal set must be non-empty")
     if s in terms:
