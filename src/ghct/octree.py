@@ -266,10 +266,10 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
     `prefixes` is given only while adj is the graph `ordered_cuts` was
     called on, that is for the sequence it was asked for and its chain of
     heads.  Each such call first looks its tuple up there, and writes the
-    stored entries of its nodes instead of building; otherwise it builds
-    and stores them, the block sets themselves.  The recursions on
-    contracted graphs are not stored: their order alone does not name
-    their graph.
+    stored entries of its nodes instead of building, each block as a new
+    set; otherwise it builds and stores them, each block as a tuple,
+    which takes less memory than a set.  The recursions on contracted
+    graphs are not stored: their order alone does not name their graph.
     """
     if len(order) == 1:
         blocks[order[0]] = set(adj)
@@ -282,7 +282,7 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
                 if p is not None:  # every node but the root, order[0]
                     parent[v] = p
                     costs[v] = c
-                blocks[v] = b
+                blocks[v] = set(b)
             return
 
     half = min((len(order) + 1 + 1) // 2, len(order) - 1)  # ceil((len + 1) / 2), tail non-empty
@@ -308,7 +308,7 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
                parent, blocks, costs)
         blocks[v] = (block - sink) | blocks[v]
     if prefixes is not None:
-        prefixes[key] = [(parent.get(v), costs.get(v), blocks[v]) for v in order]
+        prefixes[key] = [(parent.get(v), costs.get(v), tuple(blocks[v])) for v in order]
 
 
 def flatten_to_star(tree: OCTree) -> dict:

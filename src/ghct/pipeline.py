@@ -27,8 +27,13 @@ and the certification mode are fixed and the solvers are deterministic,
 so the rounds of that call share one memo, `ordered_cuts`' `prefixes`:
 a head prefix or whole sequence that an earlier round built is not cut
 again, and a round that repeats an earlier sequence makes no engine
-call.  Every round still draws its sample, so trees and random state do
-not change; only the engine work falls.
+call.  A memo key is the whole order, source included, so the memo
+stays exact across calls on the same graph: oc1 keeps one for each
+Las-Vegas attempt, bound to that attempt's perturbed graph, and each of
+its `fixed_source_blocks` calls leaves only the heads of at most three
+nodes in it for the next.  weak-oc's memo lives for one
+`fixed_source_laminar` call.  Every round still draws its sample, so
+trees and random state do not change; only the engine work falls.
 """
 
 from __future__ import annotations
@@ -192,12 +197,20 @@ def _weighted_degrees(h: dict, x) -> dict:
     return {v: sum(h[v].values()) for v in x}
 
 
+# The longest memo entry, in nodes with the source, that `fixed_source_blocks`
+# leaves to later calls: the cuts read again across oc1's source-walk rounds
+# are nearly all on heads of two or three nodes, and every entry holds blocks
+# over all of h.
+_KEPT_HEAD = 3
+
+
 def _by_estimate(sample, estimates, rank) -> tuple:
     """The sample in decreasing cost estimate, ties by `rank`."""
     return tuple(sorted(sample, key=lambda v: (-estimates[v], rank[v])))
 
 
-def fixed_source_blocks(s, x, g: Graph, h: dict, rng, counter: WorkCounter) -> dict:
+def fixed_source_blocks(s, x, g: Graph, h: dict, rng, counter: WorkCounter,
+                        prefixes: dict | None = None) -> dict:
     """Pairwise-disjoint minimum source cuts covering most of x, as
     {rep: block} in sequence order.
 
@@ -209,13 +222,20 @@ def fixed_source_blocks(s, x, g: Graph, h: dict, rng, counter: WorkCounter) -> d
     reuses the head prefixes and sequences earlier rounds of this call
     built (one `prefixes` memo), so a repeated sequence costs no engine
     call.
+
+    `prefixes` is that memo, `ordered_cuts`' on h.  Given, it may hold
+    the short heads of earlier calls on h, which this call reads too;
+    before returning, the call drops every entry longer than
+    `_KEPT_HEAD` nodes (source included), so the memo carries only short
+    heads to the next call.  Without it, the call keeps a memo of its own.
     """
     live = set(x)
     if not live:
         return {}
     rank = g.rank
     estimates = _weighted_degrees(h, live)
-    prefixes = {}  # ordered_cuts' memo of head prefixes and sequences on h, for this call only
+    if prefixes is None:
+        prefixes = {}
     # Every round keeps its representatives live, so the last sample is
     # not empty and `tree` is the full-rate round's.
     for rate in partition_schedule(len(live)) + (1.0,):
@@ -226,6 +246,8 @@ def fixed_source_blocks(s, x, g: Graph, h: dict, rng, counter: WorkCounter) -> d
         for v, block in flatten_to_star(tree).items():
             live -= block - {v}
             estimates[v] = min(estimates[v], tree.costs[v])
+    for key in [k for k in prefixes if k != "graph" and len(k) > _KEPT_HEAD]:
+        del prefixes[key]
     return {v: cut.members for v, cut in certified_source_cuts(tree).items()
             if tree.parent[v] == s}
 
@@ -333,13 +355,19 @@ def select_source_oc1(g: Graph, h: dict, nodes, x, rng, counter: WorkCounter,
     label, the source jumps to that block's representative.  Terminates
     only once all of x minus the source is covered by blocks; otherwise
     re-perturbs and retries.
+
+    Each attempt keeps one `prefixes` memo on its perturbed graph and
+    hands it to every `fixed_source_blocks` call, so a round reads the
+    short heads (at most three nodes, source included) that the
+    attempt's earlier rounds cut; the memo ends with the attempt.
     """
     def attempt(xs, x_set):
         s = xs[0]
         perturbed = perturb(h, nodes, rng)
+        prefixes = {}  # the short heads of `perturbed` this attempt's rounds have cut
         for rate in source_schedule(len(xs), len(h)):
             sample = random_subset(x_set - {s}, rate, rng, g.rank.__getitem__)
-            blocks = fixed_source_blocks(s, sample, g, perturbed, rng, counter)
+            blocks = fixed_source_blocks(s, sample, g, perturbed, rng, counter, prefixes)
             for v, block in blocks.items():
                 inside = 2 * len(block & x_set)
                 if inside > len(xs) or inside == len(xs) and xs[0] not in block:

@@ -357,6 +357,27 @@ class TestPrefixMemo:
         assert ordered_cuts((3, 1, 7, 2, 9), g, again, prefixes=memo) == first
         assert again.calls == 0
 
+    def test_stored_entries_hold_no_mutable_set(self):
+        # Each stored block is a tuple, so a tree cannot edit the memo
+        # through its blocks; a hit rebuilds the same tree.
+        rng = random.Random(151)
+        for _ in range(30):
+            g = self.draw(rng)
+            labels = list(g.labels)
+            rng.shuffle(labels)
+            seq = tuple(labels)
+            memo = {}
+            first = ordered_cuts(seq, g, WorkCounter(), prefixes=memo)
+            entries = [entry for key, entry in memo.items() if key != "graph"]
+            assert len(entries) == len(head_lengths(len(seq))) + (len(seq) > 1)
+            for entry in entries:
+                for _, _, block in entry:
+                    assert type(block) is tuple
+            again = WorkCounter()
+            assert ordered_cuts(seq, g, again, prefixes=memo) == first
+            assert first == ordered_cuts(seq, g, WorkCounter())
+            assert again.calls == 0
+
     def test_memo_of_another_graph_raises(self, tri):
         memo = {}
         ordered_cuts((1, 2, 3), tri, WorkCounter(), prefixes=memo)

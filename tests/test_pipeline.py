@@ -489,6 +489,50 @@ class TestRepeatedRounds:
         assert first.snapshot() == second.snapshot()
 
 
+class TestAttemptMemo:
+    """`select_source_oc1` hands one `prefixes` memo to every
+    `fixed_source_blocks` call of an attempt; each call leaves only the
+    entries of at most three nodes in it."""
+
+    def test_shared_memo_changes_only_the_work(self, monkeypatch):
+        g = connected_random_graph(random.Random(4), 12)
+        h, nodes = whole(g)
+
+        def run(counter):
+            rng = random.Random(4)
+            return select_source_oc1(g, h, nodes, set(nodes), rng, counter), rng.getstate()
+
+        shared, fresh = WorkCounter(), WorkCounter()
+        expected = run(shared)
+        blocks = pipeline.fixed_source_blocks
+        monkeypatch.setattr(pipeline, "fixed_source_blocks",
+                            lambda s, x, g, h, rng, counter, prefixes=None:
+                            blocks(s, x, g, h, rng, counter))
+        assert run(fresh) == expected
+        assert shared.calls < fresh.calls
+        assert shared.nodes_total < fresh.nodes_total
+
+    def test_calls_sharing_a_memo_return_what_fresh_calls_return(self):
+        rng = random.Random(29)
+        saved = 0
+        for _ in range(20):
+            g = connected_random_graph(rng, rng.randint(3, 12))
+            h = perturb(*whole(g), rng)
+            memo = {}
+            for _ in range(2):
+                s = rng.randrange(g.num_nodes)
+                ground = set(rng.sample(sorted(set(h) - {s}), rng.randint(1, len(h) - 1)))
+                seed = rng.random()
+                shared, fresh = WorkCounter(), WorkCounter()
+                assert (fixed_source_blocks(s, ground, g, h, random.Random(seed), shared, memo)
+                        == fixed_source_blocks(s, ground, g, h, random.Random(seed), fresh))
+                assert shared.nodes_total <= fresh.nodes_total
+                saved += fresh.nodes_total - shared.nodes_total
+                assert memo["graph"] is h
+                assert all(len(key) <= 3 for key in memo if key != "graph")
+        assert saved > 0
+
+
 class TestSelectSourceWeak:
     def test_two_member_supernode(self, g2):
         s, family = select_source_weak(g2, *whole(g2), {0, 1}, random.Random(7), WorkCounter())

@@ -98,11 +98,11 @@ PINNED = {
           (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "oc1", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         86, 481, 472, 7, 8,
+         81, 453, 444, 7, 8,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "oc1", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         93, 501, 485, 7, 9,
+         88, 466, 450, 7, 9,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
@@ -132,11 +132,11 @@ PINNED = {
           (5, (6, 9)), (6, (3, 3)))),
     ("grid3x4", "oc1", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         80, 525, 691, 6, 6,
+         71, 425, 549, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "oc1", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         75, 473, 624, 6, 6,
+         68, 407, 530, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
@@ -168,11 +168,11 @@ PINNED = {
           (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "oc1", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         153, 1312, 2835, 5, 5,
+         149, 1248, 2675, 5, 5,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "oc1", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         157, 1396, 3059, 5, 6,
+         147, 1239, 2665, 5, 6,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
@@ -192,11 +192,11 @@ PINNED = {
          ((0, (16, 40)), (1, (20, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("scrambled12", "oc1", 0):
         ("80178cc4fbbe82112357dc21e2b6110999529caf113b8dea68dba30d9118e93c",
-         70, 511, 1042, 2, 2,
+         65, 453, 900, 2, 2,
          ((0, (12, 30)), (1, (3, 3)))),
     ("scrambled12", "oc1", 1):
         ("80178cc4fbbe82112357dc21e2b6110999529caf113b8dea68dba30d9118e93c",
-         114, 844, 1736, 2, 3,
+         113, 832, 1706, 2, 3,
          ((0, (12, 30)), (1, (3, 3)))),
     ("scrambled12", "weak-oc", 0):
         ("c46c72172eb180451d830061a8ff4b695e4c2c36128d339c91d2b8a24af50775",
