@@ -224,7 +224,7 @@ def _oc_scaling_runs(graphs: dict, seeds):
         family = name.partition("_")[0]
         if not family.startswith("erdos-renyi"):
             continue
-        if g.num_nodes < 2:  # no flow work, and log(0) in fit_exponent
+        if g.num_nodes < 2:  # no cut to order
             continue
         for seed in seeds:
             rng = random.Random((seed << 16) ^ g.num_nodes)
@@ -240,13 +240,16 @@ def _oc_scaling_runs(graphs: dict, seeds):
 def fit_exponent(by_n: dict) -> float | None:
     """Least-squares slope of log(mean work) against log(n), with one
     intercept per family: each family's points are centred on their own
-    means, so a family's weights move only its intercept.  None unless
-    some family has two sizes."""
+    means, so a family's weights move only its intercept.  A point of
+    mean work 0 (on a graph of 3 nodes or fewer every cut is read off
+    without a flow) has no logarithm and is left out.  None unless some
+    family has two sizes left."""
     points: dict = {}
     for n, families in by_n.items():
         for family, values in families.items():
-            points.setdefault(family, []).append(
-                (math.log(n), math.log(statistics.fmean(values))))
+            mean = statistics.fmean(values)
+            if mean:
+                points.setdefault(family, []).append((math.log(n), math.log(mean)))
     sxy = sxx = 0.0
     for pts in points.values():
         mx = statistics.fmean(x for x, _ in pts)

@@ -275,6 +275,37 @@ def contract_kept(adj: dict, keep, s) -> dict:
     return out
 
 
+def forced_min_cut(adj: dict, s_side, t_side) -> Cut | None:
+    """The minimum s_side-t_side cut of the adjacency `adj` with
+    inclusion-minimal sink side, read off without a flow, or None when
+    more than one node of adj lies outside both sides.
+
+    The sides are disjoint non-empty sets of adj's nodes.  With no free
+    node the sink side is t_side; with one, z, it is t_side or
+    t_side | {z}, whichever costs less, t_side on a tie.  Minimum-cut
+    sink sides are closed under intersection, so the least-cost side with
+    fewest nodes is the inclusion-minimal one the engine returns.
+    """
+    free = len(adj) - len(s_side) - len(t_side)
+    if free > 1:
+        return None
+    sink = frozenset(t_side)
+    cost = 0
+    for x in sink:
+        for y, w in adj[x].items():
+            if y not in sink:
+                cost += w
+    if free:
+        (z,) = adj.keys() - s_side - sink
+        # z's edges go into s_side or t_side: moving z to the sink side
+        # takes its edges into t_side out of the cut and puts the rest in.
+        into_t = sum(w for y, w in adj[z].items() if y in sink)
+        into_s = sum(adj[z].values()) - into_t
+        if into_s < into_t:
+            return Cut(sink | {z}, cost - into_t + into_s)
+    return Cut(sink, cost)
+
+
 def contract_set_to_node(g: Graph, members, label) -> Graph:
     """Merge the node set `members` into a single node named `label`."""
     members = set(members)

@@ -6,14 +6,25 @@ halved: one bipartition cut splits the graph, each side is contracted to
 a super-source, and the halves recurse independently.  The recursion
 runs over g's node indices: each contracted graph is an adjacency over
 them (`graph.contract_kept`), built at O(degree of the side it keeps) and
-cut by the engine as a kept graph.  The returned cuts are pairwise
-disjoint.
+cut by the engine as a kept graph.  A cut whose graph has at most one
+node outside its terminal sides (len(adj) - 1 - len(terminals) <= 1) is
+read off without a flow (`graph.forced_min_cut`) and records no work.
+The returned cuts are pairwise disjoint.
 """
 
 from __future__ import annotations
 
-from .graph import Cut, Graph, contract_kept
+from .graph import Cut, Graph, contract_kept, forced_min_cut
 from .maxflow import WorkCounter, min_cut_minimal_sink
+
+
+def _cut(g: Graph, s_side: set, t_side: set, work: WorkCounter, adj: dict):
+    """The minimal-sink cut of adj between the sides: `forced_min_cut`'s
+    when it has one, else the engine's."""
+    cut = forced_min_cut(adj, s_side, t_side)
+    if cut is None:
+        cut = min_cut_minimal_sink(g, s_side, t_side, work, adj=adj)
+    return cut
 
 
 def _isolate(s, terminals, adj: dict, g: Graph, work: WorkCounter, depth: int):
@@ -21,11 +32,11 @@ def _isolate(s, terminals, adj: dict, g: Graph, work: WorkCounter, depth: int):
     other than its node s, which holds the source."""
     if len(terminals) == 1:
         v = terminals[0]
-        return {v: min_cut_minimal_sink(g, {s}, {v}, work, adj=adj)}, depth
+        return {v: _cut(g, {s}, {v}, work, adj)}, depth
 
     mid = len(terminals) // 2
     left, right = terminals[:mid], terminals[mid:]
-    cut = min_cut_minimal_sink(g, {s, *left}, set(right), work, adj=adj)
+    cut = _cut(g, {s, *left}, set(right), work, adj)
 
     # Each half keeps its own side; the other side merges into s.  A lone
     # right terminal needs no recursion: its cut is the minimal sink side.

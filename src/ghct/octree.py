@@ -4,10 +4,12 @@ An OC tree for a node sequence (s, v1, ..., vl) is a partition of the
 graph's nodes into one block per sequence node, plus a parent map whose
 edges always point to earlier sequence positions.  The down-set of v (the
 union of blocks in v's subtree) is a minimum (prefix before v)-v cut, and
-the tree records its cost as the engine returned it.
+the tree records its cost as its cut returned it.
 
 The divide-and-conquer solver `ordered_cuts` builds a valid tree with
-max-flow work that stays subquadratic on random node orders.  It solves
+max-flow work that stays subquadratic on random node orders.  A cut
+whose graph has at most one node outside its terminal sides is read off
+without a flow (`graph.forced_min_cut`) and records no work.  It solves
 the head of the sequence first, so the entries of a head prefix depend
 only on that prefix and the graph: calls that share a `prefixes` memo on
 one graph build each head prefix once.  Its readers
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Cut, Graph, contract_kept, cut_cost, label_key
+from .graph import Cut, Graph, contract_kept, cut_cost, forced_min_cut, label_key
 from .maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 
 
@@ -257,11 +259,13 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
     side overwrites that node's block, and the caller adds back the source
     side it cut off.  A head node v cuts `contract_kept(adj, block, v)`,
     and its recursion runs on that graph with all but the sink side merged
-    into v, each built at O(degree of what it keeps).  A node's down-set is
-    fixed by the one-target step that parents it; adj keeps the cost of
-    every set without its source, so the engine's cut value is that
-    down-set's cost in g.  No block is edited in place: each step writes
-    a new set.
+    into v, each built at O(degree of what it keeps).  When at most one
+    node of that graph is neither v nor a target (len(block) - 1 -
+    len(targets) <= 1), the cut is read off by `forced_min_cut` and no
+    engine call is made or counted.  A node's down-set is fixed by the
+    one-target step that parents it; adj keeps the cost of every set
+    without its source, so the cut's value is that down-set's cost in g.
+    No block is edited in place: each step writes a new set.
 
     `prefixes` is given only while adj is the graph `ordered_cuts` was
     called on, that is for the sequence it was asked for and its chain of
@@ -296,7 +300,10 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
         if not targets:
             continue
         sub = contract_kept(adj, block, v)
-        cut = min_cut_minimal_sink(g, {v}, set(targets), counter, adj=sub)
+        sources, sinks = {v}, set(targets)
+        cut = forced_min_cut(sub, sources, sinks)
+        if cut is None:
+            cut = min_cut_minimal_sink(g, sources, sinks, counter, adj=sub)
         sink = cut.members
         if len(targets) == 1:  # the minimal sink side is that target's latest cut
             parent[targets[0]] = v

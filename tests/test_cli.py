@@ -258,10 +258,16 @@ class TestOrderedCutsCommand:
             "error: produced tree failed validation:")
         assert not out.exists()
 
-    def test_stats_out(self, tri_file, tmp_path):
+    def test_stats_out(self, tmp_path):
+        # On a triangle every cut has at most one free node and is read off
+        # without a flow, so the stats would count no engine call: cut a
+        # 6-cycle with weights 1..6 instead.
+        graph = tmp_path / "cycle6.dimacs"
+        graph.write_text("p ghct 6 6\n" + "".join(f"e {i} {i % 6 + 1} {i}\n"
+                                                  for i in range(1, 7)))
         out = tmp_path / "oc.txt"
         stats = tmp_path / "oc-stats.json"
-        assert main(["ordered-cuts", str(tri_file), "--sequence", "1,2,3",
+        assert main(["ordered-cuts", str(graph), "--sequence", "1,2,3,4,5,6",
                      "--out", str(out), "--stats-out", str(stats)]) == 0
         payload = json.loads(stats.read_text())
         assert payload["maxflow_calls"] >= 2
@@ -380,6 +386,21 @@ class TestBench:
                      "--report", str(report)]) == 0
         scaling = json.loads(report.read_text())["oc_scaling"]
         assert scaling["nodes_total_by_n"].keys() == {"3"}
+
+    def test_scaling_points_without_work_left_out_of_fit(self, tmp_path, capsys):
+        # On 2 and 3 nodes every ordered cut is read off without a flow:
+        # the points are reported with work 0, and the fit uses only the
+        # weighted family, whose 16- and 32-node points have work.
+        corpus = tmp_path / "corpus"
+        report = tmp_path / "report.json"
+        assert main(["bench", str(corpus), "--generate", "--scaling-sizes", "2", "3",
+                     "--methods", "classic", "--seeds", "0",
+                     "--report", str(report)]) == 0
+        scaling = json.loads(report.read_text())["oc_scaling"]
+        by_n = scaling["nodes_total_by_n"]
+        assert by_n["2"] == by_n["3"] == {"erdos-renyi-unit": [0]}
+        (w16,), (w32,) = by_n["16"]["erdos-renyi"], by_n["32"]["erdos-renyi"]
+        assert scaling["fitted_exponent"] == pytest.approx(math.log(w32 / w16) / math.log(2))
 
     def test_generated_corpus_runs(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

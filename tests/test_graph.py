@@ -11,12 +11,14 @@ from ghct.graph import (
     contract_kept,
     contract_set_to_node,
     cut_cost,
+    forced_min_cut,
     parse_dimacs,
     write_dimacs,
 )
 from ghct.isolating import isolating_cuts, isolating_cuts_with_depth
 from ghct.maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 from ghct.octree import ordered_cuts, validate
+from ghct.oracle import brute_all_min_cuts
 
 from conftest import random_graph, scrambled
 
@@ -189,6 +191,62 @@ class TestContractKept:
         adj = tri.adjacency
         assert contract_kept(adj, {0, 1, 2}, 1) is adj
         assert tri.adjacency is adj  # built once
+
+
+class TestForcedMinCut:
+    @staticmethod
+    def kept_sides(rng, free):
+        """(g, adj, h, s_side, t_side): a random kept graph adj of g, the
+        same graph h as a Graph, and random disjoint sides of its nodes
+        leaving `free` nodes outside both."""
+        while True:
+            g = sparse_graph(rng)
+            if g.num_nodes >= free + 2:
+                break
+        keep = rng.sample(g.labels, rng.randint(free + 2, g.num_nodes))
+        s = rng.choice(keep)
+        adj = contract_kept(g.adjacency, g.indices(keep), g.indices([s]).pop())
+        h = contract(g, keep, s)
+        sided = keep[:]
+        rng.shuffle(sided)
+        sided = sided[:len(sided) - free]
+        k = rng.randint(1, len(sided) - 1)
+        return g, adj, h, set(sided[:k]), set(sided[k:])
+
+    @pytest.mark.parametrize("free", [0, 1])
+    def test_equals_the_intersection_of_all_minimum_cuts(self, free):
+        # Weight-0 edges and disconnected parts make ties common, and the
+        # sides hold several nodes as often as one.
+        rng = random.Random(157 + free)
+        grown = multi = 0
+        for _ in range(300):
+            g, adj, h, s_side, t_side = self.kept_sides(rng, free)
+            cut = forced_min_cut(adj, g.indices(s_side), g.indices(t_side))
+            members = {g.labels[x] for x in cut.members}
+            assert members == frozenset.intersection(*brute_all_min_cuts(h, s_side, t_side))
+            assert cut.cost == cut_cost(h, members)
+            engine = min_cut_minimal_sink(g, g.indices(s_side), g.indices(t_side),
+                                          WorkCounter(), adj=adj)
+            assert cut == engine
+            grown += len(members) > len(t_side)
+            multi += len(s_side) > 1 and len(t_side) > 1
+        assert multi > 50
+        assert grown > 50 if free else grown == 0
+
+    def test_two_free_nodes_return_none(self):
+        rng = random.Random(163)
+        for _ in range(100):
+            g, adj, _, s_side, t_side = self.kept_sides(rng, rng.randint(2, 4))
+            assert forced_min_cut(adj, g.indices(s_side), g.indices(t_side)) is None
+
+    def test_two_node_ordered_cuts_make_no_engine_call(self):
+        for w in (0, 1, 7):
+            g = Graph(["a", "b"], [("a", "b", w)])
+            counter = WorkCounter()
+            tree = ordered_cuts(("b", "a"), g, counter)
+            assert counter == WorkCounter()
+            assert tree.costs == {"a": w}
+            assert validate(tree, g)
 
 
 class TestAdjacencyUnchanged:

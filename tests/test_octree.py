@@ -264,7 +264,7 @@ class TestOrderedCuts:
         monkeypatch.setattr(octree, "min_cut_minimal_sink", counting)
         rng = random.Random(127)
         total = 0
-        for _ in range(30):
+        for _ in range(60):  # enough draws for > 60 calls: small cuts skip the engine
             g = random_graph(rng, rng.randint(2, 14))
             counter = WorkCounter()
             ordered_cuts(random_sequence(rng, g), g, counter)
@@ -327,10 +327,12 @@ class TestPrefixMemo:
 
     def test_repeated_chain_prefix_records_less_work(self):
         rng = random.Random(139)
-        for _ in range(80):
+        for _ in range(95):
             g = self.draw(rng)
             labels = list(g.labels)
-            if len(labels) < 3:
+            # On 3 nodes every cut is read off without a flow, so there is
+            # no engine call for a stored prefix to save.
+            if len(labels) < 4:
                 continue
             rng.shuffle(labels)
             seq = tuple(labels[:rng.randint(3, len(labels))])

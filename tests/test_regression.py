@@ -98,27 +98,27 @@ PINNED = {
           (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "oc1", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         81, 453, 444, 7, 8,
+         57, 392, 396, 7, 8,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "oc1", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         88, 466, 450, 7, 9,
+         63, 403, 403, 7, 9,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         60, 295, 283, 8, 8,
+         37, 234, 235, 8, 8,
          ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (4, 4)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         374, 2123, 2073, 8, 10,
+         219, 1636, 1657, 8, 10,
          ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         33, 147, 137, 8, 8,
+         19, 112, 112, 8, 8,
          ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         164, 973, 953, 8, 11,
+         114, 836, 841, 8, 11,
          ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)), (3, (4, 4)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
@@ -132,27 +132,27 @@ PINNED = {
           (5, (6, 9)), (6, (3, 3)))),
     ("grid3x4", "oc1", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         71, 425, 549, 6, 6,
+         46, 361, 497, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "oc1", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         68, 407, 530, 6, 6,
+         43, 341, 474, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         177, 853, 1076, 5, 8,
+         90, 585, 815, 5, 8,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 10)))),
     ("grid3x4", "weak-oc", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         245, 1117, 1424, 7, 12,
+         121, 739, 1057, 7, 12,
          ((0, (12, 17)), (1, (14, 20)), (2, (13, 19)), (3, (9, 12)))),
     ("grid3x4", "weak-oc-octree", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         36, 156, 185, 5, 6,
+         18, 109, 147, 5, 6,
          ((0, (12, 17)), (1, (14, 20)), (2, (10, 13)))),
     ("grid3x4", "weak-oc-octree", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         27, 112, 129, 6, 6,
+         13, 77, 101, 6, 6,
          ((0, (12, 17)), (1, (14, 20)), (2, (10, 13)), (3, (6, 9)))),
     ("er16", "classic", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
@@ -168,51 +168,51 @@ PINNED = {
           (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "oc1", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         149, 1248, 2675, 5, 5,
+         98, 1114, 2571, 5, 5,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "oc1", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         147, 1239, 2665, 5, 6,
+         98, 1109, 2560, 5, 6,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         95, 596, 1154, 5, 5,
+         43, 448, 1022, 5, 5,
          ((0, (16, 40)), (1, (22, 42)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         471, 3581, 7408, 6, 9,
+         272, 2984, 6856, 6, 9,
          ((0, (16, 40)), (1, (20, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         47, 346, 718, 5, 5,
+         27, 292, 672, 5, 5,
          ((0, (16, 40)), (1, (22, 42)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         208, 1691, 3595, 6, 9,
+         138, 1502, 3445, 6, 9,
          ((0, (16, 40)), (1, (20, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("scrambled12", "oc1", 0):
         ("80178cc4fbbe82112357dc21e2b6110999529caf113b8dea68dba30d9118e93c",
-         65, 453, 900, 2, 2,
+         43, 390, 847, 2, 2,
          ((0, (12, 30)), (1, (3, 3)))),
     ("scrambled12", "oc1", 1):
         ("80178cc4fbbe82112357dc21e2b6110999529caf113b8dea68dba30d9118e93c",
-         113, 832, 1706, 2, 3,
+         77, 730, 1626, 2, 3,
          ((0, (12, 30)), (1, (3, 3)))),
     ("scrambled12", "weak-oc", 0):
         ("c46c72172eb180451d830061a8ff4b695e4c2c36128d339c91d2b8a24af50775",
-         176, 1149, 2304, 3, 5,
+         101, 895, 2008, 3, 5,
          ((0, (12, 30)), (1, (12, 30)), (2, (11, 28)))),
     ("scrambled12", "weak-oc", 1):
         ("074f46265d03ae0d75d781fae029655a9461e58f4d7e716c7bf15506385d4f9b",
-         182, 1198, 2415, 3, 5,
+         98, 911, 2073, 3, 5,
          ((0, (12, 30)), (1, (12, 30)), (2, (12, 30)))),
     ("scrambled12", "weak-oc-octree", 0):
         ("c46c72172eb180451d830061a8ff4b695e4c2c36128d339c91d2b8a24af50775",
-         74, 544, 1131, 3, 5,
+         57, 492, 1085, 3, 5,
          ((0, (12, 30)), (1, (12, 30)), (2, (11, 28)))),
     ("scrambled12", "weak-oc-octree", 1):
         ("074f46265d03ae0d75d781fae029655a9461e58f4d7e716c7bf15506385d4f9b",
-         80, 629, 1333, 3, 5,
+         64, 577, 1289, 3, 5,
          ((0, (12, 30)), (1, (12, 30)), (2, (12, 30)))),
 }
 
@@ -245,27 +245,27 @@ PINNED_OC = {
     ("cycle12", 0):
         ("fff48f45ff618e64b5b5f25aad385bdabceab1f968f59bea5d8e5322a2e91abd",
          "820d146f9e4a03259eeff4f11d4aa906c37697e5c5512484f6f8fbfe5f085e6a",
-         (10,), (), 13, 54, 48),
+         (10,), (), 5, 34, 34),
     ("cycle12", 1):
         ("3aa5de35b9c536aa72d1a73211bfbf559725965c900ba883231a3340fe5cd950",
          "67f87427a95b7de39ef5c70468d4d6ff6d807f5670d44443f06f7457a21a5a0c",
-         (12,), (), 14, 59, 57),
+         (12,), (), 5, 33, 34),
     ("grid3x4", 0):
         ("0ac5f4eabdd5c7b6e96b63881fd57c5e544f8639e05d50d982dd3950e446e5dd",
          "aadf15419d7e857174d4a8898456c06c1e2565c8b989e500c32c90ca643e7b24",
-         (10, 12), (10, 12), 14, 76, 98),
+         (10, 12), (10, 12), 7, 58, 83),
     ("grid3x4", 1):
         ("8eb7aedb2b2d668a0625dcb0281cdaa23f1fbc51d4de01507975463d2ac0b483",
          "58bd449da9cf02a86001bde69f56029a58dc7e845f0e48833ebf31c731ac005e",
-         (12, 1), (12,), 13, 63, 75),
+         (12, 1), (12,), 7, 47, 64),
     ("er16", 0):
         ("8cf3ef3c240f1db172b42ab82dda823e59bc3aa9c104d3c4b15bc65cdacbec17",
          "070b0de26f96bdabcd8260f585d589c03045a0931999452ad52813f03da406bd",
-         (15, 6, 1), (1, 6, 15), 20, 149, 308),
+         (15, 6, 1), (1, 6, 15), 13, 126, 286),
     ("er16", 1):
         ("90f10e54db4f2b1d54c4a310831cc7fbedbe678772b6051a4d7e56e244d4550a",
          "4050143bd3916bb8f46e54d3fe9a4fdb98d6714769f34cd14884001ceb11c693",
-         (1, 6), (1, 11), 20, 119, 218),
+         (1, 6), (1, 11), 10, 87, 184),
 }
 
 
@@ -292,22 +292,22 @@ def isolating_fingerprint(instance: str, seed: int) -> tuple:
 PINNED_ISOLATING = {
     ("cycle12", 0):
         ("0776ee7345cb941797d517a2eee93e1a9fea1b6354182ec3f31fbbef60f0ea36",
-         9, 45, 44, 3),
+         5, 35, 36, 3),
     ("cycle12", 1):
         ("a47875eb06cfb6128a90b705892c9c90671553097df69f2d1073704acb5bb4dc",
-         9, 44, 42, 3),
+         3, 26, 26, 3),
     ("grid3x4", 0):
         ("28663d933c5509ec99daab1aae47e48966cf3a1f45f114a18beb5cc4cdbbb825",
-         9, 47, 57, 3),
+         6, 38, 49, 3),
     ("grid3x4", 1):
         ("539aa95d78f0d0334831c0bf6d837bf4c0775e8c0495a2dd12249b6c9e17cec6",
-         9, 45, 58, 3),
+         3, 25, 36, 3),
     ("er16", 0):
         ("ce72c234eccd076c7c590315cd9c3ecd7732038e0cb05b284e690edd5ab60f16",
-         11, 66, 113, 3),
+         4, 43, 91, 3),
     ("er16", 1):
         ("7ef42e9e3e38fdb2b790cb158f4f466a501670069ffc35be51419616a79116c3",
-         11, 67, 125, 3),
+         7, 57, 119, 3),
 }
 
 
