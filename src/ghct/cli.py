@@ -261,6 +261,22 @@ def fit_exponent(by_n: dict) -> float | None:
 
 def cmd_bench(args) -> int:
     cap = _attempt_cap(args.max_attempts)
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise _InputError(f"--methods must name at least one of {', '.join(METHODS)}")
+    for m in methods:
+        if m not in METHODS:
+            raise _InputError(f"unknown method {m!r}")
+    try:
+        seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise _InputError("--seeds must be comma-separated integers")
+    for flag, entries in (("--methods", methods), ("--seeds", seeds)):
+        repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+        if repeated:
+            raise _InputError(f"{flag} repeats {repeated[0]!r}")
     corpus = Path(args.corpus)
     if args.generate:
         try:
@@ -276,18 +292,6 @@ def cmd_bench(args) -> int:
     paths = sorted(corpus.glob("*.dimacs")) if corpus.is_dir() else []
     if not paths:
         raise _InputError(f"no .dimacs instances under {corpus}")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise _InputError(f"--methods must name at least one of {', '.join(METHODS)}")
-    for m in methods:
-        if m not in METHODS:
-            raise _InputError(f"unknown method {m!r}")
-    try:
-        seeds = [int(tok) for tok in args.seeds.split(",") if tok.strip()]
-    except ValueError:
-        seeds = []
-    if not seeds:
-        raise _InputError("--seeds must be comma-separated integers")
     # After --generate, which may create the report's directory.
     _check_writable(args.report)
 

@@ -92,7 +92,7 @@ class Graph:
 
         self.labels = labels
         self._index = index
-        self.edges = _merged_edges(merged, k)
+        self.edges = tuple([(key // k, key % k, merged[key]) for key in sorted(merged)])
         self._label_order = None
         self._rank = None
         self._adjacency = None
@@ -185,33 +185,10 @@ def cut_cost(g: Graph, members) -> int:
     return total
 
 
-def _merged_edges(merged: dict, k: int) -> tuple:
-    """Edge triples (a, b, w) in (a, b) order from weights merged on the
-    integer keys a * k + b, a < b < k."""
-    return tuple([(key // k, key % k, merged[key]) for key in sorted(merged)])
-
-
 def _quotient(g: Graph, new_labels, rep_of) -> Graph:
     """Contract by an index->new-label map; merges parallels, drops loops."""
-    labels = tuple(new_labels)
-    pos = {lab: i for i, lab in enumerate(labels)}
-    new_of = [pos[rep] for rep in rep_of]
-    k = len(labels)
-    merged: dict = {}
-    for iu, iv, w in g.edges:
-        a = new_of[iu]
-        b = new_of[iv]
-        if a != b:
-            key = a * k + b if a < b else b * k + a
-            merged[key] = merged.get(key, 0) + w
-    out = Graph.__new__(Graph)
-    out.labels = labels
-    out._index = pos
-    out.edges = _merged_edges(merged, k)
-    out._label_order = None
-    out._rank = None
-    out._adjacency = None
-    return out
+    return Graph(new_labels, [(rep_of[u], rep_of[v], w) for u, v, w in g.edges
+                              if rep_of[u] != rep_of[v]])
 
 
 def contract(g: Graph, keep, s) -> Graph:

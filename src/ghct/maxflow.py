@@ -4,10 +4,13 @@ A shortest-augmenting-path solver over exact integer capacities (Edmonds
 & Karp 1972).  Each search is bidirectional: breadth-first trees grow
 from the source and from the sink until they meet, and every meet of one
 level expansion closes a shortest augmenting path, so one search serves
-many augmentations.  Every higher-level routine funnels through the
-three entry points here, each of which records the size of the graph it
-cuts in a WorkCounter once its terminal sides pass validation, and
-returns a `Cut`: the sink side as `members`, the flow value as `cost`.
+many augmentations.  Every higher-level routine that runs a flow funnels
+through the three entry points here, each of which records the size of
+the graph it cuts in a WorkCounter once its terminal sides pass
+validation, and returns a `Cut`: the sink side as `members`, the flow
+value as `cost`.  A cut with at most one node outside its terminal
+sides is read off without a flow (`graph.forced_min_cut`, used by
+`octree` and `isolating`) and records no work.
 
 Every call cuts a graph H: g itself, or, given `adj`, a contracted graph
 of g its caller keeps as an adjacency `{node: {neighbour: weight}}` over

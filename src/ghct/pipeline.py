@@ -252,27 +252,22 @@ def fixed_source_blocks(s, x, g: Graph, h: dict, rng, counter: WorkCounter,
             if tree.parent[v] == s}
 
 
-def _covers_enough(x, covered, limit: int) -> bool:
-    """Whether a family whose cuts' union is `covered` leaves at most
-    `limit` members of x (source included) uncovered: weak-oc's
-    acceptance test."""
-    return len(x - covered) <= limit
-
-
 def fixed_source_laminar(s, x, limit: int, g: Graph, h: dict, rng, counter: WorkCounter,
                          certify: str = "isolating") -> list:
-    """Laminar family of minimum source cuts touching at most `limit` of x.
+    """The maximal members of the first accepted laminar family of
+    minimum source cuts, each touching at most `limit` of x, or [].
 
-    Accumulates certified cuts over twice the partition schedule until
-    the family is first accepted (`_covers_enough` of x and s), keeping
-    per-node running estimates; returns [] as soon as the family stops
-    being laminar (the caller re-perturbs and retries).  Later rounds
-    could only add cuts to an accepted family, so they are not run.  A
-    round that repeats an earlier round's sequence is skipped after its
-    draw: its estimates are already folded in and its certified cuts
-    already in the family.  Every round reuses the head prefixes earlier
-    rounds of this call built (one `prefixes` memo).  The family comes
-    sorted by size, then by the least label rank of each cut's members of x.
+    This is weak-oc's acceptance rule: certified cuts accumulate over
+    twice the partition schedule, with per-node running estimates, until
+    their union leaves at most `limit` of x and s uncovered.  Later
+    rounds could only add cuts, so they are not run.  Returns [] as soon
+    as the family stops being laminar, or if the schedule ends first (the
+    caller re-perturbs and retries).  A round that repeats an earlier
+    round's sequence is skipped after its draw: its estimates are already
+    folded in and its certified cuts already in the family.  Every round
+    reuses the head prefixes earlier rounds of this call built (one
+    `prefixes` memo).  The members come sorted by size, then by the least
+    label rank of each cut's members of x.
     """
     x = set(x)
     if not x:
@@ -286,10 +281,7 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, h: dict, rng, counter: Work
     seen = set()  # the sequences this call has cut
     prefixes = {}  # ordered_cuts' memo of head prefixes and sequences on h, for this call only
     for rate in rates + rates:
-        candidates = x - covered
-        if not candidates:
-            break
-        seq = _by_estimate(random_subset(candidates, rate, rng, rank.__getitem__),
+        seq = _by_estimate(random_subset(x - covered, rate, rng, rank.__getitem__),
                            estimates, rank)
         if not seq or seq in seen:
             continue
@@ -307,9 +299,10 @@ def fixed_source_laminar(s, x, limit: int, g: Graph, h: dict, rng, counter: Work
         for a in added:
             if any(a & b and not (a <= b or b <= a) for b in family):
                 return []
-        if _covers_enough(with_source, covered, limit):
-            break
-    return sorted(family, key=lambda c: (len(c), min(rank[v] for v in c & x)))
+        if len(with_source - covered) <= limit:
+            return sorted([a for a in family if not any(a < b for b in family)],
+                          key=lambda c: (len(c), min(rank[v] for v in c & x)))
+    return []
 
 
 # -- source selection (the driver's line-4 strategies) --------------------
@@ -386,11 +379,12 @@ def select_source_weak(g: Graph, h: dict, nodes, x, rng, counter: WorkCounter,
                        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
                        certify: str = "isolating"):
     """Pick a random source; accept once the laminar family of small-side
-    cuts covers all but half of x (`_covers_enough`); h, nodes and x as
-    for `select_source_oc1`.
+    cuts covers all but half of x; h, nodes and x as for
+    `select_source_oc1`.
 
-    `fixed_source_laminar` accumulates the family until it is first
-    accepted, so an attempt runs no round past the one that accepts it.
+    An attempt draws s, perturbs h and returns the maximal members that
+    `fixed_source_laminar`, the one owner of the acceptance rule, hands
+    back; an empty answer rejects the attempt.
 
     The first attempt draws s uniformly from x's heavy members, those
     whose weighted degree in h is at least x's lower median (in label
@@ -414,12 +408,7 @@ def select_source_weak(g: Graph, h: dict, nodes, x, rng, counter: WorkCounter,
         perturbed = perturb(h, nodes, rng)
         family = fixed_source_laminar(s, x_set - {s}, limit, g, perturbed, rng,
                                       counter, certify)
-        family = [c for c in family
-                  if not any(c < other for other in family)]
-        covered = set().union(*family) if family else set()
-        if family and _covers_enough(x_set, covered, limit):
-            return s, family
-        return None
+        return (s, family) if family else None
 
     return _las_vegas(g, h, x, stats, max_attempts, attempt)
 

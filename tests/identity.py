@@ -13,8 +13,9 @@ labels (its line keeps the call name "min_cut groups").
 
 The 204 graphs are Erdos-Renyi by edge count and by probability, grids,
 cycles, stars and trees plus noise, with at most 22 nodes and weights
-from 0.  Pytest does not collect this file.  Run it from the root of
-each checkout and compare:
+from 0.  Pytest does not collect this file; `tests/test_identity.py`
+runs its first graphs as a smoke test.  Run it from the root of each
+checkout and compare:
 
     PYTHONPATH=src python3 tests/identity.py > a.jsonl   # one checkout
     PYTHONPATH=src python3 tests/identity.py > b.jsonl   # the other
@@ -108,17 +109,23 @@ def engine_cases(g, rng):
                "cost": cut.cost, "work": counter.snapshot()}
 
 
-def main():
-    for i in range(GRAPHS):
+def lines(graphs: int = GRAPHS):
+    """The printed lines of the first `graphs` graphs, in order."""
+    for i in range(graphs):
         rng = random.Random(i)
         n = rng.randint(2, 22)
         g = FAMILIES[i % len(FAMILIES)](rng, n, (0, rng.choice((1, 5, 16))))
         head = {"graph": i, "n": g.num_nodes, "m": g.num_edges}
         for case in engine_cases(g, rng):
-            print(json.dumps({**head, **case}, sort_keys=True))
+            yield json.dumps({**head, **case}, sort_keys=True)
         for method in METHODS:
             for seed in SEEDS:
-                print(json.dumps({**head, **build(g, method, seed)}, sort_keys=True))
+                yield json.dumps({**head, **build(g, method, seed)}, sort_keys=True)
+
+
+def main():
+    for line in lines():
+        print(line)
 
 
 if __name__ == "__main__":

@@ -330,16 +330,20 @@ class TestBench:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--seeds", "", "--seeds must be comma-separated integers"),
-        ("--methods", ",", "--methods must name at least one of classic, oc1, weak-oc")],
-        ids=["seeds", "methods"])
+        ("--methods", ",", "--methods must name at least one of classic, oc1, weak-oc"),
+        ("--seeds", "0,1,00", "--seeds repeats 0"),
+        ("--methods", "classic, oc1,classic", "--methods repeats 'classic'")],
+        ids=["seeds", "methods", "repeated-seed", "repeated-method"])
     def test_empty_list_exits_1(self, tmp_path, capsys, flag, value, message):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "tri.dimacs").write_text(TRI_TEXT)
         report = tmp_path / "rows.json"
-        assert main(["bench", str(corpus), flag, value, "--report", str(report)]) == 1
+        assert main(["bench", str(corpus), "--generate", flag, value,
+                     "--report", str(report)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not report.exists()
+        assert [path.name for path in corpus.iterdir()] == ["tri.dimacs"]  # nothing generated
 
     @pytest.mark.parametrize("suffix", [".json", ".csv"])
     def test_unwritable_report_exits_1(self, tmp_path, capsys, suffix):

@@ -355,8 +355,13 @@ class TestFixedSourceLaminar:
         assert calls == 2
 
     def test_nested_cuts_are_kept(self, monkeypatch):
-        family, _, _ = self.run_with_certified(monkeypatch, [[{1, 2}], [{1, 2, 3}]])
-        assert family == [frozenset({1, 2}), frozenset({1, 2, 3})]
+        # {1, 2} inside {1, 2, 3, 4} does not cross it; the second round
+        # leaves {0, 8} uncovered, so the family is accepted and only its
+        # maximal members come back.
+        family, calls, _ = self.run_with_certified(
+            monkeypatch, [[{1, 2}], [{1, 2, 3, 4}, {5, 6, 7}]])
+        assert family == [frozenset({5, 6, 7}), frozenset({1, 2, 3, 4})]
+        assert calls == 2
 
     def test_first_accepted_round_ends_the_loop(self, monkeypatch):
         # {0, 7, 8} stay uncovered: 3 <= limit.
@@ -370,7 +375,7 @@ class TestFixedSourceLaminar:
         # {0, 4, ..., 8} stay uncovered: 6 > limit.
         family, calls, rates = self.run_with_certified(
             monkeypatch, [[{1, 2}], [{1, 2, 3}]])
-        assert family == [frozenset({1, 2}), frozenset({1, 2, 3})]
+        assert family == []
         assert calls == 3  # x - covered stays {4..8} from the third round on
         assert rates == list(partition_schedule(8) * 2)
 
