@@ -91,19 +91,19 @@ class PartitionTree:
     x's position in g's `label_order` (`Graph.rank`), and `supernodes[i]`
     lists supernode i's members in that order.  Edges are [i, j, weight]
     index triples into `supernodes`; each weight equals the cost of the
-    graph cut induced by removing that edge.  `incident[i]` lists the
-    indices of supernode i's edges in ascending order, and `ends[k]` holds
-    a node of g on each side of edge k, in the order of `edges[k]`'s ends;
-    the sides of a tree edge never change.  `depth[i]` counts the
-    refinement steps that supernode i and the supernodes it was split from
-    have taken.  Labels are read only by `finish`.
+    graph cut induced by removing that edge.  `branches[i]` maps the
+    branch node of each of supernode i's edges, a node of g on the edge's
+    far side, to the edge's index, in ascending edge order; the sides of a
+    tree edge never change, so neither does its branch node at either end.
+    `depth[i]` counts the refinement steps that supernode i and the
+    supernodes it was split from have taken.  Labels are read only by
+    `finish`.
 
     `kept[i]` is the auxiliary graph H of each supernode i of two or more
     members: every tree branch hanging off i contracted to one node.  It
     is an adjacency {node: {neighbour: weight}} over g's node indices;
     i's members are their own nodes, and the branch behind each of i's
-    edges is the node `neighbours` gives for that edge.  Only `split`
-    edits it.
+    edges is that edge's branch node.  Only `split` edits it.
     """
 
     def __init__(self, g: Graph):
@@ -111,8 +111,7 @@ class PartitionTree:
         self.supernodes = [[g._index[v] for v in g.label_order]]
         self.rank = g.rank
         self.edges = []
-        self.incident = [[]]
-        self.ends = []
+        self.branches = [{}]
         self.depth = [0]
         self.kept = {}
         if g.num_nodes > 1:  # a copy: split edits each kept graph in place
@@ -123,12 +122,6 @@ class PartitionTree:
         rank, sns = self.rank, self.supernodes
         return min(self.kept, key=lambda i: (-len(sns[i]), rank[sns[i][0]]), default=None)
 
-    def neighbours(self, i):
-        """Yield the branch node, the node of g on the far side, of each
-        edge of supernode i, in edge order."""
-        for k in self.incident[i]:
-            yield self.ends[k][self.edges[k][0] == i]
-
     def split(self, xi: int, side: set, weight: int) -> None:
         """Replace supernode xi by (xi - b, b) along `side`, a set of
         nodes of xi's kept graph.
@@ -136,10 +129,11 @@ class PartitionTree:
         b is xi's members in side.  A side holding none or all of them, or
         a node outside the kept graph, raises ValueError and changes
         nothing.  Each tree edge of xi whose branch node is in side goes
-        to b.  The new edge's ends are the first members of xi - b and of
-        b.  xi's kept graph splits along side, walking the smaller part:
-        side is contracted into the node of b's first member, and the rest
-        into that of xi - b's.  A part of one member keeps no graph.
+        to b.  The new edge's branch node at xi - b is b's first member,
+        and at b it is xi - b's.  xi's kept graph splits along side,
+        walking the smaller part: side is contracted into the node of b's
+        first member, and the rest into that of xi - b's.  A part of one
+        member keeps no graph.
         """
         members = self.supernodes[xi]
         b = [x for x in members if x in side]
@@ -150,19 +144,18 @@ class PartitionTree:
         bi, k = len(self.supernodes), len(self.edges)
         self.supernodes.append(b)
         self.depth.append(self.depth[xi] + 1)
-        stay, go = [], []
-        for e in self.incident[xi]:
-            edge = self.edges[e]
-            far = edge[0] == xi
-            if self.ends[e][far] in side:
-                edge[not far] = bi
-                go.append(e)
+        stay, go = {}, {}
+        for y, e in self.branches[xi].items():
+            if y in side:
+                edge = self.edges[e]
+                edge[edge[1] == xi] = bi
+                go[y] = e
             else:
-                stay.append(e)
-        self.incident[xi] = stay + [k]
-        self.incident.append(go + [k])
+                stay[y] = e
+        stay[b[0]] = go[rest[0]] = k
+        self.branches[xi] = stay
+        self.branches.append(go)
         self.edges.append([xi, bi, weight])
-        self.ends.append((rest[0], b[0]))
         h = self.kept.pop(xi)
         if 2 * len(side) <= len(h):
             h_rest, h_b = h, _split_kept(h, side, b[0], rest[0])
@@ -197,7 +190,7 @@ def auxiliary_graph(tree: PartitionTree, xi: int):
     """
     if xi not in tree.kept:
         raise ValueError(f"supernode {xi} has fewer than two members")
-    return tree.kept[xi], sorted(tree.supernodes[xi]) + list(tree.neighbours(xi))
+    return tree.kept[xi], sorted(tree.supernodes[xi]) + list(tree.branches[xi])
 
 
 def _record_depth(depth_stats, depth: int, nodes: int, edges: int) -> None:

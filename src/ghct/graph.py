@@ -252,18 +252,21 @@ def contract_kept(adj: dict, keep, s) -> dict:
     return out
 
 
-def forced_min_cut(adj: dict, s_side, t_side) -> Cut | None:
-    """The minimum s_side-t_side cut of the adjacency `adj` with
-    inclusion-minimal sink side, read off without a flow, or None when
-    more than one node of adj lies outside both sides.
+def forced_min_cut(adj: dict, nodes, s_side, t_side) -> Cut | None:
+    """The minimum s_side-t_side cut of `contract_kept(adj, nodes, s)`, s
+    in s_side, with inclusion-minimal sink side, read off adj with no flow
+    and no contraction; None when more than one node of `nodes` lies
+    outside both sides.
 
-    The sides are disjoint non-empty sets of adj's nodes.  With no free
-    node the sink side is t_side; with one, z, it is t_side or
-    t_side | {z}, whichever costs less, t_side on a tie.  Minimum-cut
-    sink sides are closed under intersection, so the least-cost side with
-    fewest nodes is the inclusion-minimal one the engine returns.
+    The sides are disjoint non-empty subsets of `nodes`; the rest of adj is
+    on the source side.  With no free node the sink side is t_side; with
+    one, z, it is t_side or t_side | {z}, whichever costs less, t_side on
+    a tie.  The contraction keeps the cost of every set without s, so both
+    costs are read off adj.  Minimum-cut sink sides are closed under
+    intersection, so the least-cost side with fewest nodes is the
+    inclusion-minimal one the engine returns.
     """
-    free = len(adj) - len(s_side) - len(t_side)
+    free = len(nodes) - len(s_side) - len(t_side)
     if free > 1:
         return None
     sink = frozenset(t_side)
@@ -273,9 +276,9 @@ def forced_min_cut(adj: dict, s_side, t_side) -> Cut | None:
             if y not in sink:
                 cost += w
     if free:
-        (z,) = adj.keys() - s_side - sink
-        # z's edges go into s_side or t_side: moving z to the sink side
-        # takes its edges into t_side out of the cut and puts the rest in.
+        (z,) = nodes - s_side - sink
+        # z's edges go into t_side or the source side: moving z to the sink
+        # side takes its edges into t_side out of the cut and puts the rest in.
         into_t = sum(w for y, w in adj[z].items() if y in sink)
         into_s = sum(adj[z].values()) - into_t
         if into_s < into_t:

@@ -8,9 +8,10 @@ many augmentations.  Every higher-level routine that runs a flow funnels
 through the three entry points here, each of which records the size of
 the graph it cuts in a WorkCounter once its terminal sides pass
 validation, and returns a `Cut`: the sink side as `members`, the flow
-value as `cost`.  A cut with at most one node outside its terminal
-sides is read off without a flow (`graph.forced_min_cut`, used by
-`octree` and `isolating`) and records no work.
+value as `cost`.  `octree` and `isolating` call the engine only for a
+cut with two or more nodes outside its terminal sides; any other cut
+they read off the graph in hand (`graph.forced_min_cut`), which records
+no work.
 
 Every call cuts a graph H: g itself, or, given `adj`, a contracted graph
 of g its caller keeps as an adjacency `{node: {neighbour: weight}}` over

@@ -8,14 +8,15 @@ the tree records its cost as its cut returned it.
 
 The divide-and-conquer solver `ordered_cuts` builds a valid tree with
 max-flow work that stays subquadratic on random node orders.  A cut
-whose graph has at most one node outside its terminal sides is read off
-without a flow (`graph.forced_min_cut`) and records no work.  It solves
-the head of the sequence first, so the entries of a head prefix depend
-only on that prefix and the graph: calls that share a `prefixes` memo on
-one graph build each head prefix once.  Its readers
-(`covering_cut_costs`, `certified_source_cuts`, `flatten_to_star`) each
-walk the tree once in sequence order, where parents precede children, and
-read the recorded costs instead of re-costing down-sets.
+whose block has at most one node outside its terminal sides is read off
+the graph in hand (`graph.forced_min_cut`): it builds no contraction and
+records no work.  It solves the head of the sequence first, so the
+entries of a head prefix depend only on that prefix and the graph: calls
+that share a `prefixes` memo on one graph build each head prefix once.
+Its readers (`covering_cut_costs`, `certified_source_cuts`,
+`flatten_to_star`) each walk the tree once in sequence order, where
+parents precede children, and read the recorded costs instead of
+re-costing down-sets.
 """
 
 from __future__ import annotations
@@ -257,15 +258,16 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
     (see `maxflow`), order a sequence of its nodes.  The blocks of order's
     nodes partition adj's nodes; a recursive call on a head node's sink
     side overwrites that node's block, and the caller adds back the source
-    side it cut off.  A head node v cuts `contract_kept(adj, block, v)`,
-    and its recursion runs on that graph with all but the sink side merged
-    into v, each built at O(degree of what it keeps).  When at most one
-    node of that graph is neither v nor a target (len(block) - 1 -
-    len(targets) <= 1), the cut is read off by `forced_min_cut` and no
-    engine call is made or counted.  A node's down-set is fixed by the
-    one-target step that parents it; adj keeps the cost of every set
-    without its source, so the cut's value is that down-set's cost in g.
-    No block is edited in place: each step writes a new set.
+    side it cut off.  A head node v cuts its block, with the rest of adj
+    merged into v.  When at most one node of the block is neither v nor a
+    target (len(block) - 1 - len(targets) <= 1), `forced_min_cut` reads
+    the cut off adj, so no contraction is built and no engine call is made
+    or counted; otherwise the engine cuts `contract_kept(adj, block, v)`.
+    The recursion on several targets runs on `contract_kept(adj, sink |
+    {v}, v)`, all but the sink side merged into v.  A node's down-set is
+    fixed by the one-target step that parents it; adj keeps the cost of
+    every set without its source, so the cut's value is that down-set's
+    cost in g.  No block is edited in place: each step writes a new set.
 
     `prefixes` is given only while adj is the graph `ordered_cuts` was
     called on, that is for the sequence it was asked for and its chain of
@@ -299,11 +301,8 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
         targets = [b for b in tail if b in block]
         if not targets:
             continue
-        sub = contract_kept(adj, block, v)
-        sources, sinks = {v}, set(targets)
-        cut = forced_min_cut(sub, sources, sinks)
-        if cut is None:
-            cut = min_cut_minimal_sink(g, sources, sinks, counter, adj=sub)
+        cut = forced_min_cut(adj, block, {v}, targets) or min_cut_minimal_sink(
+            g, {v}, set(targets), counter, adj=contract_kept(adj, block, v))
         sink = cut.members
         if len(targets) == 1:  # the minimal sink side is that target's latest cut
             parent[targets[0]] = v
@@ -311,7 +310,7 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
             costs[targets[0]] = cut.cost
             blocks[v] = block - sink
             continue
-        _build((v, *targets), contract_kept(sub, sink | {v}, v), g, counter,
+        _build((v, *targets), contract_kept(adj, sink | {v}, v), g, counter,
                parent, blocks, costs)
         blocks[v] = (block - sink) | blocks[v]
     if prefixes is not None:

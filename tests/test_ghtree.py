@@ -82,9 +82,8 @@ class TestPartitionTree:
         assert tree.rank == [2, 0, 1]
         tree.split(0, {0}, 1)
         assert tree.supernodes == [[1, 2], [0]]
-        assert tree.ends == [(1, 0)]
-        assert list(tree.neighbours(0)) == [0]
-        assert list(tree.neighbours(1)) == [1]
+        # Each side's branch node of the new edge is the other's first member.
+        assert tree.branches == [{0: 0}, {1: 0}]
 
     @pytest.mark.parametrize("xi, side", [(0, set()), (0, {0, 1, 2}), (0, {2}), (0, {0, 1}),
                                           (0, {0, 9}), (1, {2})],
@@ -164,14 +163,16 @@ class TestAuxiliaryGraph:
                 if len(members) < 2:
                     continue
                 side = set(rng.sample(members, rng.randint(1, len(members) - 1)))
-                side.update(x for x in tree.neighbours(xi) if rng.random() < 0.5)
+                side.update(x for x in tree.branches[xi] if rng.random() < 0.5)
                 assert side <= tree.kept[xi].keys()
-                incident = list(tree.incident[xi])
-                moved = [e for e, y in zip(incident, tree.neighbours(xi)) if y in side]
+                before = dict(tree.branches[xi])
+                moved = {y: e for y, e in before.items() if y in side}
                 k = len(tree.edges)
                 tree.split(xi, side, 0)
-                assert tree.incident[-1] == moved + [k]
-                assert tree.incident[xi] == [e for e in incident if e not in moved] + [k]
+                b, rest = tree.supernodes[-1], tree.supernodes[xi]
+                assert tree.branches[-1] == {**moved, rest[0]: k}
+                assert tree.branches[xi] == {
+                    **{y: e for y, e in before.items() if y not in side}, b[0]: k}
                 assert set(tree.kept) == splittable(tree)
                 for i in tree.kept:
                     check_kept(g, tree, i)
@@ -184,8 +185,9 @@ class TestAuxiliaryGraph:
             assert sum(map(len, tree.supernodes)) == g.num_nodes
             assert [g.labels[x] for x in sorted(owner, key=tree.rank.__getitem__)] == list(
                 g.label_order)
-            for i, incident in enumerate(tree.incident):
-                assert incident == [k for k, (a, b, _) in enumerate(tree.edges) if i in (a, b)]
+            for i, branch in enumerate(tree.branches):
+                assert list(branch.values()) == [
+                    k for k, (a, b, _) in enumerate(tree.edges) if i in (a, b)]
             for k, (a, b, _) in enumerate(tree.edges):
                 # The component of the tree without edge k that holds a.
                 side, stack = {a}, [a]
@@ -197,8 +199,11 @@ class TestAuxiliaryGraph:
                             side.add(y)
                             stack.append(y)
                 assert b not in side
-                assert owner[tree.ends[k][0]] in side
-                assert owner[tree.ends[k][1]] not in side
+                # Each end's branch node of edge k lies on the other end's side.
+                (at_a,) = [y for y, e in tree.branches[a].items() if e == k]
+                (at_b,) = [y for y, e in tree.branches[b].items() if e == k]
+                assert owner[at_a] not in side
+                assert owner[at_b] in side
             keys = [(-len(sn), min(label_key(g.labels[x]) for x in sn))
                     for sn in tree.supernodes]
             big = [i for i, sn in enumerate(tree.supernodes) if len(sn) > 1]

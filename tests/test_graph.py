@@ -221,7 +221,7 @@ class TestForcedMinCut:
         grown = multi = 0
         for _ in range(300):
             g, adj, h, s_side, t_side = self.kept_sides(rng, free)
-            cut = forced_min_cut(adj, g.indices(s_side), g.indices(t_side))
+            cut = forced_min_cut(adj, adj.keys(), g.indices(s_side), g.indices(t_side))
             members = {g.labels[x] for x in cut.members}
             assert members == frozenset.intersection(*brute_all_min_cuts(h, s_side, t_side))
             assert cut.cost == cut_cost(h, members)
@@ -233,11 +233,52 @@ class TestForcedMinCut:
         assert multi > 50
         assert grown > 50 if free else grown == 0
 
+    @staticmethod
+    def block_sides(rng, free):
+        """(g, adj, block, v, s_side, t_side): a random kept graph adj of g,
+        a block of adj's nodes with at least one node of adj outside it,
+        and random disjoint sides of the block, v in s_side, leaving `free`
+        nodes of the block outside both."""
+        while True:
+            g, adj, _, _, _ = TestForcedMinCut.kept_sides(rng, 0)
+            if len(adj) >= free + 3:
+                break
+        block = set(rng.sample(sorted(adj), rng.randint(free + 2, len(adj) - 1)))
+        v = rng.choice(sorted(block))
+        others = sorted(block - {v})
+        rng.shuffle(others)
+        others = others[:len(others) - free]
+        k = rng.randint(0, len(others) - 1)
+        return g, adj, block, v, {v, *others[:k]}, set(others[k:])
+
+    @pytest.mark.parametrize("free", [0, 1])
+    def test_reads_a_block_off_the_graph_in_hand(self, free):
+        # The cut of the block, all of adj outside it merged into v, equals
+        # the engine's cut of that contraction and the intersection of all
+        # its minimum cuts, though no contraction is passed.
+        rng = random.Random(167 + free)
+        grown = multi = leaves = 0
+        for _ in range(300):
+            g, adj, block, v, s_side, t_side = self.block_sides(rng, free)
+            cut = forced_min_cut(adj, block, s_side, t_side)
+            sub = contract_kept(adj, block, v)
+            assert cut == min_cut_minimal_sink(g, s_side, t_side, WorkCounter(), adj=sub)
+            h = Graph(sub, [(x, y, w) for x in sub for y, w in sub[x].items() if x < y])
+            assert cut.members == frozenset.intersection(*brute_all_min_cuts(h, s_side, t_side))
+            grown += len(cut.members) > len(t_side)
+            multi += len(s_side) > 1 and len(t_side) > 1
+            leaves += any(y not in block for x in cut.members for y in adj[x])
+        assert multi > 25
+        assert leaves > 150  # the sink side has an edge out of the block
+        assert grown > 30 if free else grown == 0
+
     def test_two_free_nodes_return_none(self):
         rng = random.Random(163)
         for _ in range(100):
             g, adj, _, s_side, t_side = self.kept_sides(rng, rng.randint(2, 4))
-            assert forced_min_cut(adj, g.indices(s_side), g.indices(t_side)) is None
+            assert forced_min_cut(adj, adj.keys(), g.indices(s_side), g.indices(t_side)) is None
+            _, adj, block, _, s_side, t_side = self.block_sides(rng, rng.randint(2, 4))
+            assert forced_min_cut(adj, block, s_side, t_side) is None
 
     def test_two_node_ordered_cuts_make_no_engine_call(self):
         for w in (0, 1, 7):
@@ -301,6 +342,18 @@ def test_a_missing_node_raises_value_error(form, call):
         args = (0, 1, 3 if form == "adj-merged" else 9, counter, kept)
     with pytest.raises(ValueError):
         call(g, *args)
+    assert counter == WorkCounter()
+
+
+@pytest.mark.parametrize("terminals", [[2, 2], [2, 3, 3]], ids=["pair", "triple"])
+@pytest.mark.parametrize("call", [isolating_cuts, isolating_cuts_with_depth])
+def test_a_repeated_terminal_raises_value_error(call, terminals):
+    # Under adj=, terminals are taken as given, so a repeat must be caught
+    # before any cut is made; the label form drops repeats in g.indices.
+    g = Graph([1, 2, 3, 4], [(1, 2, 5), (2, 3, 4), (3, 4, 3)])
+    counter = WorkCounter()
+    with pytest.raises(ValueError, match="terminals must be distinct"):
+        call(0, terminals, g, counter, adj=g.adjacency)
     assert counter == WorkCounter()
 
 

@@ -274,6 +274,41 @@ class TestOrderedCuts:
             calls.clear()
         assert total > 60
 
+    def test_a_read_off_cut_builds_no_contraction(self, monkeypatch):
+        # A head cut that forced_min_cut reads off is read off the graph
+        # in hand: no contraction of that graph to the head node's block,
+        # merged into the head node, is built for it.  Contractions built
+        # for the engine or for a recursion are recorded too, so the check
+        # sees every one.
+        contract_kept, forced_min_cut = octree.contract_kept, octree.forced_min_cut
+        built = []  # (graph contracted, nodes kept, node merged into)
+        forced = engine = 0
+
+        def contracting(adj, keep, s):
+            built.append((adj, set(keep), s))
+            return contract_kept(adj, keep, s)
+
+        def reading(adj, nodes, s_side, t_side):
+            nonlocal forced
+            cut = forced_min_cut(adj, nodes, s_side, t_side)
+            if cut is not None:
+                forced += 1
+                assert not any(h is adj and keep == nodes and s in s_side
+                               for h, keep, s in built)
+            return cut
+
+        monkeypatch.setattr(octree, "contract_kept", contracting)
+        monkeypatch.setattr(octree, "forced_min_cut", reading)
+        rng = random.Random(131)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 14))
+            counter = WorkCounter()
+            tree = ordered_cuts(random_sequence(rng, g), g, counter)
+            assert validate(tree, g)
+            engine += counter.calls
+            built.clear()
+        assert forced > 60 and engine > 60
+
 
 def head_lengths(length):
     """The lengths of the chain of heads `_build` solves for a sequence of
