@@ -9,7 +9,10 @@ them (`graph.contract_kept`), built at O(degree of the side it keeps) and
 cut as a kept graph.  Each cut is `graph.forced_min_cut`'s, read off
 with no flow and no recorded work, when the graph has at most one node
 outside its terminal sides (len(adj) - 1 - len(terminals) <= 1), and
-otherwise the engine's.  The returned cuts are pairwise disjoint.
+otherwise the engine's.  A one-terminal half is contracted only for the
+engine: a lone right terminal's cut is the bipartition's sink side, and
+a lone left terminal's is first read off the graph in hand.  The
+returned cuts are pairwise disjoint.
 """
 
 from __future__ import annotations
@@ -40,8 +43,14 @@ def _isolate(s, terminals, adj: dict, g: Graph, work: WorkCounter, depth: int):
     else:
         right_cuts, right_depth = _isolate(
             s, right, contract_kept(adj, sink | {s}, s), g, work, depth + 1)
-    left_cuts, left_depth = _isolate(
-        s, left, contract_kept(adj, adj.keys() - sink, s), g, work, depth + 1)
+    # A lone left terminal whose cut is read off needs no contraction either.
+    keep = adj.keys() - sink
+    left_cut = len(left) == 1 and forced_min_cut(adj, keep, {s}, left)
+    if left_cut:
+        left_cuts, left_depth = {left[0]: left_cut}, depth + 1
+    else:
+        left_cuts, left_depth = _isolate(
+            s, left, contract_kept(adj, keep, s), g, work, depth + 1)
 
     left_cuts.update(right_cuts)
     return left_cuts, max(left_depth, right_depth)

@@ -10,9 +10,13 @@ The divide-and-conquer solver `ordered_cuts` builds a valid tree with
 max-flow work that stays subquadratic on random node orders.  A cut
 whose block has at most one node outside its terminal sides is read off
 the graph in hand (`graph.forced_min_cut`): it builds no contraction and
-records no work.  It solves the head of the sequence first, so the
-entries of a head prefix depend only on that prefix and the graph: calls
-that share a `prefixes` memo on one graph build each head prefix once.
+records no work.  A cut with several targets is split into independent
+subproblems: targets alone in their block and one-target pieces of its
+sink side take their cuts with no flow, and only the pieces holding
+several targets recurse (see `_build`).  The solver cuts the head of the
+sequence first, so the entries of a head prefix depend only on that
+prefix and the graph: calls that share a `prefixes` memo on one graph
+build each head prefix once.
 Its readers (`covering_cut_costs`, `certified_source_cuts`,
 `flatten_to_star`) each walk the tree once in sequence order, where
 parents precede children, and read the recorded costs instead of
@@ -64,7 +68,8 @@ class OCTree:
         """Empty string if well-formed, else a description of the defect."""
         if not self.order:
             return "empty node sequence"
-        if len(set(self.order)) != len(self.order):
+        seq = set(self.order)
+        if len(seq) != len(self.order):
             return "sequence nodes are not distinct"
         pos = {v: i for i, v in enumerate(self.order)}
         if set(self.parent) != set(self.order[1:]):
@@ -76,14 +81,14 @@ class OCTree:
                 return f"parent of {u!r} is not a sequence node"
             if pos[v] >= pos[u]:
                 return f"parent of {u!r} does not precede it in the sequence"
-        if set(self.blocks) != set(self.order):
+        if set(self.blocks) != seq:
             return "blocks must cover exactly the sequence nodes"
         total = 0
         union: set = set()
         for v, block in self.blocks.items():
             if v not in block:
                 return f"block of {v!r} does not contain it"
-            if len(block & set(pos)) != 1:
+            if len(block & seq) != 1:
                 return f"block of {v!r} holds more than one sequence node"
             total += len(block)
             union |= block
@@ -263,11 +268,39 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
     target (len(block) - 1 - len(targets) <= 1), `forced_min_cut` reads
     the cut off adj, so no contraction is built and no engine call is made
     or counted; otherwise the engine cuts `contract_kept(adj, block, v)`.
-    The recursion on several targets runs on `contract_kept(adj, sink |
-    {v}, v)`, all but the sink side merged into v.  A node's down-set is
-    fixed by the one-target step that parents it; adj keeps the cost of
-    every set without its source, so the cut's value is that down-set's
-    cost in g.  No block is edited in place: each step writes a new set.
+    A node's down-set is fixed by the step that parents it; adj keeps the
+    cost of every set without its source, so the cut's value is that
+    down-set's cost in g.  No block is edited in place: each step writes
+    a new set.
+
+    With several targets, two exact rules split the work into independent
+    pieces (Gomory & Hu 1961 uncrossing), so no tree, cost or engine
+    result changes, only how much is cut:
+
+    - Before the cut, a target t with no neighbour in block - {v} (weight-0
+      edges count) is peeled off: parent v, down-set {t}, cost the weight
+      of all t's edges.  The other targets are cut on the block without
+      the peeled nodes; with none left, no cut is made.
+    - The minimal sink side S is split into its connected pieces in adj,
+      searched from the targets.  A piece C with one target t is t's
+      entry: parent v, down-set C, cost the weight of the edges leaving C
+      in adj.  A piece with several targets recurses on `contract_kept(adj,
+      C | {v}, v)`.  v keeps block - S and what each recursion leaves it.
+
+    Why both hold:
+
+    - Minimal sink sides are monotone in the target set: for T1 within
+      T2, the minimal side for T1 lies inside the minimal side for T2.
+      So every target's down-set below v lies inside S, in its piece.
+    - In `contract_kept(adj, block, v)` every edge leaving block - {v}
+      goes to v, so a set's cut cost is the sum over its connected
+      pieces.  Dropping a piece without a target never raises the cost,
+      so by minimality every piece of S holds a target, and a target's
+      minimal side never spans two pieces: the recursion on S gave each
+      piece exactly what the recursion on that piece alone gives, and a
+      one-target piece is that target's minimal side.  A peeled target
+      is such a piece, {t}, and merging it into v changes no cost among
+      the other nodes.
 
     `prefixes` is given only while adj is the graph `ordered_cuts` was
     called on, that is for the sequence it was asked for and its chain of
@@ -299,6 +332,15 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
         # Lists, here and in ordered_cuts: tuple(generator) resizes the tuple
         # it fills, and each one freed grows CPython's free list for its size.
         targets = [b for b in tail if b in block]
+        if len(targets) > 1:  # peel each target whose only neighbour in the block is v
+            alone = {t for t in targets if not any(y != v and y in block for y in adj[t])}
+            if alone:
+                for t in alone:
+                    parent[t] = v
+                    blocks[t] = {t}
+                    costs[t] = sum(adj[t].values())
+                block = blocks[v] = block - alone
+                targets = [t for t in targets if t not in alone]
         if not targets:
             continue
         cut = forced_min_cut(adj, block, {v}, targets) or min_cut_minimal_sink(
@@ -310,11 +352,43 @@ def _build(order, adj: dict, g: Graph, counter: WorkCounter, parent: dict,
             costs[targets[0]] = cut.cost
             blocks[v] = block - sink
             continue
-        _build((v, *targets), contract_kept(adj, sink | {v}, v), g, counter,
-               parent, blocks, costs)
-        blocks[v] = (block - sink) | blocks[v]
+        rest = block - sink
+        for piece in _pieces(adj, sink, targets):
+            inside = [t for t in targets if t in piece]
+            if len(inside) == 1:
+                t = inside[0]
+                parent[t] = v
+                blocks[t] = piece
+                costs[t] = sum(w for x in piece for y, w in adj[x].items() if y not in piece)
+                continue
+            _build((v, *inside), contract_kept(adj, piece | {v}, v), g, counter,
+                   parent, blocks, costs)
+            rest |= blocks[v]
+        blocks[v] = rest
     if prefixes is not None:
         prefixes[key] = [(parent.get(v), costs.get(v), tuple(blocks[v])) for v in order]
+
+
+def _pieces(adj: dict, sink, targets) -> list:
+    """The connected pieces of `sink` in adj, each a set, in the order of
+    the first target each holds; every node of sink is reached from some
+    target.  Weight-0 edges connect."""
+    unreached = set(sink)
+    pieces = []
+    for t in targets:
+        if t not in unreached:
+            continue
+        unreached.remove(t)
+        piece = {t}
+        stack = [t]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y in unreached:
+                    unreached.remove(y)
+                    piece.add(y)
+                    stack.append(y)
+        pieces.append(piece)
+    return pieces
 
 
 def flatten_to_star(tree: OCTree) -> dict:

@@ -9,7 +9,10 @@ generator's final state.  An engine case makes one `min_cut`,
 same graph and prints the cut and the work; the `adj=` call cuts a
 random contraction of g kept as an adjacency over g's node indices,
 takes and returns those indices, and prints its cut in the contraction's
-labels (its line keeps the call name "min_cut groups").
+labels (its line keeps the call name "min_cut groups").  An ordered-cuts
+case solves one seeded random sequence of the graph's nodes with
+`ordered_cuts` and prints the SHA-256 of the OC tree text
+(`format_oc_tree`) and of its depth-1 flattening, and the work.
 
 The 204 graphs are Erdos-Renyi by edge count and by probability, grids,
 cycles, stars and trees plus noise, with at most 22 nodes and weights
@@ -20,6 +23,9 @@ checkout and compare:
     PYTHONPATH=src python3 tests/identity.py > a.jsonl   # one checkout
     PYTHONPATH=src python3 tests/identity.py > b.jsonl   # the other
     cmp a.jsonl b.jsonl
+
+The README shows how to compare with the `work` key dropped, for a
+change that moves the work on purpose.
 """
 
 import hashlib
@@ -30,6 +36,7 @@ from ghct.generators import cycle, erdos_renyi, erdos_renyi_m, grid, random_tree
 from ghct.ghtree import gomory_hu_classic
 from ghct.graph import label_key, write_dimacs
 from ghct.maxflow import WorkCounter, min_cut, min_cut_minimal_sink
+from ghct.octree import flatten_to_star, format_oc_tree, ordered_cuts
 from ghct.pipeline import PipelineStats, gh_via_oc1, gh_via_weak_oc
 
 FAMILIES = (
@@ -109,6 +116,20 @@ def engine_cases(g, rng):
                "cost": cut.cost, "work": counter.snapshot()}
 
 
+def ordered_cuts_case(g, rng) -> dict:
+    """One `ordered_cuts` call on a random sequence of at least two of
+    g's nodes."""
+    labels = members(g.labels)
+    rng.shuffle(labels)
+    sequence = labels[:rng.randint(2, len(labels))]
+    counter = WorkCounter()
+    tree = ordered_cuts(sequence, g, counter)
+    star_text = "".join(f"{v} | {' '.join(str(x) for x in members(block))}\n"
+                        for v, block in flatten_to_star(tree).items())
+    return {"sequence": sequence, "oc_tree": sha256(format_oc_tree(tree)),
+            "star": sha256(star_text), "work": counter.snapshot()}
+
+
 def lines(graphs: int = GRAPHS):
     """The printed lines of the first `graphs` graphs, in order."""
     for i in range(graphs):
@@ -118,6 +139,7 @@ def lines(graphs: int = GRAPHS):
         head = {"graph": i, "n": g.num_nodes, "m": g.num_edges}
         for case in engine_cases(g, rng):
             yield json.dumps({**head, **case}, sort_keys=True)
+        yield json.dumps({**head, **ordered_cuts_case(g, rng)}, sort_keys=True)
         for method in METHODS:
             for seed in SEEDS:
                 yield json.dumps({**head, **build(g, method, seed)}, sort_keys=True)

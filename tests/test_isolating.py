@@ -115,3 +115,37 @@ class TestRandomInstances:
             total += len(calls)
             calls.clear()
         assert total > 60
+
+    def test_a_read_off_lone_left_cut_builds_no_contraction(self, monkeypatch):
+        # A one-terminal left half whose cut forced_min_cut reads off is
+        # read off the graph in hand: no contraction is built only for a
+        # leaf cut (one source node, the whole graph as nodes) to read it.
+        contract_kept, forced_min_cut = isolating.contract_kept, isolating.forced_min_cut
+        built = []  # contractions made, kept alive so their ids stay unique
+        forced = 0
+
+        def contracting(adj, keep, s):
+            out = contract_kept(adj, keep, s)
+            if out is not adj:
+                built.append(out)
+            return out
+
+        def reading(adj, nodes, s_side, t_side):
+            nonlocal forced
+            cut = forced_min_cut(adj, nodes, s_side, t_side)
+            if cut is not None and len(s_side) == 1:
+                forced += 1
+                assert not (len(nodes) == len(adj) and any(h is adj for h in built))
+            return cut
+
+        monkeypatch.setattr(isolating, "contract_kept", contracting)
+        monkeypatch.setattr(isolating, "forced_min_cut", reading)
+        rng = random.Random(137)
+        counter = WorkCounter()
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(3, 12))
+            labels = sorted(g.labels)
+            k = rng.randint(2, min(8, len(labels) - 1))
+            isolating_cuts(labels[0], set(rng.sample(labels[1:], k)), g, counter)
+            built.clear()
+        assert forced > 30

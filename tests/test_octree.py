@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ghct import octree
-from ghct.generators import star
+from ghct.generators import random_tree_plus_noise, star
 from ghct.graph import Cut, Graph, cut_cost
 from ghct.maxflow import WorkCounter, min_cut, min_cut_minimal_sink
 from ghct.octree import (
@@ -16,7 +16,7 @@ from ghct.octree import (
     ordered_cuts,
     validate,
 )
-from ghct.oracle import verify_oc1
+from ghct.oracle import brute_min_cut, verify_oc1
 
 from conftest import random_graph
 
@@ -308,6 +308,123 @@ class TestOrderedCuts:
             engine += counter.calls
             built.clear()
         assert forced > 60 and engine > 60
+
+
+def cut_vertex_graph(rng):
+    """A graph with cut vertices and weights from 0: a star, a path, a
+    random tree plus noise, or two random blocks sharing one node."""
+    n = rng.randint(2, 14)
+    weights = (0, rng.choice((1, 5, 16)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return star(n, rng, weights)
+    if kind == 1:
+        return Graph(range(1, n + 1), [(u, u + 1, rng.randint(*weights)) for u in range(1, n)])
+    if kind == 2:
+        return random_tree_plus_noise(n, rng.randint(0, n // 3), rng, weights)
+    k = rng.randint(1, n)  # blocks 1..k and k..n share node k
+    edges = [(u, v, rng.randint(*weights))
+             for lo, hi in ((1, k), (k, n)) for u in range(lo, hi + 1)
+             for v in range(u + 1, hi + 1) if v == u + 1 or rng.random() < 0.4]
+    return Graph(range(1, n + 1), edges)
+
+
+def connected(adj, nodes) -> bool:
+    """Whether `nodes` induce a connected subgraph of adj."""
+    start = next(iter(nodes))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y in nodes and y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen == nodes
+
+
+class TestIndependentPieces:
+    """A multi-target cut is made only for targets that touch the rest of
+    the head node's block, and its sink side is split into connected
+    pieces: a piece with one target is that target's cut."""
+
+    def test_cut_vertex_graphs_match_validate_and_brute_force(self):
+        rng = random.Random(137)
+        brute = 0
+        for _ in range(150):
+            g = cut_vertex_graph(rng)
+            seq = random_sequence(rng, g)
+            tree = ordered_cuts(seq, g, WorkCounter())
+            assert validate(tree, g)
+            if g.num_nodes > 12:
+                continue
+            for k in range(1, len(seq)):
+                expected = brute_min_cut(g, set(seq[:k]), {seq[k]})
+                assert tree.costs[seq[k]] == expected.cost
+                assert tree.down_set(seq[k]) == expected.minimal_sink_side
+                brute += 1
+        assert brute > 250
+
+    def test_multi_target_work_has_no_lone_target_and_no_split_graph(self, monkeypatch):
+        # No engine call with several targets gets a target whose only
+        # neighbour is the source, and every graph a recursion contracted
+        # (a piece of a sink side with the head node merged in) is
+        # connected without its source.
+        engine, build = octree.min_cut_minimal_sink, octree._build
+        top = None
+        multi = recursions = 0
+
+        def cutting(g, sources, sinks, counter, *, adj):
+            nonlocal multi
+            if len(sinks) > 1:
+                multi += 1
+                assert all(any(y not in sources for y in adj[t]) for t in sinks)
+            return engine(g, sources, sinks, counter, adj=adj)
+
+        def building(order, adj, *args):
+            nonlocal recursions
+            if adj is not top:
+                recursions += 1
+                assert connected(adj, adj.keys() - {order[0]})
+            return build(order, adj, *args)
+
+        monkeypatch.setattr(octree, "min_cut_minimal_sink", cutting)
+        monkeypatch.setattr(octree, "_build", building)
+        rng = random.Random(139)
+        for _ in range(300):
+            g = cut_vertex_graph(rng)
+            top = g.adjacency
+            tree = ordered_cuts(random_sequence(rng, g), g, WorkCounter())
+            assert validate(tree, g)
+        assert multi > 40 and recursions > 40
+
+    def test_pieces_of_a_sink_side_are_read_off(self):
+        # Hub 1 with pendant paths 1-2-3-4-5 and 1-6-7-8-9, weights falling
+        # away from the hub.  The head (1, 5, 9) cuts {5} and {9} with two
+        # flows.  A third cuts 1 from the tail {3, 7}: its minimal sink
+        # side {3, 4, 7, 8} falls into one piece per target, so each piece
+        # is its target's cut and no flow runs on the pieces.
+        g = Graph(range(1, 10), [(1, 2, 5), (2, 3, 4), (3, 4, 3), (4, 5, 2),
+                                 (1, 6, 5), (6, 7, 4), (7, 8, 3), (8, 9, 2)])
+        counter = WorkCounter()
+        tree = ordered_cuts((1, 5, 9, 3, 7), g, counter)
+        assert counter.calls == 3
+        assert tree.parent[3] == tree.parent[7] == 1
+        assert tree.down_set(3) == {3, 4} and tree.down_set(7) == {7, 8}
+        assert tree.costs[3] == tree.costs[7] == 6
+        assert validate(tree, g)
+
+    def test_targets_alone_in_a_block_cost_no_flow(self):
+        # On a star the head (1, 2, 3) cuts {2} and {3} with two flows;
+        # targets 4 and 5 then share the hub's block and touch nothing in
+        # it but the hub, so each is its own down-set, with no third flow.
+        g = star(8, random.Random(0))
+        counter = WorkCounter()
+        tree = ordered_cuts((1, 2, 3, 4, 5), g, counter)
+        assert counter.calls == 2
+        for t in (4, 5):
+            assert tree.parent[t] == 1 and tree.blocks[t] == {t}
+            assert tree.costs[t] == cut_cost(g, {t})
+        assert validate(tree, g)
 
 
 def head_lengths(length):

@@ -98,27 +98,27 @@ PINNED = {
           (5, (7, 7)), (6, (6, 6)), (7, (5, 5)), (8, (4, 4)))),
     ("cycle12", "oc1", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         57, 392, 396, 7, 8,
+         56, 388, 392, 7, 8,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "oc1", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         63, 403, 403, 7, 9,
+         62, 399, 399, 7, 9,
          ((0, (12, 12)), (1, (13, 13)), (2, (15, 15)))),
     ("cycle12", "weak-oc", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         37, 234, 235, 8, 8,
+         36, 230, 231, 8, 8,
          ((0, (12, 12)), (1, (13, 13)), (2, (16, 16)), (3, (4, 4)))),
     ("cycle12", "weak-oc", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         219, 1636, 1657, 8, 10,
+         215, 1620, 1641, 8, 10,
          ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 0):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         19, 112, 112, 8, 8,
+         18, 108, 108, 8, 8,
          ((0, (12, 12)), (1, (16, 16)), (2, (13, 13)), (3, (4, 4)))),
     ("cycle12", "weak-oc-octree", 1):
         ("5fbb8eefb0f573b68c27bfe55a7509505208487f1380226444492567792f6f21",
-         114, 836, 841, 8, 11,
+         111, 824, 829, 8, 11,
          ((0, (12, 12)), (1, (16, 16)), (2, (12, 12)), (3, (4, 4)))),
     ("grid3x4", "classic", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
@@ -136,7 +136,7 @@ PINNED = {
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "oc1", 1):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
-         43, 341, 474, 6, 6,
+         42, 337, 470, 6, 6,
          ((0, (12, 17)), (1, (13, 16)), (2, (7, 9)))),
     ("grid3x4", "weak-oc", 0):
         ("864b36b2f66861887daaec5ff000abe8a4e6f7ff13cb57070f2066a4af687fc7",
@@ -168,51 +168,51 @@ PINNED = {
           (10, (12, 31)), (11, (12, 31)), (12, (12, 31)))),
     ("er16", "oc1", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         98, 1114, 2571, 5, 5,
+         92, 1081, 2535, 5, 5,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "oc1", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         98, 1109, 2560, 5, 6,
+         88, 1058, 2504, 5, 6,
          ((0, (16, 40)), (1, (12, 12)))),
     ("er16", "weak-oc", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         43, 448, 1022, 5, 5,
+         42, 443, 1017, 5, 5,
          ((0, (16, 40)), (1, (22, 42)))),
     ("er16", "weak-oc", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         272, 2984, 6856, 6, 9,
+         262, 2941, 6813, 6, 9,
          ((0, (16, 40)), (1, (20, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("er16", "weak-oc-octree", 0):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         27, 292, 672, 5, 5,
+         26, 287, 667, 5, 5,
          ((0, (16, 40)), (1, (22, 42)))),
     ("er16", "weak-oc-octree", 1):
         ("96f7ae981770d20565cc9fca7ad87ce72c5be926c3fac2549abc337bfd5d7227",
-         138, 1502, 3445, 6, 9,
+         128, 1459, 3402, 6, 9,
          ((0, (16, 40)), (1, (20, 42)), (2, (12, 31)), (3, (12, 31)))),
     ("scrambled12", "oc1", 0):
         ("80178cc4fbbe82112357dc21e2b6110999529caf113b8dea68dba30d9118e93c",
-         43, 390, 847, 2, 2,
+         40, 377, 835, 2, 2,
          ((0, (12, 30)), (1, (3, 3)))),
     ("scrambled12", "oc1", 1):
         ("80178cc4fbbe82112357dc21e2b6110999529caf113b8dea68dba30d9118e93c",
-         77, 730, 1626, 2, 3,
+         73, 709, 1609, 2, 3,
          ((0, (12, 30)), (1, (3, 3)))),
     ("scrambled12", "weak-oc", 0):
         ("c46c72172eb180451d830061a8ff4b695e4c2c36128d339c91d2b8a24af50775",
-         101, 895, 2008, 3, 5,
+         97, 875, 1990, 3, 5,
          ((0, (12, 30)), (1, (12, 30)), (2, (11, 28)))),
     ("scrambled12", "weak-oc", 1):
         ("074f46265d03ae0d75d781fae029655a9461e58f4d7e716c7bf15506385d4f9b",
-         98, 911, 2073, 3, 5,
+         93, 883, 2050, 3, 5,
          ((0, (12, 30)), (1, (12, 30)), (2, (12, 30)))),
     ("scrambled12", "weak-oc-octree", 0):
         ("c46c72172eb180451d830061a8ff4b695e4c2c36128d339c91d2b8a24af50775",
-         57, 492, 1085, 3, 5,
+         53, 472, 1067, 3, 5,
          ((0, (12, 30)), (1, (12, 30)), (2, (11, 28)))),
     ("scrambled12", "weak-oc-octree", 1):
         ("074f46265d03ae0d75d781fae029655a9461e58f4d7e716c7bf15506385d4f9b",
-         64, 577, 1289, 3, 5,
+         59, 549, 1266, 3, 5,
          ((0, (12, 30)), (1, (12, 30)), (2, (12, 30)))),
 }
 
@@ -257,15 +257,15 @@ PINNED_OC = {
     ("grid3x4", 1):
         ("8eb7aedb2b2d668a0625dcb0281cdaa23f1fbc51d4de01507975463d2ac0b483",
          "58bd449da9cf02a86001bde69f56029a58dc7e845f0e48833ebf31c731ac005e",
-         (12, 1), (12,), 7, 47, 64),
+         (12, 1), (12,), 6, 43, 61),
     ("er16", 0):
         ("8cf3ef3c240f1db172b42ab82dda823e59bc3aa9c104d3c4b15bc65cdacbec17",
          "070b0de26f96bdabcd8260f585d589c03045a0931999452ad52813f03da406bd",
-         (15, 6, 1), (1, 6, 15), 13, 126, 286),
+         (15, 6, 1), (1, 6, 15), 11, 114, 273),
     ("er16", 1):
         ("90f10e54db4f2b1d54c4a310831cc7fbedbe678772b6051a4d7e56e244d4550a",
          "4050143bd3916bb8f46e54d3fe9a4fdb98d6714769f34cd14884001ceb11c693",
-         (1, 6), (1, 11), 10, 87, 184),
+         (1, 6), (1, 11), 9, 83, 180),
 }
 
 
